@@ -4,7 +4,7 @@
 //
 //   vm/        The simulated pipelined vector processor: VectorMachine
 //              (gather/scatter/compress/masks, ELS semantics), the chime
-//              CostParams/CostAccumulator model, TraceSink.
+//              CostParams/CostAccumulator model.
 //   fol/       The paper's contribution: fol1_decompose (FOL1),
 //              fol_star_decompose (FOL*, L index vectors),
 //              fol1_decompose_ordered (footnote 7, order-preserving),
@@ -71,4 +71,3 @@
 #include "tree/bst.h"         // IWYU pragma: export
 #include "vm/cost_model.h"    // IWYU pragma: export
 #include "vm/machine.h"       // IWYU pragma: export
-#include "vm/trace.h"         // IWYU pragma: export

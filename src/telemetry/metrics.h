@@ -6,8 +6,8 @@
 // phase costs — is recorded here by the instrumented code and read back as
 // a MetricsSnapshot by tests and the bench reporter.
 //
-// Recording follows the TraceSink pattern: a process-wide installed
-// registry, borrowed not owned, nullptr by default. Every record helper is
+// Recording follows the SpanTracer pattern (spans.h): a process-wide
+// installed registry, borrowed not owned, nullptr by default. Every record helper is
 // one relaxed atomic pointer test when nothing is installed, so shipping
 // the instrumentation costs nothing on un-instrumented runs (micro_vm's
 // overhead guard pins that property).
@@ -20,7 +20,7 @@
 // non-numeric facts (backend names, pin reasons) into `labels`. The
 // MetricsSnapshot::deterministic() view drops timings, labels, and the two
 // host namespaces; tests/backend_diff_test.cpp asserts it is identical
-// between SerialBackend and ParallelBackend at 1, 2, and 8 workers.
+// between the serial and parallel backend kinds at 1, 2, and 8 workers.
 #pragma once
 
 #include <array>

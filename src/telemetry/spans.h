@@ -7,8 +7,8 @@
 // trace-event JSON, so a run opens directly in chrome://tracing or
 // https://ui.perfetto.dev.
 //
-// Like TraceSink and the metrics registry, the tracer is a process-wide
-// borrowed pointer, nullptr by default: every probe is one relaxed atomic
+// Like the metrics registry, the tracer is a process-wide borrowed
+// pointer, nullptr by default: every probe is one relaxed atomic
 // load when tracing is off. Set FOLVEC_TRACE_JSON=<path> to have
 // telemetry::EnvSession (used by every bench binary) install a tracer and
 // write the file at exit.

@@ -1,8 +1,34 @@
 #include "vm/backend.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <thread>
+
+#include "support/require.h"
+#include "telemetry/metrics.h"
+#include "vm/simd_kernels.h"
 
 namespace folvec::vm {
+
+namespace {
+
+std::size_t hardware_workers() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
+
+/// Lanes between early-cut polls in the first_oob scan: cheap enough to be
+/// invisible next to the compare, frequent enough that a chunk bails within
+/// microseconds of a lower chunk's hit.
+constexpr std::size_t kEarlyCutStride = 1024;
+
+/// `mask` advanced to lane `lo`, or null for an unmasked instruction.
+const std::uint8_t* mask_at(const std::uint8_t* mask, std::size_t lo) {
+  return mask != nullptr ? mask + lo : nullptr;
+}
+
+}  // namespace
 
 void apply_scatter_reference(std::span<Word> table, std::span<const Word> idx,
                              std::span<const Word> vals,
@@ -27,100 +53,371 @@ void apply_scatter_reference(std::span<Word> table, std::span<const Word> idx,
   }
 }
 
-void SerialBackend::for_lanes(std::size_t n, RangeFn fn) { fn(0, n); }
+Backend::Backend(const SimdKernels& kernels, std::size_t workers,
+                 std::size_t grain, MergeStrategy merge)
+    : k_(kernels),
+      workers_(workers == 0 ? hardware_workers() : workers),
+      grain_(std::max<std::size_t>(1, grain)),
+      merge_(merge) {}
 
-Word SerialBackend::reduce_sum(std::span<const Word> v) {
-  Word total = 0;
-  for (Word x : v) total += x;
-  return total;
+Backend::~Backend() = default;
+
+std::size_t Backend::chunks_for(std::size_t n) const {
+  if (workers_ == 1 || n < 2 * grain_) return 1;
+  return std::min(workers_, n / grain_);
 }
 
-Word SerialBackend::reduce_min(std::span<const Word> v) {
-  Word best = v[0];
-  for (Word x : v) best = std::min(best, x);
-  return best;
+detail::ChunkPlan Backend::checked_plan(std::size_t n, std::size_t c) {
+  const detail::ChunkPlan p = detail::plan(n, c);
+  const std::size_t k = p.count();
+  // Dispatching exactly count() tasks keeps every pooled chunk non-empty:
+  // the last one must still own at least one lane.
+  FOLVEC_CHECK(k >= 1 && p.lo(k - 1) < p.hi(k - 1),
+               "chunk plan produced a zero-lane pooled chunk");
+  return p;
 }
 
-Word SerialBackend::reduce_max(std::span<const Word> v) {
-  Word best = v[0];
-  for (Word x : v) best = std::max(best, x);
-  return best;
+ThreadPool& Backend::pool() {
+  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(workers_);
+  return *pool_;
 }
 
-std::size_t SerialBackend::count_true(std::span<const std::uint8_t> m) {
-  std::size_t n = 0;
-  for (auto b : m) n += b;
-  return n;
-}
-
-WordVec SerialBackend::compress(std::span<const Word> v,
-                                std::span<const std::uint8_t> m) {
-  WordVec out;
-  out.reserve(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (m[i] != 0) out.push_back(v[i]);
+void Backend::for_lanes(std::size_t n, RangeFn fn) {
+  const std::size_t c = chunks_for(n);
+  if (c <= 1) {
+    fn(0, n);
+    return;
   }
-  return out;
+  const detail::ChunkPlan p = checked_plan(n, c);
+  pool().run_affine(p.count(),
+                    [&](std::size_t i) { fn(p.lo(i), p.hi(i)); });
 }
 
-std::size_t SerialBackend::first_oob(std::span<const Word> idx,
-                                     std::size_t table_size,
-                                     const std::uint8_t* mask) {
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    if (mask != nullptr && mask[i] == 0) continue;
-    if (idx[i] < 0 || static_cast<std::size_t>(idx[i]) >= table_size) return i;
+Word Backend::reduce(std::span<const Word> v, Word (*fold)(Word, Word),
+                     Word (*span_kernel)(const Word*, std::size_t)) {
+  const std::size_t c = chunks_for(v.size());
+  if (c <= 1) return span_kernel(v.data(), v.size());
+  // Chunks are non-empty by construction, so every partial has a seed lane.
+  const detail::ChunkPlan p = checked_plan(v.size(), c);
+  const std::size_t k = p.count();
+  std::vector<Word> partials(k);
+  pool().run_affine(k, [&](std::size_t i) {
+    partials[i] = span_kernel(v.data() + p.lo(i), p.hi(i) - p.lo(i));
+  });
+  // Combine in ascending chunk order: for the associative folds used here
+  // this equals the unsplit left fold bit-for-bit.
+  Word acc = partials[0];
+  for (std::size_t i = 1; i < k; ++i) acc = fold(acc, partials[i]);
+  return acc;
+}
+
+Word Backend::reduce_sum(std::span<const Word> v) {
+  return reduce(
+      v,
+      [](Word a, Word b) {
+        return static_cast<Word>(static_cast<std::uint64_t>(a) +
+                                 static_cast<std::uint64_t>(b));
+      },
+      k_.reduce_sum);
+}
+
+Word Backend::reduce_min(std::span<const Word> v) {
+  return reduce(v, [](Word a, Word b) { return std::min(a, b); },
+                k_.reduce_min);
+}
+
+Word Backend::reduce_max(std::span<const Word> v) {
+  return reduce(v, [](Word a, Word b) { return std::max(a, b); },
+                k_.reduce_max);
+}
+
+std::size_t Backend::count_true(std::span<const std::uint8_t> m) {
+  const std::size_t c = chunks_for(m.size());
+  if (c <= 1) return k_.count_true(m.data(), m.size());
+  const detail::ChunkPlan p = checked_plan(m.size(), c);
+  const std::vector<std::size_t> offsets = chunk_offsets(m, p);
+  return offsets.back();
+}
+
+std::vector<std::size_t> Backend::chunk_offsets(std::span<const std::uint8_t> m,
+                                                const detail::ChunkPlan& p) {
+  const std::size_t k = p.count();
+  std::vector<std::size_t> offsets(k + 1, 0);
+  pool().run_affine(k, [&](std::size_t i) {
+    offsets[i + 1] = k_.count_true(m.data() + p.lo(i), p.hi(i) - p.lo(i));
+  });
+  for (std::size_t i = 0; i < k; ++i) offsets[i + 1] += offsets[i];
+  return offsets;
+}
+
+void Backend::compress_into(std::span<const Word> v,
+                            std::span<const std::uint8_t> m,
+                            std::span<Word> out) {
+  const std::size_t c = chunks_for(v.size());
+  if (c <= 1) {
+    k_.compress(out.data(), out.size(), v.data(), m.data(), v.size());
+    return;
   }
-  return npos;
+  const detail::ChunkPlan p = checked_plan(v.size(), c);
+  const std::vector<std::size_t> at = chunk_offsets(m, p);
+  pool().run_affine(p.count(), [&](std::size_t i) {
+    k_.compress(out.data() + at[i], at[i + 1] - at[i], v.data() + p.lo(i),
+                m.data() + p.lo(i), p.hi(i) - p.lo(i));
+  });
 }
 
-void SerialBackend::scatter(std::span<Word> table, std::span<const Word> idx,
-                            std::span<const Word> vals,
-                            const std::uint8_t* mask,
-                            ScatterTraversal traversal,
-                            std::span<const std::size_t> order) {
-  apply_scatter_reference(table, idx, vals, mask, traversal, order);
+void Backend::partition(std::span<const Word> v,
+                        std::span<const std::uint8_t> m, std::span<Word> kept,
+                        std::span<Word> rejected) {
+  const std::size_t c = chunks_for(v.size());
+  if (c <= 1) {
+    k_.partition(kept.data(), kept.size(), rejected.data(), v.data(), m.data(),
+                 v.size());
+    return;
+  }
+  const detail::ChunkPlan p = checked_plan(v.size(), c);
+  // Chunk i's kept lanes start at the true count of the chunks before it;
+  // its rejected lanes at the false count, i.e. lo minus that.
+  const std::vector<std::size_t> at = chunk_offsets(m, p);
+  pool().run_affine(p.count(), [&](std::size_t i) {
+    k_.partition(kept.data() + at[i], at[i + 1] - at[i],
+                 rejected.data() + (p.lo(i) - at[i]), v.data() + p.lo(i),
+                 m.data() + p.lo(i), p.hi(i) - p.lo(i));
+  });
 }
 
-void SerialBackend::compress_into(std::span<const Word> v,
-                                  std::span<const std::uint8_t> m,
-                                  std::span<Word> out) {
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (m[i] != 0) out[k++] = v[i];
+std::size_t Backend::first_oob(std::span<const Word> idx,
+                               std::size_t table_size,
+                               const std::uint8_t* mask) {
+  const std::size_t c = chunks_for(idx.size());
+  if (c <= 1) return k_.first_oob(idx.data(), idx.size(), table_size, mask);
+  const detail::ChunkPlan p = checked_plan(idx.size(), c);
+  // Early-cut scan: `best` holds the lowest offending lane found so far.
+  // Each chunk scans in kEarlyCutStride blocks and bails only when best <
+  // its lo — i.e. a STRICTLY earlier chunk already hit — so the chunk
+  // containing the globally-first violation can never bail (that would
+  // contradict globality) and its first local hit IS the global first.
+  // Every store is raced only through the CAS-min loop, and the pool join
+  // orders the final relaxed load after all of them.
+  std::atomic<std::size_t> best{npos};
+  pool().run_affine(p.count(), [&](std::size_t i) {
+    const std::size_t lo = p.lo(i);
+    const std::size_t hi = p.hi(i);
+    for (std::size_t b = lo; b < hi; b += kEarlyCutStride) {
+      if (best.load(std::memory_order_relaxed) < lo) return;
+      const std::size_t len = std::min(kEarlyCutStride, hi - b);
+      const std::size_t hit = k_.first_oob(idx.data() + b, len, table_size,
+                                           mask_at(mask, b));
+      if (hit == npos) continue;
+      const std::size_t j = b + hit;
+      std::size_t cur = best.load(std::memory_order_relaxed);
+      while (j < cur && !best.compare_exchange_weak(
+                            cur, j, std::memory_order_relaxed)) {
+      }
+      return;  // later lanes of this chunk cannot beat its first hit
+    }
+  });
+  return best.load(std::memory_order_relaxed);
+}
+
+void Backend::scatter(std::span<Word> table, std::span<const Word> idx,
+                      std::span<const Word> vals, const std::uint8_t* mask,
+                      ScatterTraversal traversal,
+                      std::span<const std::size_t> order) {
+  const std::size_t c = chunks_for(idx.size());
+  if (c <= 1 || table.empty()) {
+    telemetry::count("pool.scatter.inline");
+    // The table's scatters cover the two lane-order traversals; explicit
+    // (shuffled) orders have no vector shape and run the reference loop.
+    switch (traversal) {
+      case ScatterTraversal::kForward:
+        k_.scatter_fwd(table.data(), idx.data(), vals.data(), mask,
+                       idx.size());
+        return;
+      case ScatterTraversal::kReverse:
+        k_.scatter_rev(table.data(), idx.data(), vals.data(), mask,
+                       idx.size());
+        return;
+      case ScatterTraversal::kExplicit:
+        apply_scatter_reference(table, idx, vals, mask, traversal, order);
+        return;
+    }
+  }
+  telemetry::count("pool.scatter.parallel");
+  // kAuto selection. Forward/reverse traversals always take the single
+  // pass: position order is computable per worker, so one dispatch wins
+  // outright. Explicit traversals pay an order[] indirection in every
+  // worker's full-length scan, so the two-pass route+replay wins once the
+  // scatter is long enough to amortize its bucket setup — but short
+  // explicit scatters (the serving layer's shard-local sub-batches) sit
+  // below that: measured on 2/4/8 workers the crossover is ~160-192
+  // lanes, with single-pass ahead by up to 30% at 64 lanes and two-pass
+  // ahead by 2-4x from 1k lanes up (floors encoded in
+  // bench/goldens/backend_scaling.json via the serve_load bench).
+  constexpr std::size_t kExplicitSinglePassMaxLanes = 160;
+  const bool single =
+      merge_ == MergeStrategy::kSinglePass ||
+      (merge_ == MergeStrategy::kAuto &&
+       (traversal != ScatterTraversal::kExplicit ||
+        idx.size() <= kExplicitSinglePassMaxLanes));
+  if (single) {
+    telemetry::count("pool.merge.single_pass");
+    scatter_single_pass(table, idx, vals, mask, traversal, order);
+  } else {
+    telemetry::count("pool.merge.two_pass");
+    scatter_two_pass(table, idx, vals, mask, traversal, order, c);
   }
 }
 
-std::size_t SerialBackend::scatter_gather_eq(
+void Backend::scatter_single_pass(std::span<Word> table,
+                                  std::span<const Word> idx,
+                                  std::span<const Word> vals,
+                                  const std::uint8_t* mask,
+                                  ScatterTraversal traversal,
+                                  std::span<const std::size_t> order) {
+  const std::size_t n = idx.size();
+  // The survivor of an address is its write with the highest traversal
+  // position. Scanning positions n-1 down to 0, the FIRST write each
+  // interval owner meets for an address is that survivor; the claim stamp
+  // then retires the address for the rest of the scan.
+  const auto lane_at = [&](std::size_t pos) {
+    switch (traversal) {
+      case ScatterTraversal::kReverse:
+        return n - 1 - pos;
+      case ScatterTraversal::kExplicit:
+        return order[pos];
+      case ScatterTraversal::kForward:
+        break;
+    }
+    return pos;
+  };
+  if (claim_.size() < table.size()) claim_.resize(table.size(), 0);
+  ++claim_epoch_;
+  const std::uint64_t epoch = claim_epoch_;
+  std::uint64_t* claim = claim_.data();
+  const std::size_t ranges = std::min(workers_, table.size());
+  const std::size_t range_words =
+      table.size() / ranges + (table.size() % ranges != 0 ? 1 : 0);
+  pool().run_affine(ranges, [&](std::size_t r) {
+    const std::size_t a_lo = r * range_words;
+    const std::size_t a_hi = std::min(table.size(), a_lo + range_words);
+    if (a_lo >= a_hi) return;
+    for (std::size_t pos = n; pos-- > 0;) {
+      const std::size_t lane = lane_at(pos);
+      if (mask != nullptr && mask[lane] == 0) continue;
+      const auto addr = static_cast<std::size_t>(idx[lane]);
+      if (addr < a_lo || addr >= a_hi) continue;
+      if (claim[addr] == epoch) continue;
+      claim[addr] = epoch;
+      table[addr] = vals[lane];
+    }
+  });
+}
+
+void Backend::scatter_two_pass(std::span<Word> table,
+                               std::span<const Word> idx,
+                               std::span<const Word> vals,
+                               const std::uint8_t* mask,
+                               ScatterTraversal traversal,
+                               std::span<const std::size_t> order,
+                               std::size_t c) {
+  const std::size_t n = idx.size();
+  // Lane visited at traversal position `pos`; positions ascend 0..n-1.
+  const auto lane_at = [&](std::size_t pos) {
+    switch (traversal) {
+      case ScatterTraversal::kReverse:
+        return n - 1 - pos;
+      case ScatterTraversal::kExplicit:
+        return order[pos];
+      case ScatterTraversal::kForward:
+        break;
+    }
+    return pos;
+  };
+  const std::size_t ranges = c;
+  const std::size_t range_words =
+      table.size() / ranges + (table.size() % ranges != 0 ? 1 : 0);
+  buckets_.resize(c * ranges);
+  for (auto& b : buckets_) b.clear();
+
+  // Pass 1: route each active write to its owning address range, keeping
+  // position order within every (slice, range) bucket.
+  const auto t0 = std::chrono::steady_clock::now();
+  const detail::ChunkPlan p = checked_plan(n, c);
+  pool().run_affine(p.count(), [&](std::size_t slice) {
+    std::vector<Route>* row = &buckets_[slice * ranges];
+    for (std::size_t pos = p.lo(slice); pos < p.hi(slice); ++pos) {
+      const std::size_t lane = lane_at(pos);
+      if (mask != nullptr && mask[lane] == 0) continue;
+      const Word addr = idx[lane];
+      row[static_cast<std::size_t>(addr) / range_words].push_back(
+          Route{addr, vals[lane]});
+    }
+  });
+  const auto t1 = std::chrono::steady_clock::now();
+
+  // Pass 2: each worker owns one address range and replays its buckets in
+  // ascending (slice, position) order — exactly the traversal order
+  // restricted to that range. Ranges are disjoint, so no write races.
+  pool().run_affine(ranges, [&](std::size_t r) {
+    for (std::size_t slice = 0; slice < c; ++slice) {
+      for (const Route& w : buckets_[slice * ranges + r]) {
+        table[static_cast<std::size_t>(w.addr)] = w.val;
+      }
+    }
+  });
+
+  if (telemetry::MetricsRegistry* reg = telemetry::metrics()) {
+    const auto t2 = std::chrono::steady_clock::now();
+    using Sec = std::chrono::duration<double>;
+    reg->time_add("pool.scatter.route_seconds", Sec(t1 - t0).count());
+    reg->time_add("pool.scatter.replay_seconds", Sec(t2 - t1).count());
+    // Replay-phase balance: writes owned by the busiest range vs the total.
+    std::uint64_t total = 0;
+    std::uint64_t busiest = 0;
+    for (std::size_t r = 0; r < ranges; ++r) {
+      std::uint64_t range_total = 0;
+      for (std::size_t slice = 0; slice < c; ++slice) {
+        range_total += buckets_[slice * ranges + r].size();
+      }
+      total += range_total;
+      busiest = std::max(busiest, range_total);
+    }
+    reg->add("pool.scatter.routed_writes", total);
+    reg->observe("pool.scatter.busiest_range_writes", busiest);
+  }
+}
+
+std::size_t Backend::scatter_gather_eq(
     std::span<Word> table, std::span<const Word> idx,
     std::span<const Word> vals, const std::uint8_t* mask,
     ScatterTraversal traversal, std::span<const std::size_t> order,
     std::span<std::uint8_t> out_match, void (*between_passes)(void*),
     void* hook_ctx) {
-  apply_scatter_reference(table, idx, vals, mask, traversal, order);
+  // The scatter pass is exactly the plain scatter (inline, single-pass, or
+  // two-pass merge); the pool join inside it is the barrier that makes every
+  // write visible to the readback pass below.
+  scatter(table, idx, vals, mask, traversal, order);
   if (between_passes != nullptr) between_passes(hook_ctx);
-  std::size_t survivors = 0;
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    const bool active = mask == nullptr || mask[i] != 0;
-    const std::uint8_t hit =
-        active && table[static_cast<std::size_t>(idx[i])] == vals[i] ? 1 : 0;
-    out_match[i] = hit;
-    survivors += hit;
-  }
-  return survivors;
-}
 
-void SerialBackend::partition(std::span<const Word> v,
-                              std::span<const std::uint8_t> m,
-                              std::span<Word> kept, std::span<Word> rejected) {
-  std::size_t k = 0;
-  std::size_t r = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (m[i] != 0) {
-      kept[k++] = v[i];
-    } else {
-      rejected[r++] = v[i];
-    }
+  const std::size_t n = idx.size();
+  const std::size_t c = chunks_for(n);
+  if (c <= 1) {
+    return k_.match_eq(out_match.data(), table.data(), idx.data(),
+                       vals.data(), mask, n);
   }
+  const detail::ChunkPlan p = checked_plan(n, c);
+  const std::size_t k = p.count();
+  std::vector<std::size_t> partials(k, 0);
+  pool().run_affine(k, [&](std::size_t i) {
+    const std::size_t lo = p.lo(i);
+    partials[i] =
+        k_.match_eq(out_match.data() + lo, table.data(), idx.data() + lo,
+                    vals.data() + lo, mask_at(mask, lo), p.hi(i) - lo);
+  });
+  std::size_t survivors = 0;
+  for (std::size_t h : partials) survivors += h;
+  return survivors;
 }
 
 }  // namespace folvec::vm

@@ -14,7 +14,6 @@
 #include "vm/backend.h"
 #include "vm/buffer_pool.h"
 #include "vm/checker.h"
-#include "vm/parallel_backend.h"
 #include "vm/simd_backend.h"
 #include "vm/simd_kernels.h"
 
@@ -22,12 +21,25 @@ namespace folvec::vm {
 
 namespace {
 
-/// Whether this machine's config asked for a pooled backend but audit mode
-/// pinned execution to the single-threaded path (kParallel runs as kSerial,
-/// kParallelSimd as kSimd).
-bool audit_pinned(const MachineConfig& config, bool audited) {
-  return audited && (config.backend == BackendKind::kParallel ||
-                     config.backend == BackendKind::kParallelSimd);
+/// The kind a machine built from `config` runs. Audit pins execution to the
+/// single-threaded path: ScatterCheck's per-lane bookkeeping is
+/// single-threaded, and an audited instruction stream must be the one whose
+/// semantics the auditor reasons about. The kernel tables run on the issuing
+/// thread and are bit-identical to the scalar table, so kSimd itself stays
+/// auditable — only the pool is pinned away (kParallel -> kSerial,
+/// kParallelSimd -> kSimd).
+BackendKind effective_kind(const MachineConfig& config) {
+  if (config.audit && config.backend == BackendKind::kParallel) {
+    return BackendKind::kSerial;
+  }
+  if (config.audit && config.backend == BackendKind::kParallelSimd) {
+    return BackendKind::kSimd;
+  }
+  return config.backend;
+}
+
+bool is_simd_kind(BackendKind k) {
+  return k == BackendKind::kSimd || k == BackendKind::kParallelSimd;
 }
 
 /// One-time stderr notice that the parallel request was pinned; per-machine
@@ -116,6 +128,7 @@ SimdLevel MachineConfig::simd_level_default() {
 
 VectorMachine::VectorMachine(const MachineConfig& config)
     : config_(config),
+      kind_(effective_kind(config)),
       shuffle_rng_(config.shuffle_seed),
       pool_(std::make_unique<BufferPool>()) {
   if (config_.audit) {
@@ -125,39 +138,15 @@ VectorMachine::VectorMachine(const MachineConfig& config)
     analyzer_ = std::make_unique<analysis::Analyzer>();
     pool_->set_analyzer(analyzer_.get());
   }
-  // Audit pins execution to the single-threaded path: ScatterCheck's
-  // per-lane bookkeeping is single-threaded, and an audited instruction
-  // stream must be the one whose semantics the auditor reasons about. The
-  // SIMD kernels run on the issuing thread and are bit-identical to serial,
-  // so kSimd itself stays auditable — only the pool is pinned away
-  // (kParallel -> kSerial, kParallelSimd -> kSimd).
-  BackendKind kind = config_.backend;
-  if (checker_ != nullptr) {
-    if (kind == BackendKind::kParallel) kind = BackendKind::kSerial;
-    if (kind == BackendKind::kParallelSimd) kind = BackendKind::kSimd;
-  }
-  if (kind == BackendKind::kSimd || kind == BackendKind::kParallelSimd) {
-    simd_ = &simd_kernels_for(simd_resolve_level(config_.simd_level));
-  }
-  switch (kind) {
-    case BackendKind::kParallel:
-      backend_ = std::make_unique<ParallelBackend>(config_.backend_threads,
-                                                   config_.backend_grain,
-                                                   config_.merge_strategy);
-      break;
-    case BackendKind::kParallelSimd:
-      backend_ = std::make_unique<ParallelBackend>(
-          config_.backend_threads, config_.backend_grain,
-          config_.merge_strategy, simd_);
-      break;
-    case BackendKind::kSimd:
-      backend_ = std::make_unique<SimdBackend>(*simd_);
-      break;
-    case BackendKind::kSerial:
-      backend_ = std::make_unique<SerialBackend>();
-      break;
-  }
-  if (audit_pinned(config_, checker_ != nullptr)) warn_audit_pin_once();
+  const bool pooled =
+      kind_ == BackendKind::kParallel || kind_ == BackendKind::kParallelSimd;
+  backend_ = std::make_unique<Backend>(
+      is_simd_kind(kind_)
+          ? simd_kernels_for(simd_resolve_level(config_.simd_level))
+          : simd_kernels_scalar(),
+      pooled ? config_.backend_threads : 1, config_.backend_grain,
+      config_.merge_strategy);
+  if (kind_ != config_.backend) warn_audit_pin_once();
 }
 
 VectorMachine::~VectorMachine() {
@@ -229,33 +218,32 @@ void VectorMachine::flush_telemetry() const {
   r->label("backend.requested", backend_kind_name(config_.backend));
   r->gauge_max("backend.workers",
                static_cast<std::int64_t>(backend_workers()));
-  if (simd_ != nullptr) {
-    r->label("backend.simd_level", simd_->name);
-    r->add(std::string("backend.simd.dispatch.") + simd_->name,
-           simd_dispatches_);
+  if (is_simd_kind(kind_)) {
+    const char* level = backend_->kernels().name;
+    r->label("backend.simd_level", level);
+    r->add(std::string("backend.simd.dispatch.") + level, simd_dispatches_);
   }
-  if (audit_pinned(config_, checker_ != nullptr)) {
+  if (kind_ != config_.backend) {
     r->add("backend.pinned", 1);
     r->label("backend.pin_reason", "audit");
   }
 }
 
-const char* VectorMachine::backend_name() const { return backend_->name(); }
+const char* VectorMachine::backend_name() const {
+  return backend_kind_name(kind_);
+}
 
 std::size_t VectorMachine::backend_workers() const {
   return backend_->workers();
 }
 
 SimdLevel VectorMachine::active_simd_level() const {
-  return simd_ != nullptr ? simd_->level : SimdLevel::kScalar;
+  return backend_->kernels().level;
 }
 
-template <typename K>
-K VectorMachine::simd_pick(K SimdKernels::*field) {
-  if (simd_ == nullptr) return nullptr;
-  const K entry = simd_->*field;
-  if (entry != nullptr) ++simd_dispatches_;
-  return entry;
+const SimdKernels& VectorMachine::kernels() {
+  if (is_simd_kind(kind_)) ++simd_dispatches_;
+  return backend_->kernels();
 }
 
 const HazardReport& VectorMachine::hazards() const {
@@ -373,16 +361,10 @@ void VectorMachine::iota_into(WordVec& out, std::size_t n, Word start,
   issue(OpClass::kVectorArith, n);
   out.resize(n);
   Word* o = out.data();
-  const auto k = simd_pick(&SimdKernels::iota);
+  const auto k = kernels().iota;
   run_lanes(OpClass::kVectorArith, n,
             [o, start, step, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, start, step, lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                o[i] = start + step * static_cast<Word>(i);
-              }
+              k(o, start, step, lo, hi);
             });
   if (analyzer_ != nullptr) {
     analyzer_->rec_gen(analysis::Opcode::kIota, out, start, step);
@@ -448,60 +430,44 @@ void VectorMachine::reverse_into(WordVec& out, std::span<const Word> v) {
 
 // ---- elementwise arithmetic -------------------------------------------------
 
-template <typename F>
 void VectorMachine::zip_into(WordVec& out, std::span<const Word> a,
-                             std::span<const Word> b, F f, SimdBinFn k) {
+                             std::span<const Word> b, SimdBinFn k) {
   FOLVEC_REQUIRE(a.size() == b.size(), "vector lengths must match");
   issue(OpClass::kVectorArith, a.size());
   out.resize(a.size());
   Word* o = out.data();
   run_lanes(OpClass::kVectorArith, a.size(),
-            [o, a, b, f, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, a.data(), b.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) o[i] = f(a[i], b[i]);
+            [o, a, b, k](std::size_t lo, std::size_t hi) {
+              k(o, a.data(), b.data(), lo, hi);
             });
 }
 
-template <typename F>
 WordVec VectorMachine::zip(std::span<const Word> a, std::span<const Word> b,
-                           F f, SimdBinFn k) {
+                           SimdBinFn k) {
   WordVec out;
-  zip_into(out, a, b, f, k);
+  zip_into(out, a, b, k);
   return out;
 }
 
-template <typename F>
-void VectorMachine::map_into(WordVec& out, std::span<const Word> a, F f,
-                             bool batchable, SimdMapFn k, Word s) {
+void VectorMachine::map_into(WordVec& out, std::span<const Word> a,
+                             SimdMapFn k, Word s) {
   issue(OpClass::kVectorArith, a.size());
   out.resize(a.size());
   Word* o = out.data();
-  run_lanes(
-      OpClass::kVectorArith, a.size(),
-      [o, a, f, k, s](std::size_t lo, std::size_t hi) {
-        if (k != nullptr) {
-          k(o, a.data(), s, lo, hi);
-          return;
-        }
-        for (std::size_t i = lo; i < hi; ++i) o[i] = f(a[i]);
-      },
-      batchable);
+  run_lanes(OpClass::kVectorArith, a.size(),
+            [o, a, k, s](std::size_t lo, std::size_t hi) {
+              k(o, a.data(), s, lo, hi);
+            });
 }
 
-template <typename F>
-WordVec VectorMachine::map(std::span<const Word> a, F f, bool batchable,
-                           SimdMapFn k, Word s) {
+WordVec VectorMachine::map(std::span<const Word> a, SimdMapFn k, Word s) {
   WordVec out;
-  map_into(out, a, f, batchable, k, s);
+  map_into(out, a, k, s);
   return out;
 }
 
 WordVec VectorMachine::add(std::span<const Word> a, std::span<const Word> b) {
-  WordVec out = zip(a, b, [](Word x, Word y) { return x + y; },
-                    simd_pick(&SimdKernels::add));
+  WordVec out = zip(a, b, kernels().add);
   if (analyzer_ != nullptr) {
     analyzer_->rec_binary(analysis::Opcode::kAdd, out, a, b);
   }
@@ -510,8 +476,7 @@ WordVec VectorMachine::add(std::span<const Word> a, std::span<const Word> b) {
 
 void VectorMachine::add_into(WordVec& out, std::span<const Word> a,
                              std::span<const Word> b) {
-  zip_into(out, a, b, [](Word x, Word y) { return x + y; },
-           simd_pick(&SimdKernels::add));
+  zip_into(out, a, b, kernels().add);
   if (analyzer_ != nullptr) {
     analyzer_->rec_binary(analysis::Opcode::kAdd, out, a, b);
   }
@@ -519,16 +484,14 @@ void VectorMachine::add_into(WordVec& out, std::span<const Word> a,
 
 void VectorMachine::add_scalar_into(WordVec& out, std::span<const Word> a,
                                     Word s) {
-  map_into(out, a, [s](Word x) { return x + s; }, /*batchable=*/true,
-           simd_pick(&SimdKernels::add_s), s);
+  map_into(out, a, kernels().add_s, s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kAddScalar, out, a, s);
   }
 }
 
 WordVec VectorMachine::sub(std::span<const Word> a, std::span<const Word> b) {
-  WordVec out = zip(a, b, [](Word x, Word y) { return x - y; },
-                    simd_pick(&SimdKernels::sub));
+  WordVec out = zip(a, b, kernels().sub);
   if (analyzer_ != nullptr) {
     analyzer_->rec_binary(analysis::Opcode::kSub, out, a, b);
   }
@@ -536,8 +499,7 @@ WordVec VectorMachine::sub(std::span<const Word> a, std::span<const Word> b) {
 }
 
 WordVec VectorMachine::mul(std::span<const Word> a, std::span<const Word> b) {
-  WordVec out = zip(a, b, [](Word x, Word y) { return x * y; },
-                    simd_pick(&SimdKernels::mul));
+  WordVec out = zip(a, b, kernels().mul);
   if (analyzer_ != nullptr) {
     analyzer_->rec_binary(analysis::Opcode::kMul, out, a, b);
   }
@@ -545,8 +507,7 @@ WordVec VectorMachine::mul(std::span<const Word> a, std::span<const Word> b) {
 }
 
 WordVec VectorMachine::add_scalar(std::span<const Word> a, Word s) {
-  WordVec out = map(a, [s](Word x) { return x + s; }, /*batchable=*/true,
-                    simd_pick(&SimdKernels::add_s), s);
+  WordVec out = map(a, kernels().add_s, s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kAddScalar, out, a, s);
   }
@@ -554,8 +515,7 @@ WordVec VectorMachine::add_scalar(std::span<const Word> a, Word s) {
 }
 
 WordVec VectorMachine::mul_scalar(std::span<const Word> a, Word s) {
-  WordVec out = map(a, [s](Word x) { return x * s; }, /*batchable=*/true,
-                    simd_pick(&SimdKernels::mul_s), s);
+  WordVec out = map(a, kernels().mul_s, s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kMulScalar, out, a, s);
   }
@@ -564,8 +524,7 @@ WordVec VectorMachine::mul_scalar(std::span<const Word> a, Word s) {
 
 void VectorMachine::mul_scalar_into(WordVec& out, std::span<const Word> a,
                                     Word s) {
-  map_into(out, a, [s](Word x) { return x * s; }, /*batchable=*/true,
-           simd_pick(&SimdKernels::mul_s), s);
+  map_into(out, a, kernels().mul_s, s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kMulScalar, out, a, s);
   }
@@ -583,19 +542,10 @@ void VectorMachine::div_scalar_into(WordVec& out, std::span<const Word> a,
   issue(OpClass::kVectorDiv, a.size());
   out.resize(a.size());
   Word* o = out.data();
-  const auto k = simd_pick(&SimdKernels::div_s);
+  const auto k = kernels().div_s;
   run_lanes(OpClass::kVectorDiv, a.size(),
             [o, a, s, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, a.data(), s, lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                // Floor division (operands may be negative).
-                Word q = a[i] / s;
-                if ((a[i] % s) != 0 && (a[i] < 0)) --q;
-                o[i] = q;
-              }
+              k(o, a.data(), s, lo, hi);
             });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kDivScalar, out, a, s);
@@ -614,18 +564,10 @@ void VectorMachine::mod_scalar_into(WordVec& out, std::span<const Word> a,
   issue(OpClass::kVectorDiv, a.size());
   out.resize(a.size());
   Word* o = out.data();
-  const auto k = simd_pick(&SimdKernels::mod_s);
+  const auto k = kernels().mod_s;
   run_lanes(OpClass::kVectorDiv, a.size(),
             [o, a, s, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, a.data(), s, lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                Word r = a[i] % s;
-                if (r < 0) r += s;
-                o[i] = r;
-              }
+              k(o, a.data(), s, lo, hi);
             });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kModScalar, out, a, s);
@@ -640,16 +582,14 @@ WordVec VectorMachine::and_scalar(std::span<const Word> a, Word s) {
 
 void VectorMachine::and_scalar_into(WordVec& out, std::span<const Word> a,
                                     Word s) {
-  map_into(out, a, [s](Word x) { return x & s; }, /*batchable=*/true,
-           simd_pick(&SimdKernels::and_s), s);
+  map_into(out, a, kernels().and_s, s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kAndScalar, out, a, s);
   }
 }
 
 WordVec VectorMachine::or_scalar(std::span<const Word> a, Word s) {
-  WordVec out = map(a, [s](Word x) { return x | s; }, /*batchable=*/true,
-                    simd_pick(&SimdKernels::or_s), s);
+  WordVec out = map(a, kernels().or_s, s);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kOrScalar, out, a, s);
   }
@@ -658,13 +598,18 @@ WordVec VectorMachine::or_scalar(std::span<const Word> a, Word s) {
 
 WordVec VectorMachine::shl_scalar(std::span<const Word> a, int k) {
   FOLVEC_REQUIRE(k >= 0 && k < 64, "shift amount out of range");
+  issue(OpClass::kVectorArith, a.size());
+  WordVec out(a.size());
+  Word* o = out.data();
   // The per-lane precondition throws from inside the kernel; deferring it
   // to a batch flush would break exception parity, so never batch it.
-  WordVec out = map(
-      a,
-      [k](Word x) {
-        FOLVEC_REQUIRE(x >= 0, "shl_scalar needs non-negative elements");
-        return static_cast<Word>(static_cast<std::uint64_t>(x) << k);
+  run_lanes(
+      OpClass::kVectorArith, a.size(),
+      [o, a, k](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          FOLVEC_REQUIRE(a[i] >= 0, "shl_scalar needs non-negative elements");
+          o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) << k);
+        }
       },
       /*batchable=*/false);
   if (analyzer_ != nullptr) {
@@ -682,16 +627,14 @@ WordVec VectorMachine::shr_scalar(std::span<const Word> a, int k) {
 void VectorMachine::shr_scalar_into(WordVec& out, std::span<const Word> a,
                                     int k) {
   FOLVEC_REQUIRE(k >= 0 && k < 64, "shift amount out of range");
-  map_into(out, a, [k](Word x) { return x >> k; }, /*batchable=*/true,
-           simd_pick(&SimdKernels::shr_s), static_cast<Word>(k));
+  map_into(out, a, kernels().shr_s, static_cast<Word>(k));
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kShrScalar, out, a, k);
   }
 }
 
 WordVec VectorMachine::negate(std::span<const Word> a) {
-  WordVec out = map(a, [](Word x) { return -x; }, /*batchable=*/true,
-                    simd_pick(&SimdKernels::neg), 0);
+  WordVec out = map(a, kernels().neg, 0);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kNegate, out, a);
   }
@@ -699,8 +642,7 @@ WordVec VectorMachine::negate(std::span<const Word> a) {
 }
 
 void VectorMachine::negate_into(WordVec& out, std::span<const Word> a) {
-  map_into(out, a, [](Word x) { return -x; }, /*batchable=*/true,
-           simd_pick(&SimdKernels::neg), 0);
+  map_into(out, a, kernels().neg, 0);
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kNegate, out, a);
   }
@@ -708,54 +650,40 @@ void VectorMachine::negate_into(WordVec& out, std::span<const Word> a) {
 
 // ---- compares ---------------------------------------------------------------
 
-template <typename F>
-Mask VectorMachine::cmp(std::span<const Word> a, std::span<const Word> b, F f,
+Mask VectorMachine::cmp(std::span<const Word> a, std::span<const Word> b,
                         SimdCmpFn k) {
   Mask out;
-  cmp_into(out, a, b, f, k);
+  cmp_into(out, a, b, k);
   return out;
 }
 
-template <typename F>
 void VectorMachine::cmp_into(Mask& out, std::span<const Word> a,
-                             std::span<const Word> b, F f, SimdCmpFn k) {
+                             std::span<const Word> b, SimdCmpFn k) {
   FOLVEC_REQUIRE(a.size() == b.size(), "vector lengths must match");
   issue(OpClass::kVectorCompare, a.size());
   out.resize(a.size());
   std::uint8_t* o = out.data();
   run_lanes(OpClass::kVectorCompare, a.size(),
-            [o, a, b, f, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, a.data(), b.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                o[i] = f(a[i], b[i]) ? 1 : 0;
-              }
+            [o, a, b, k](std::size_t lo, std::size_t hi) {
+              k(o, a.data(), b.data(), lo, hi);
             });
 }
 
-template <typename F>
-Mask VectorMachine::cmp_scalar(std::span<const Word> a, F f, SimdCmpSFn k,
+Mask VectorMachine::cmp_scalar(std::span<const Word> a, SimdCmpSFn k,
                                Word s) {
   Mask out;
-  cmp_scalar_into(out, a, f, k, s);
+  cmp_scalar_into(out, a, k, s);
   return out;
 }
 
-template <typename F>
-void VectorMachine::cmp_scalar_into(Mask& out, std::span<const Word> a, F f,
+void VectorMachine::cmp_scalar_into(Mask& out, std::span<const Word> a,
                                     SimdCmpSFn k, Word s) {
   issue(OpClass::kVectorCompare, a.size());
   out.resize(a.size());
   std::uint8_t* o = out.data();
   run_lanes(OpClass::kVectorCompare, a.size(),
-            [o, a, f, k, s](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, a.data(), s, lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) o[i] = f(a[i]) ? 1 : 0;
+            [o, a, k, s](std::size_t lo, std::size_t hi) {
+              k(o, a.data(), s, lo, hi);
             });
 }
 
@@ -766,78 +694,67 @@ void VectorMachine::rec_cmp(analysis::Opcode op, const Mask& out,
 }
 
 Mask VectorMachine::eq(std::span<const Word> a, std::span<const Word> b) {
-  Mask out = cmp(a, b, [](Word x, Word y) { return x == y; },
-                 simd_pick(&SimdKernels::cmp_eq));
+  Mask out = cmp(a, b, kernels().cmp_eq);
   rec_cmp(analysis::Opcode::kCmpEq, out, a, b, 0);
   return out;
 }
 
 void VectorMachine::eq_into(Mask& out, std::span<const Word> a,
                             std::span<const Word> b) {
-  cmp_into(out, a, b, [](Word x, Word y) { return x == y; },
-           simd_pick(&SimdKernels::cmp_eq));
+  cmp_into(out, a, b, kernels().cmp_eq);
   rec_cmp(analysis::Opcode::kCmpEq, out, a, b, 0);
 }
 
 Mask VectorMachine::ne(std::span<const Word> a, std::span<const Word> b) {
-  Mask out = cmp(a, b, [](Word x, Word y) { return x != y; },
-                 simd_pick(&SimdKernels::cmp_ne));
+  Mask out = cmp(a, b, kernels().cmp_ne);
   rec_cmp(analysis::Opcode::kCmpNe, out, a, b, 0);
   return out;
 }
 
 Mask VectorMachine::le(std::span<const Word> a, std::span<const Word> b) {
-  Mask out = cmp(a, b, [](Word x, Word y) { return x <= y; },
-                 simd_pick(&SimdKernels::cmp_le));
+  Mask out = cmp(a, b, kernels().cmp_le);
   rec_cmp(analysis::Opcode::kCmpLe, out, a, b, 0);
   return out;
 }
 
 Mask VectorMachine::lt(std::span<const Word> a, std::span<const Word> b) {
-  Mask out = cmp(a, b, [](Word x, Word y) { return x < y; },
-                 simd_pick(&SimdKernels::cmp_lt));
+  Mask out = cmp(a, b, kernels().cmp_lt);
   rec_cmp(analysis::Opcode::kCmpLt, out, a, b, 0);
   return out;
 }
 
 Mask VectorMachine::eq_scalar(std::span<const Word> a, Word s) {
-  Mask out = cmp_scalar(a, [s](Word x) { return x == s; },
-                        simd_pick(&SimdKernels::cmp_eq_s), s);
+  Mask out = cmp_scalar(a, kernels().cmp_eq_s, s);
   rec_cmp(analysis::Opcode::kCmpEqScalar, out, a, {}, s);
   return out;
 }
 
 Mask VectorMachine::ne_scalar(std::span<const Word> a, Word s) {
-  Mask out = cmp_scalar(a, [s](Word x) { return x != s; },
-                        simd_pick(&SimdKernels::cmp_ne_s), s);
+  Mask out = cmp_scalar(a, kernels().cmp_ne_s, s);
   rec_cmp(analysis::Opcode::kCmpNeScalar, out, a, {}, s);
   return out;
 }
 
 void VectorMachine::ne_scalar_into(Mask& out, std::span<const Word> a,
                                    Word s) {
-  cmp_scalar_into(out, a, [s](Word x) { return x != s; },
-                  simd_pick(&SimdKernels::cmp_ne_s), s);
+  cmp_scalar_into(out, a, kernels().cmp_ne_s, s);
   rec_cmp(analysis::Opcode::kCmpNeScalar, out, a, {}, s);
 }
 
 Mask VectorMachine::le_scalar(std::span<const Word> a, Word s) {
-  Mask out = cmp_scalar(a, [s](Word x) { return x <= s; },
-                        simd_pick(&SimdKernels::cmp_le_s), s);
+  Mask out = cmp_scalar(a, kernels().cmp_le_s, s);
   rec_cmp(analysis::Opcode::kCmpLeScalar, out, a, {}, s);
   return out;
 }
 
 Mask VectorMachine::lt_scalar(std::span<const Word> a, Word s) {
-  Mask out = cmp_scalar(a, [s](Word x) { return x < s; },
-                        simd_pick(&SimdKernels::cmp_lt_s), s);
+  Mask out = cmp_scalar(a, kernels().cmp_lt_s, s);
   rec_cmp(analysis::Opcode::kCmpLtScalar, out, a, {}, s);
   return out;
 }
 
 Mask VectorMachine::ge_scalar(std::span<const Word> a, Word s) {
-  Mask out = cmp_scalar(a, [s](Word x) { return x >= s; },
-                        simd_pick(&SimdKernels::cmp_ge_s), s);
+  Mask out = cmp_scalar(a, kernels().cmp_ge_s, s);
   rec_cmp(analysis::Opcode::kCmpGeScalar, out, a, {}, s);
   return out;
 }
@@ -857,16 +774,10 @@ void VectorMachine::mask_and_into(Mask& out, const Mask& a, const Mask& b) {
   std::uint8_t* o = out.data();
   const std::span<const std::uint8_t> ab = a.bytes();
   const std::span<const std::uint8_t> bb = b.bytes();
-  const auto k = simd_pick(&SimdKernels::mask_and);
+  const auto k = kernels().mask_and;
   run_lanes(OpClass::kVectorMask, a.size(),
             [o, ab, bb, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, ab.data(), bb.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                o[i] = static_cast<std::uint8_t>(ab[i] & bb[i]);
-              }
+              k(o, ab.data(), bb.data(), lo, hi);
             });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskAnd, out.bytes(), a.bytes(),
@@ -881,16 +792,10 @@ Mask VectorMachine::mask_or(const Mask& a, const Mask& b) {
   std::uint8_t* o = out.data();
   const std::span<const std::uint8_t> ab = a.bytes();
   const std::span<const std::uint8_t> bb = b.bytes();
-  const auto k = simd_pick(&SimdKernels::mask_or);
+  const auto k = kernels().mask_or;
   run_lanes(OpClass::kVectorMask, a.size(),
             [o, ab, bb, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, ab.data(), bb.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                o[i] = static_cast<std::uint8_t>(ab[i] | bb[i]);
-              }
+              k(o, ab.data(), bb.data(), lo, hi);
             });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskOr, out.bytes(), a.bytes(), b.bytes());
@@ -903,14 +808,10 @@ Mask VectorMachine::mask_not(const Mask& a) {
   Mask out(a.size());
   std::uint8_t* o = out.data();
   const std::span<const std::uint8_t> ab = a.bytes();
-  const auto k = simd_pick(&SimdKernels::mask_not);
+  const auto k = kernels().mask_not;
   run_lanes(OpClass::kVectorMask, a.size(),
             [o, ab, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, ab.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) o[i] = ab[i] != 0 ? 0 : 1;
+              k(o, ab.data(), lo, hi);
             });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskNot, out.bytes(), a.bytes(), {});
@@ -968,20 +869,8 @@ Word VectorMachine::reduce_max(std::span<const Word> v) {
 // ---- selection -----------------------------------------------------------------
 
 WordVec VectorMachine::compress(std::span<const Word> v, const Mask& m) {
-  flush_batch();
-  FOLVEC_REQUIRE(v.size() == m.size(), "value/mask lengths must match");
-  const OpTimer timer(cost_, OpClass::kVectorCompress, v.size());
-  issue(OpClass::kVectorCompress, v.size());
-  if (m.has_popcount()) {
-    // A known count lets the result allocate exactly instead of reserving a
-    // full-length buffer and shrinking.
-    WordVec out(m.popcount());
-    backend_->compress_into(v, m, out);
-    if (analyzer_ != nullptr) analyzer_->rec_compress(out, v, m.bytes());
-    return out;
-  }
-  WordVec out = backend_->compress(v, m);
-  if (analyzer_ != nullptr) analyzer_->rec_compress(out, v, m.bytes());
+  WordVec out;
+  compress_into(out, v, m);
   return out;
 }
 
@@ -1014,16 +903,10 @@ void VectorMachine::select_into(WordVec& out, const Mask& m,
   out.resize(a.size());
   Word* o = out.data();
   const std::span<const std::uint8_t> mb = m.bytes();
-  const auto k = simd_pick(&SimdKernels::select);
+  const auto k = kernels().select;
   run_lanes(OpClass::kVectorArith, a.size(),
             [o, mb, a, b, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, mb.data(), a.data(), b.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) {
-                o[i] = mb[i] != 0 ? a[i] : b[i];
-              }
+              k(o, mb.data(), a.data(), b.data(), lo, hi);
             });
   if (analyzer_ != nullptr) analyzer_->rec_select(out, m.bytes(), a, b);
 }
@@ -1033,14 +916,10 @@ WordVec VectorMachine::from_mask(const Mask& m) {
   WordVec out(m.size());
   Word* o = out.data();
   const std::span<const std::uint8_t> mb = m.bytes();
-  const auto k = simd_pick(&SimdKernels::from_mask);
+  const auto k = kernels().from_mask;
   run_lanes(OpClass::kVectorArith, m.size(),
             [o, mb, k](std::size_t lo, std::size_t hi) {
-              if (k != nullptr) {
-                k(o, mb.data(), lo, hi);
-                return;
-              }
-              for (std::size_t i = lo; i < hi; ++i) o[i] = mb[i] != 0 ? 1 : 0;
+              k(o, mb.data(), lo, hi);
             });
   if (analyzer_ != nullptr) analyzer_->rec_from_mask(out, m.bytes());
   return out;
@@ -1115,13 +994,9 @@ WordVec VectorMachine::load_strided(std::span<const Word> table,
   issue(OpClass::kVectorLoad, n);
   WordVec out(n);
   Word* o = out.data();
-  const auto k = simd_pick(&SimdKernels::load_strided);
+  const auto k = kernels().load_strided;
   backend_->for_lanes(n, [&](std::size_t lo, std::size_t hi) {
-    if (k != nullptr) {
-      k(o, table.data(), offset, stride, lo, hi);
-      return;
-    }
-    for (std::size_t i = lo; i < hi; ++i) o[i] = table[offset + i * stride];
+    k(o, table.data(), offset, stride, lo, hi);
   });
   if (analyzer_ != nullptr) {
     analyzer_->rec_load(analysis::Opcode::kLoadStrided, out, table);
@@ -1199,15 +1074,9 @@ void VectorMachine::gather_into(WordVec& out, std::span<const Word> table,
   issue(OpClass::kVectorGather, idx.size());
   out.resize(idx.size());
   Word* o = out.data();
-  const auto k = simd_pick(&SimdKernels::gather);
+  const auto k = kernels().gather;
   backend_->for_lanes(idx.size(), [&](std::size_t lo, std::size_t hi) {
-    if (k != nullptr) {
-      k(o, table.data(), idx.data(), lo, hi);
-      return;
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      o[i] = table[static_cast<std::size_t>(idx[i])];
-    }
+    k(o, table.data(), idx.data(), lo, hi);
   });
   if (analyzer_ != nullptr) analyzer_->rec_gather(out, table, idx, {}, sv, elide);
 }
@@ -1236,15 +1105,9 @@ WordVec VectorMachine::gather_masked(std::span<const Word> table,
   issue(OpClass::kVectorGather, idx.size());
   WordVec out(idx.size(), fill);
   Word* o = out.data();
-  const auto k = simd_pick(&SimdKernels::gather_masked);
+  const auto k = kernels().gather_masked;
   backend_->for_lanes(idx.size(), [&](std::size_t lo, std::size_t hi) {
-    if (k != nullptr) {
-      k(o, table.data(), idx.data(), m.data(), lo, hi);
-      return;
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (m[i] != 0) o[i] = table[static_cast<std::size_t>(idx[i])];
-    }
+    k(o, table.data(), idx.data(), m.data(), lo, hi);
   });
   if (analyzer_ != nullptr) analyzer_->rec_gather(out, table, idx, m.bytes(), sv, elide);
   return out;

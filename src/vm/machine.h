@@ -47,7 +47,6 @@
 #include "vm/cost_model.h"
 #include "vm/hazard.h"
 #include "vm/mask.h"
-#include "vm/trace.h"
 
 namespace folvec::analysis {
 class Analyzer;
@@ -67,15 +66,16 @@ enum class ScatterOrder : std::uint8_t {
   kShuffled,  ///< fresh pseudo-random lane order per scatter instruction
 };
 
-/// Which execution backend runs the primitive lane loops (see backend.h).
+/// How the backend (see backend.h) runs the primitive lane loops: which
+/// kernel table, and across how many workers.
 enum class BackendKind : std::uint8_t {
-  kSerial,        ///< reference semantics, one thread
-  kParallel,      ///< lanes chunked across a persistent thread pool
-  kSimd,          ///< one thread, lane loops lowered to real vector ISA
-  kParallelSimd,  ///< pool chunks running the SIMD lane loops inside
+  kSerial,        ///< scalar reference table, one worker
+  kParallel,      ///< scalar table, backend_threads workers
+  kSimd,          ///< resolved simd_level table, one worker
+  kParallelSimd,  ///< resolved simd_level table, backend_threads workers
 };
 
-/// Which SIMD kernel table the simd backends execute through (see
+/// Which SIMD kernel table the SIMD kinds execute through (see
 /// simd_backend.h). Declaration order is support rank order: resolution
 /// downgrades toward kScalar, never up.
 enum class SimdLevel : std::uint8_t {
@@ -86,10 +86,9 @@ enum class SimdLevel : std::uint8_t {
   kAuto,    ///< resolve to the best level the host supports
 };
 
-// Lane-kernel pointer shapes of the SIMD kernel table (simd_kernels.h).
-// Null means "no lowering at this level"; primitives then run their plain
-// loops. All operate on lanes [lo, hi) of shared vectors, the same contract
-// as Backend::for_lanes chunks.
+// Lane-kernel pointer shapes of the SIMD kernel table (simd_kernels.h). All
+// operate on lanes [lo, hi) of shared vectors, the same contract as
+// Backend::for_lanes chunks.
 using SimdBinFn = void (*)(Word*, const Word*, const Word*, std::size_t,
                            std::size_t);
 using SimdMapFn = void (*)(Word*, const Word*, Word, std::size_t,
@@ -99,9 +98,10 @@ using SimdCmpFn = void (*)(std::uint8_t*, const Word*, const Word*,
 using SimdCmpSFn = void (*)(std::uint8_t*, const Word*, Word, std::size_t,
                             std::size_t);
 
-/// How the parallel backend merges colliding scatter writes (see
-/// parallel_backend.h for both algorithms; every choice is bit-identical to
-/// serial, they differ only in memory traffic and dispatch count).
+/// How the backend merges colliding writes of a scatter split across
+/// workers (see backend.h for both algorithms; every choice is
+/// bit-identical to serial, they differ only in memory traffic and dispatch
+/// count).
 enum class MergeStrategy : std::uint8_t {
   kAuto,        ///< single-pass for forward/reverse traversals and short
                 ///< explicit ones (<= 160 lanes); two-pass for the rest
@@ -141,19 +141,19 @@ struct MachineConfig {
   /// when set (auto/scalar/neon/avx2/avx512), else kAuto.
   static SimdLevel simd_level_default();
 
-  /// Requested kernel level for the simd backends (ignored by kSerial /
-  /// kParallel). kAuto resolves to the best level the host CPU supports; a
-  /// forced level unavailable on this host/build degrades to the best
-  /// supported lower level with a one-time stderr notice (see
+  /// Requested kernel level for the SIMD kinds (kSerial / kParallel always
+  /// run the scalar table). kAuto resolves to the best level the host CPU
+  /// supports; a forced level unavailable on this host/build degrades to the
+  /// best supported lower level with a one-time stderr notice (see
   /// simd_backend.h).
   SimdLevel simd_level = simd_level_default();
-  /// Worker threads for the parallel backend; 0 = hardware concurrency.
+  /// Worker threads for kParallel / kParallelSimd; 0 = hardware concurrency.
   std::size_t backend_threads = 0;
-  /// Minimum lanes per worker chunk before the parallel backend splits an
+  /// Minimum lanes per worker chunk before the backend splits an
   /// instruction. Tests lower it to exercise the parallel path on short
   /// vectors; benches keep the default so tiny ops skip dispatch.
   std::size_t backend_grain = 4096;
-  /// Scatter merge strategy of the parallel backend. kAuto picks per
+  /// Merge strategy for scatters split across workers. kAuto picks per
   /// instruction; the forced settings exist for differential tests and
   /// ablation benches (every setting is bit-identical to serial).
   MergeStrategy merge_strategy = MergeStrategy::kAuto;
@@ -241,11 +241,12 @@ class VectorMachine {
   const char* backend_name() const;
   /// Worker count of the active backend (1 for serial/simd).
   std::size_t backend_workers() const;
-  /// The resolved SIMD kernel level the machine executes through (kScalar
-  /// when no SIMD backend is attached).
+  /// The level of the kernel table the machine executes through (kScalar
+  /// on kSerial / kParallel, which run the scalar reference table).
   SimdLevel active_simd_level() const;
-  /// Kernel-table dispatches taken so far (lane loops that actually ran a
-  /// non-null SIMD table entry; also published as backend.simd.dispatch.*).
+  /// Lane-kernel table dispatches on a SIMD-kind machine (kSimd /
+  /// kParallelSimd; also published as backend.simd.dispatch.*). Always 0 on
+  /// kSerial / kParallel, whose scalar-table dispatches are not counted.
   std::size_t simd_dispatches() const { return simd_dispatches_; }
 
   // ---- ScatterCheck auditing (see checker.h) ------------------------------
@@ -277,10 +278,6 @@ class VectorMachine {
   /// clobbered-work marks covering it so unrelated arrays that later reuse
   /// the allocation are not flagged. No-op without audit; free.
   void retire_work(std::span<const Word> region);
-
-  /// Attaches (or detaches, with nullptr) an instruction trace sink. The
-  /// sink is borrowed, not owned, and must outlive its attachment.
-  void attach_trace(TraceSink* sink) { trace_ = sink; }
 
   /// The machine's vector-register buffer pool (see buffer_pool.h).
   /// Steady-state round loops acquire their working vectors here and feed
@@ -519,10 +516,7 @@ class VectorMachine {
   void scalar_div(std::size_t n = 1) { issue(OpClass::kScalarDiv, n); }
 
  private:
-  void issue(OpClass c, std::size_t n) {
-    cost_.record(c, n);
-    if (trace_ != nullptr) trace_->record(c, n);
-  }
+  void issue(OpClass c, std::size_t n) { cost_.record(c, n); }
 
   /// RAII wall-clock probe: charges the enclosing scope's elapsed host time
   /// to one op class, next to the chime counts the same scope issues. When a
@@ -556,40 +550,24 @@ class VectorMachine {
     std::chrono::steady_clock::time_point start_;
   };
 
-  // The elementwise helper templates take an optional SIMD kernel pointer
-  // (the table entry matching `f`); non-null kernels run the vector lanes,
-  // `f` covers only what the scalar reference loop would do. `s` is the
-  // scalar operand forwarded to SimdMapFn/SimdCmpSFn kernels.
-  template <typename F>
-  WordVec zip(std::span<const Word> a, std::span<const Word> b, F f,
-              SimdBinFn k = nullptr);
-  template <typename F>
+  // Elementwise helpers: each runs one kernel-table entry over every lane
+  // of the instruction. `s` is the scalar operand of SimdMapFn/SimdCmpSFn
+  // entries (the shift count for shr_s, ignored by neg).
+  WordVec zip(std::span<const Word> a, std::span<const Word> b, SimdBinFn k);
   void zip_into(WordVec& out, std::span<const Word> a, std::span<const Word> b,
-                F f, SimdBinFn k = nullptr);
-  template <typename F>
-  WordVec map(std::span<const Word> a, F f, bool batchable = true,
-              SimdMapFn k = nullptr, Word s = 0);
-  template <typename F>
-  void map_into(WordVec& out, std::span<const Word> a, F f,
-                bool batchable = true, SimdMapFn k = nullptr, Word s = 0);
-  template <typename F>
-  Mask cmp(std::span<const Word> a, std::span<const Word> b, F f,
-           SimdCmpFn k = nullptr);
-  template <typename F>
+                SimdBinFn k);
+  WordVec map(std::span<const Word> a, SimdMapFn k, Word s);
+  void map_into(WordVec& out, std::span<const Word> a, SimdMapFn k, Word s);
+  Mask cmp(std::span<const Word> a, std::span<const Word> b, SimdCmpFn k);
   void cmp_into(Mask& out, std::span<const Word> a, std::span<const Word> b,
-                F f, SimdCmpFn k = nullptr);
-  template <typename F>
-  Mask cmp_scalar(std::span<const Word> a, F f, SimdCmpSFn k = nullptr,
-                  Word s = 0);
-  template <typename F>
-  void cmp_scalar_into(Mask& out, std::span<const Word> a, F f,
-                       SimdCmpSFn k = nullptr, Word s = 0);
+                SimdCmpFn k);
+  Mask cmp_scalar(std::span<const Word> a, SimdCmpSFn k, Word s);
+  void cmp_scalar_into(Mask& out, std::span<const Word> a, SimdCmpSFn k,
+                       Word s);
 
-  /// The active kernel-table entry for `field`: null when no SIMD table is
-  /// attached or the level has no lowering for the op; bumps the dispatch
-  /// counter on hits. Defined in machine.cpp (needs the full SimdKernels).
-  template <typename K>
-  K simd_pick(K SimdKernels::*field);
+  /// The kernel table the backend runs; on a SIMD-kind machine each call
+  /// counts one dispatch.
+  const SimdKernels& kernels();
 
   // ---- batched dispatch internals -----------------------------------------
 
@@ -687,19 +665,16 @@ class VectorMachine {
                                          std::vector<std::size_t>& order);
 
   MachineConfig config_;
+  /// The kind actually run: config_.backend after audit pinning.
+  BackendKind kind_;
   CostAccumulator cost_;
   Xoshiro256 shuffle_rng_;
-  TraceSink* trace_ = nullptr;
   std::unique_ptr<ScatterChecker> checker_;
   // Declared before pool_: the pool's destructor fires release hooks into
   // the analyzer, so the analyzer must still be alive when pool_ dies.
   std::unique_ptr<analysis::Analyzer> analyzer_;
   std::unique_ptr<Backend> backend_;
-  /// Resolved SIMD kernel table (null for kSerial/kParallel). Tables are
-  /// function-local statics in their kernel TUs, so the pointer never
-  /// dangles.
-  const SimdKernels* simd_ = nullptr;
-  /// Lane loops that actually ran a non-null table entry.
+  /// Lane-kernel table dispatches (counted on SIMD kinds only).
   std::size_t simd_dispatches_ = 0;
   std::unique_ptr<BufferPool> pool_;
   /// Open OpBatch nesting depth and the queued round (see OpBatch).

@@ -30,6 +30,32 @@ void warn_unknown_level_once(const char* spelling) {
                spelling);
 }
 
+/// `isa` with each null entry in `Fields` taken from the scalar table.
+template <auto... Fields>
+SimdKernels completed(const SimdKernels& isa) {
+  const SimdKernels& scalar = simd_kernels_scalar();
+  SimdKernels k = isa;
+  ((k.*Fields = k.*Fields != nullptr ? k.*Fields : scalar.*Fields), ...);
+  return k;
+}
+
+/// `isa` made total: every entry but conflict_rank, whose null is how a
+/// level says it has no hardware conflict detection.
+[[maybe_unused]] SimdKernels with_scalar_fill(const SimdKernels& isa) {
+  using K = SimdKernels;
+  return completed<&K::add, &K::sub, &K::mul, &K::add_s, &K::mul_s,
+                   &K::and_s, &K::or_s, &K::shr_s, &K::neg, &K::div_s,
+                   &K::mod_s, &K::cmp_eq, &K::cmp_ne, &K::cmp_le,
+                   &K::cmp_lt, &K::cmp_eq_s, &K::cmp_ne_s, &K::cmp_le_s,
+                   &K::cmp_lt_s, &K::cmp_ge_s, &K::mask_and, &K::mask_or,
+                   &K::mask_not, &K::select, &K::from_mask, &K::iota,
+                   &K::gather, &K::gather_masked, &K::load_strided,
+                   &K::reduce_sum, &K::reduce_min, &K::reduce_max,
+                   &K::count_true, &K::compress, &K::partition,
+                   &K::first_oob, &K::scatter_fwd, &K::scatter_rev,
+                   &K::match_eq>(isa);
+}
+
 }  // namespace
 
 SimdLevel simd_host_level() {
@@ -106,16 +132,23 @@ SimdLevel simd_resolve_level(SimdLevel requested) {
 const SimdKernels& simd_kernels_for(SimdLevel level) {
   switch (level) {
 #if defined(FOLVEC_HAVE_NEON_TU)
-    case SimdLevel::kNeon:
-      return simd_kernels_neon();
+    case SimdLevel::kNeon: {
+      static const SimdKernels neon = with_scalar_fill(simd_kernels_neon());
+      return neon;
+    }
 #endif
 #if defined(FOLVEC_HAVE_AVX2_TU)
-    case SimdLevel::kAvx2:
-      return simd_kernels_avx2();
+    case SimdLevel::kAvx2: {
+      static const SimdKernels avx2 = with_scalar_fill(simd_kernels_avx2());
+      return avx2;
+    }
 #endif
 #if defined(FOLVEC_HAVE_AVX512_TU)
-    case SimdLevel::kAvx512:
-      return simd_kernels_avx512();
+    case SimdLevel::kAvx512: {
+      static const SimdKernels avx512 =
+          with_scalar_fill(simd_kernels_avx512());
+      return avx512;
+    }
 #endif
     default:
       return simd_kernels_scalar();
@@ -149,138 +182,6 @@ SimdLevel simd_parse_level(const char* spelling) {
   if (std::strcmp(spelling, "avx512") == 0) return SimdLevel::kAvx512;
   warn_unknown_level_once(spelling);
   return SimdLevel::kAuto;
-}
-
-void SimdBackend::for_lanes(std::size_t n, RangeFn fn) { fn(0, n); }
-
-Word SimdBackend::reduce_sum(std::span<const Word> v) {
-  if (k_->reduce_sum != nullptr) return k_->reduce_sum(v.data(), v.size());
-  Word total = 0;
-  for (const Word x : v) total += x;
-  return total;
-}
-
-Word SimdBackend::reduce_min(std::span<const Word> v) {
-  if (k_->reduce_min != nullptr) return k_->reduce_min(v.data(), v.size());
-  Word best = v[0];
-  for (const Word x : v) best = x < best ? x : best;
-  return best;
-}
-
-Word SimdBackend::reduce_max(std::span<const Word> v) {
-  if (k_->reduce_max != nullptr) return k_->reduce_max(v.data(), v.size());
-  Word best = v[0];
-  for (const Word x : v) best = x > best ? x : best;
-  return best;
-}
-
-std::size_t SimdBackend::count_true(std::span<const std::uint8_t> m) {
-  if (k_->count_true != nullptr) return k_->count_true(m.data(), m.size());
-  std::size_t n = 0;
-  for (const auto b : m) n += b;
-  return n;
-}
-
-WordVec SimdBackend::compress(std::span<const Word> v,
-                              std::span<const std::uint8_t> m) {
-  // Size the scratch to n so the vector pack path never hits its capacity
-  // guard, then trim to the packed length.
-  WordVec out(v.size());
-  std::size_t k = 0;
-  if (k_->compress != nullptr) {
-    k = k_->compress(out.data(), out.size(), v.data(), m.data(), v.size());
-  } else {
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (m[i] != 0) out[k++] = v[i];
-    }
-  }
-  out.resize(k);
-  return out;
-}
-
-void SimdBackend::compress_into(std::span<const Word> v,
-                                std::span<const std::uint8_t> m,
-                                std::span<Word> out) {
-  if (k_->compress != nullptr) {
-    k_->compress(out.data(), out.size(), v.data(), m.data(), v.size());
-    return;
-  }
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (m[i] != 0) out[k++] = v[i];
-  }
-}
-
-std::size_t SimdBackend::first_oob(std::span<const Word> idx,
-                                   std::size_t table_size,
-                                   const std::uint8_t* mask) {
-  if (k_->first_oob != nullptr) {
-    return k_->first_oob(idx.data(), idx.size(), table_size, mask);
-  }
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    if (mask != nullptr && mask[i] == 0) continue;
-    if (idx[i] < 0 || static_cast<std::size_t>(idx[i]) >= table_size) return i;
-  }
-  return npos;
-}
-
-void SimdBackend::scatter(std::span<Word> table, std::span<const Word> idx,
-                          std::span<const Word> vals, const std::uint8_t* mask,
-                          ScatterTraversal traversal,
-                          std::span<const std::size_t> order) {
-  // Hardware scatters handle the two lane-order traversals; explicit orders
-  // (shuffled) have no vector shape and use the serialized reference loop.
-  if (traversal == ScatterTraversal::kForward && k_->scatter_fwd != nullptr) {
-    k_->scatter_fwd(table.data(), idx.data(), vals.data(), mask, idx.size());
-    return;
-  }
-  if (traversal == ScatterTraversal::kReverse && k_->scatter_rev != nullptr) {
-    k_->scatter_rev(table.data(), idx.data(), vals.data(), mask, idx.size());
-    return;
-  }
-  apply_scatter_reference(table, idx, vals, mask, traversal, order);
-}
-
-std::size_t SimdBackend::scatter_gather_eq(
-    std::span<Word> table, std::span<const Word> idx,
-    std::span<const Word> vals, const std::uint8_t* mask,
-    ScatterTraversal traversal, std::span<const std::size_t> order,
-    std::span<std::uint8_t> out_match, void (*between_passes)(void*),
-    void* hook_ctx) {
-  scatter(table, idx, vals, mask, traversal, order);
-  if (between_passes != nullptr) between_passes(hook_ctx);
-  if (k_->match_eq != nullptr) {
-    return k_->match_eq(out_match.data(), table.data(), idx.data(),
-                        vals.data(), mask, idx.size());
-  }
-  std::size_t survivors = 0;
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    const bool active = mask == nullptr || mask[i] != 0;
-    const std::uint8_t hit =
-        active && table[static_cast<std::size_t>(idx[i])] == vals[i] ? 1 : 0;
-    out_match[i] = hit;
-    survivors += hit;
-  }
-  return survivors;
-}
-
-void SimdBackend::partition(std::span<const Word> v,
-                            std::span<const std::uint8_t> m,
-                            std::span<Word> kept, std::span<Word> rejected) {
-  if (k_->partition != nullptr) {
-    k_->partition(kept.data(), kept.size(), rejected.data(), v.data(),
-                  m.data(), v.size());
-    return;
-  }
-  std::size_t k = 0;
-  std::size_t r = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (m[i] != 0) {
-      kept[k++] = v[i];
-    } else {
-      rejected[r++] = v[i];
-    }
-  }
 }
 
 }  // namespace folvec::vm

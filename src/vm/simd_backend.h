@@ -1,26 +1,21 @@
-// SimdBackend: the third vm::Backend — single-threaded like SerialBackend,
-// but every primitive runs through a runtime-dispatched SimdKernels table
-// (simd_kernels.h) so the lane loops execute real AVX2/AVX-512/NEON
-// instructions where the host has them and the level has a lowering.
+// Runtime SIMD dispatch: which SimdKernels table (simd_kernels.h) a
+// SIMD-kind machine (BackendKind::kSimd / kParallelSimd) executes through.
 //
-// Dispatch model: the binary carries one kernel table per ISA level it was
-// compiled for (scalar always; AVX2/AVX-512 on x86-64, NEON on aarch64).
-// At Machine construction, simd_resolve_level() picks the best table the CPU
-// supports — or honors FOLVEC_SIMD_LEVEL forcing, downgrading with a
-// one-time notice when the forced level is unavailable. Null table entries
-// (a level with no profitable lowering for an op) fall back to the same
-// scalar loops SerialBackend runs, so sparse tables stay bit-identical by
-// construction.
-//
-// Scatter at AVX-512 uses VPSCATTERQQ's architecturally ordered overlap
-// resolution for kForward/kReverse; kExplicit traversals (shuffled lane
-// orders) and levels without hardware scatter use the serialized reference
-// loop — ELS semantics are preserved either way.
+// The binary carries one kernel table per ISA level it was compiled for
+// (scalar always; AVX2/AVX-512 on x86-64, NEON on aarch64). At machine
+// construction, simd_resolve_level() picks the best table the CPU supports —
+// or honors FOLVEC_SIMD_LEVEL forcing, downgrading with a one-time notice
+// when the forced level is unavailable — and simd_kernels_for() returns it
+// with every null entry (a level with no profitable lowering for an op)
+// filled from the scalar table, so a resolved table is total and stays
+// bit-identical by construction. The one entry left nullable is
+// conflict_rank: null there means the level has no hardware conflict
+// detection.
 #pragma once
 
 #include <cstddef>
 
-#include "vm/backend.h"
+#include "vm/machine.h"
 #include "vm/simd_kernels.h"
 
 namespace folvec::vm {
@@ -40,7 +35,8 @@ bool simd_level_supported(SimdLevel level);
 /// stderr notice. The result always satisfies simd_level_supported().
 SimdLevel simd_resolve_level(SimdLevel requested);
 
-/// Kernel table for a resolved level. `level` must satisfy
+/// Kernel table for a resolved level, null entries (except conflict_rank)
+/// filled from the scalar table. `level` must satisfy
 /// simd_level_supported(); anything else gets the scalar table.
 const SimdKernels& simd_kernels_for(SimdLevel level);
 
@@ -50,49 +46,5 @@ const char* simd_level_name(SimdLevel level);
 /// Parses a FOLVEC_SIMD_LEVEL spelling ("auto", "scalar", "neon", "avx2",
 /// "avx512"). Unknown spellings return kAuto after a one-time warning.
 SimdLevel simd_parse_level(const char* spelling);
-
-/// Single-threaded backend executing through a SimdKernels table. The table
-/// must outlive the backend (tables are function-local statics, so any table
-/// from simd_kernels_for qualifies).
-class SimdBackend final : public Backend {
- public:
-  explicit SimdBackend(const SimdKernels& kernels) : k_(&kernels) {}
-
-  const char* name() const override { return "simd"; }
-  std::size_t workers() const override { return 1; }
-
-  /// The table this backend executes through (for telemetry).
-  const SimdKernels& kernels() const { return *k_; }
-
-  void for_lanes(std::size_t n, RangeFn fn) override;
-  Word reduce_sum(std::span<const Word> v) override;
-  Word reduce_min(std::span<const Word> v) override;
-  Word reduce_max(std::span<const Word> v) override;
-  std::size_t count_true(std::span<const std::uint8_t> m) override;
-  WordVec compress(std::span<const Word> v,
-                   std::span<const std::uint8_t> m) override;
-  void compress_into(std::span<const Word> v, std::span<const std::uint8_t> m,
-                     std::span<Word> out) override;
-  std::size_t first_oob(std::span<const Word> idx, std::size_t table_size,
-                        const std::uint8_t* mask) override;
-  void scatter(std::span<Word> table, std::span<const Word> idx,
-               std::span<const Word> vals, const std::uint8_t* mask,
-               ScatterTraversal traversal,
-               std::span<const std::size_t> order) override;
-  std::size_t scatter_gather_eq(std::span<Word> table,
-                                std::span<const Word> idx,
-                                std::span<const Word> vals,
-                                const std::uint8_t* mask,
-                                ScatterTraversal traversal,
-                                std::span<const std::size_t> order,
-                                std::span<std::uint8_t> out_match,
-                                void (*between_passes)(void*),
-                                void* hook_ctx) override;
-  void partition(std::span<const Word> v, std::span<const std::uint8_t> m,
-                 std::span<Word> kept, std::span<Word> rejected) override;
-
- private:
-  const SimdKernels* k_;
-};
 
 }  // namespace folvec::vm

@@ -8,18 +8,19 @@
 // any host and the dispatcher (simd_backend.h) picks a table the CPU
 // actually supports.
 //
-// Every entry is optional (null means "this level has no profitable lowering
-// for the op"): VectorMachine and SimdBackend fall back to the scalar
-// reference loop for null entries, so a sparse table — NEON has no gather,
-// AVX2 has no scatter — stays correct by construction. Non-null entries must
-// be bit-identical to SerialBackend for every input, including wrap-around
-// arithmetic and the ELS scatter survivor; tests/backend_diff_test.cpp
-// enforces that per level.
+// The scalar table is the reference implementation: every entry populated,
+// and every backend kind runs it unless a SIMD kind resolves an ISA table.
+// In an ISA table an entry may be null ("this level has no profitable
+// lowering for the op"); simd_kernels_for fills those from the scalar table
+// when it resolves the level, so the table a machine runs is total. Only
+// conflict_rank stays nullable. Non-null entries must be bit-identical to
+// the scalar table for every input, including wrap-around arithmetic and the
+// ELS scatter survivor; tests/backend_diff_test.cpp enforces that per level.
 //
 // Lane-kernel entries (SimdBinFn and friends) run over [lo, hi) of a larger
-// vector — the exact contract of Backend::for_lanes chunks — which is what
-// lets ParallelBackend compose with a table: each pool worker runs the SIMD
-// inner loop over its own chunk.
+// vector — the exact contract of Backend::for_lanes chunks — so each pool
+// worker runs the table's inner loop over its own chunk. Whole-span entries
+// take a base pointer and a length; the backend calls them once per chunk.
 #pragma once
 
 #include <cstddef>
@@ -87,7 +88,7 @@ struct SimdKernels {
   void (*load_strided)(Word*, const Word* table, std::size_t offset,
                        std::size_t stride, std::size_t, std::size_t);
 
-  // ---- whole-span entry points (used by SimdBackend and per pool chunk) ---
+  // ---- whole-span entry points (called once per backend chunk) -----------
 
   Word (*reduce_sum)(const Word*, std::size_t n);
   Word (*reduce_min)(const Word*, std::size_t n);
@@ -111,8 +112,8 @@ struct SimdKernels {
   /// ELS scatter, forward traversal: bit-identical to
   /// apply_scatter_reference(kForward). AVX-512 gets this from VPSCATTERQQ's
   /// architecturally LSB-to-MSB overlapping-store order (blocks ascending);
-  /// levels without an ordered hardware scatter leave it null and take the
-  /// serialized-duplicate fallback.
+  /// levels without an ordered hardware scatter leave it null and run the
+  /// scalar table's loop.
   void (*scatter_fwd)(Word* table, const Word* idx, const Word* vals,
                       const std::uint8_t* mask, std::size_t n);
   /// ELS scatter, reverse traversal (lane n-1 first).
@@ -134,8 +135,9 @@ struct SimdKernels {
                         Word* counts);
 };
 
-/// The always-available reference table (plain scalar loops, every entry
-/// non-null so forced-scalar runs still exercise the table plumbing).
+/// The always-available reference table: plain scalar loops, every entry
+/// non-null. The raw ISA tables below may hold nulls; machines get them
+/// through simd_kernels_for, which fills those from this table.
 const SimdKernels& simd_kernels_scalar();
 
 #if defined(FOLVEC_HAVE_AVX2_TU)

@@ -77,7 +77,10 @@ void k_add(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 4 <= hi; i += 4) {
     store4(o + i, _mm256_add_epi64(load4(a + i), load4(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] + b[i];
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
+                             static_cast<std::uint64_t>(b[i]));
+  }
 }
 
 void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
@@ -86,7 +89,10 @@ void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 4 <= hi; i += 4) {
     store4(o + i, _mm256_sub_epi64(load4(a + i), load4(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] - b[i];
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) -
+                             static_cast<std::uint64_t>(b[i]));
+  }
 }
 
 void k_mul(Word* o, const Word* a, const Word* b, std::size_t lo,
@@ -107,7 +113,10 @@ void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
   for (; i + 4 <= hi; i += 4) {
     store4(o + i, _mm256_add_epi64(load4(a + i), vs));
   }
-  for (; i < hi; ++i) o[i] = a[i] + s;
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
+                             static_cast<std::uint64_t>(s));
+  }
 }
 
 void k_mul_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -162,7 +171,10 @@ void k_neg(Word* o, const Word* a, Word /*s*/, std::size_t lo,
   for (; i + 4 <= hi; i += 4) {
     store4(o + i, _mm256_sub_epi64(zero, load4(a + i)));
   }
-  for (; i < hi; ++i) o[i] = -a[i];
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(std::uint64_t{0} -
+                             static_cast<std::uint64_t>(a[i]));
+  }
 }
 
 void k_cmp_eq(std::uint8_t* o, const Word* a, const Word* b, std::size_t lo,
@@ -339,7 +351,10 @@ void k_iota(Word* o, Word start, Word step, std::size_t lo, std::size_t hi) {
       v = _mm256_add_epi64(v, bump);
     }
   }
-  for (; i < hi; ++i) o[i] = start + step * static_cast<Word>(i);
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(start) +
+                             static_cast<std::uint64_t>(step) * i);
+  }
 }
 
 void k_gather(Word* o, const Word* table, const Word* idx, std::size_t lo,
@@ -400,7 +415,10 @@ Word k_reduce_sum(const Word* v, std::size_t n) {
       static_cast<std::uint64_t>(lanes[1]) +
       static_cast<std::uint64_t>(lanes[2]) +
       static_cast<std::uint64_t>(lanes[3]));
-  for (; i < n; ++i) total += v[i];
+  for (; i < n; ++i) {
+    total = static_cast<Word>(static_cast<std::uint64_t>(total) +
+                              static_cast<std::uint64_t>(v[i]));
+  }
   return total;
 }
 

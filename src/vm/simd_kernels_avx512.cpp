@@ -71,7 +71,10 @@ void k_add(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 8 <= hi; i += 8) {
     store8(o + i, _mm512_add_epi64(load8(a + i), load8(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] + b[i];
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
+                             static_cast<std::uint64_t>(b[i]));
+  }
 }
 
 void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
@@ -80,7 +83,10 @@ void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 8 <= hi; i += 8) {
     store8(o + i, _mm512_sub_epi64(load8(a + i), load8(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] - b[i];
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) -
+                             static_cast<std::uint64_t>(b[i]));
+  }
 }
 
 void k_mul(Word* o, const Word* a, const Word* b, std::size_t lo,
@@ -101,7 +107,10 @@ void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
   for (; i + 8 <= hi; i += 8) {
     store8(o + i, _mm512_add_epi64(load8(a + i), vs));
   }
-  for (; i < hi; ++i) o[i] = a[i] + s;
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
+                             static_cast<std::uint64_t>(s));
+  }
 }
 
 void k_mul_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -151,7 +160,10 @@ void k_neg(Word* o, const Word* a, Word /*s*/, std::size_t lo,
   for (; i + 8 <= hi; i += 8) {
     store8(o + i, _mm512_sub_epi64(zero, load8(a + i)));
   }
-  for (; i < hi; ++i) o[i] = -a[i];
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(std::uint64_t{0} -
+                             static_cast<std::uint64_t>(a[i]));
+  }
 }
 
 // ---- div/mod by a positive scalar: magic-multiply lowering ------------------
@@ -465,7 +477,10 @@ void k_iota(Word* o, Word start, Word step, std::size_t lo, std::size_t hi) {
       v = _mm512_add_epi64(v, bump);
     }
   }
-  for (; i < hi; ++i) o[i] = start + step * static_cast<Word>(i);
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(start) +
+                             static_cast<std::uint64_t>(step) * i);
+  }
 }
 
 void k_gather(Word* o, const Word* table, const Word* idx, std::size_t lo,
@@ -517,7 +532,10 @@ Word k_reduce_sum(const Word* v, std::size_t n) {
   // Wrap-around addition is fully reassociable, so the horizontal fold is
   // bit-identical to the serial left fold.
   Word total = _mm512_reduce_add_epi64(acc);
-  for (; i < n; ++i) total += v[i];
+  for (; i < n; ++i) {
+    total = static_cast<Word>(static_cast<std::uint64_t>(total) +
+                              static_cast<std::uint64_t>(v[i]));
+  }
   return total;
 }
 

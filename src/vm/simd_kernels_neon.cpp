@@ -42,7 +42,10 @@ void k_add(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 2 <= hi; i += 2) {
     store2(o + i, vaddq_s64(load2(a + i), load2(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] + b[i];
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
+                             static_cast<std::uint64_t>(b[i]));
+  }
 }
 
 void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
@@ -51,14 +54,20 @@ void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
   for (; i + 2 <= hi; i += 2) {
     store2(o + i, vsubq_s64(load2(a + i), load2(b + i)));
   }
-  for (; i < hi; ++i) o[i] = a[i] - b[i];
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) -
+                             static_cast<std::uint64_t>(b[i]));
+  }
 }
 
 void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
   const int64x2_t vs = vdupq_n_s64(s);
   std::size_t i = lo;
   for (; i + 2 <= hi; i += 2) store2(o + i, vaddq_s64(load2(a + i), vs));
-  for (; i < hi; ++i) o[i] = a[i] + s;
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
+                             static_cast<std::uint64_t>(s));
+  }
 }
 
 void k_and_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -87,7 +96,10 @@ void k_neg(Word* o, const Word* a, Word /*s*/, std::size_t lo,
            std::size_t hi) {
   std::size_t i = lo;
   for (; i + 2 <= hi; i += 2) store2(o + i, vnegq_s64(load2(a + i)));
-  for (; i < hi; ++i) o[i] = -a[i];
+  for (; i < hi; ++i) {
+    o[i] = static_cast<Word>(std::uint64_t{0} -
+                             static_cast<std::uint64_t>(a[i]));
+  }
 }
 
 inline void store_bits(std::uint8_t* o, uint64x2_t cmp) {
@@ -240,7 +252,10 @@ Word k_reduce_sum(const Word* v, std::size_t n) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) acc = vaddq_s64(acc, load2(v + i));
   Word total = vaddvq_s64(acc);
-  for (; i < n; ++i) total += v[i];
+  for (; i < n; ++i) {
+    total = static_cast<Word>(static_cast<std::uint64_t>(total) +
+                              static_cast<std::uint64_t>(v[i]));
+  }
   return total;
 }
 

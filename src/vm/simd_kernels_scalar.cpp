@@ -1,10 +1,11 @@
 // The scalar SimdKernels instance: plain loops, every entry populated.
 //
-// This is the table FOLVEC_SIMD_LEVEL=scalar forces and the one every
-// unsupported-host downgrade lands on. It exists so the dispatch plumbing,
-// telemetry counters, and differential tests run identically whether or not
-// the host has a vector ISA — the kernels themselves are the same loops
-// SerialBackend runs, so bit-identity is by construction.
+// This is the reference implementation of every lane loop. Serial and
+// parallel machines run it, FOLVEC_SIMD_LEVEL=scalar forces it on the SIMD
+// kinds, every unsupported-host downgrade lands on it, and it fills the null
+// entries of the ISA tables. Integer arithmetic wraps modulo 2^64 (through
+// uint64_t, so an overflowing lane is defined behaviour), exactly as the
+// vector instructions do.
 #include <cstddef>
 #include <cstdint>
 
@@ -17,25 +18,40 @@ namespace {
 
 void k_add(Word* o, const Word* a, const Word* b, std::size_t lo,
            std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] + b[i];
+  for (std::size_t i = lo; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
+                             static_cast<std::uint64_t>(b[i]));
+  }
 }
 
 void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
            std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] - b[i];
+  for (std::size_t i = lo; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) -
+                             static_cast<std::uint64_t>(b[i]));
+  }
 }
 
 void k_mul(Word* o, const Word* a, const Word* b, std::size_t lo,
            std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] * b[i];
+  for (std::size_t i = lo; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) *
+                             static_cast<std::uint64_t>(b[i]));
+  }
 }
 
 void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] + s;
+  for (std::size_t i = lo; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
+                             static_cast<std::uint64_t>(s));
+  }
 }
 
 void k_mul_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = a[i] * s;
+  for (std::size_t i = lo; i < hi; ++i) {
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) *
+                             static_cast<std::uint64_t>(s));
+  }
 }
 
 void k_and_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -52,7 +68,10 @@ void k_shr_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
 
 void k_neg(Word* o, const Word* a, Word /*s*/, std::size_t lo,
            std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) o[i] = -a[i];
+  for (std::size_t i = lo; i < hi; ++i) {
+    o[i] = static_cast<Word>(std::uint64_t{0} -
+                             static_cast<std::uint64_t>(a[i]));
+  }
 }
 
 void k_div_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
@@ -148,7 +167,8 @@ void k_from_mask(Word* o, const std::uint8_t* m, std::size_t lo,
 
 void k_iota(Word* o, Word start, Word step, std::size_t lo, std::size_t hi) {
   for (std::size_t i = lo; i < hi; ++i) {
-    o[i] = start + step * static_cast<Word>(i);
+    o[i] = static_cast<Word>(static_cast<std::uint64_t>(start) +
+                             static_cast<std::uint64_t>(step) * i);
   }
 }
 
@@ -172,9 +192,11 @@ void k_load_strided(Word* o, const Word* table, std::size_t offset,
 }
 
 Word k_reduce_sum(const Word* v, std::size_t n) {
-  Word total = 0;
-  for (std::size_t i = 0; i < n; ++i) total += v[i];
-  return total;
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    total += static_cast<std::uint64_t>(v[i]);
+  }
+  return static_cast<Word>(total);
 }
 
 Word k_reduce_min(const Word* v, std::size_t n) {

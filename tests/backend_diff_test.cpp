@@ -1,7 +1,7 @@
-// Differential fuzz of the execution backends: ParallelBackend must be
-// bit-identical to SerialBackend for every primitive, under every
-// ScatterOrder, at every worker count — same outputs, same memory images,
-// same chime costs, same exceptions. The parallel machines run with a tiny
+// Differential fuzz of the backend kinds: every worker count and kernel
+// table must be bit-identical to the serial machine (the scalar reference
+// table on one worker) for every primitive, under every ScatterOrder — same
+// outputs, same memory images, same chime costs, same exceptions. The parallel machines run with a tiny
 // backend_grain so even short vectors actually cross the thread pool.
 #include <gtest/gtest.h>
 
@@ -711,9 +711,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- SIMD backend differential fuzz ----------------------------------------
 //
-// The SIMD backend lowers the same primitives to real vector instructions
-// (AVX2 / AVX-512 / NEON, per-level kernel tables): it must be bit-identical
-// to SerialBackend for every primitive, every ScatterOrder, every forced ISA
+// The SIMD kinds run the same primitives through real vector instructions
+// (AVX2 / AVX-512 / NEON, per-level kernel tables): they must be
+// bit-identical to the serial machine for every primitive, every ScatterOrder, every forced ISA
 // level, fuse on or off, audit on or off — same outputs, same memory images,
 // same chime costs, same exceptions. Unsupported levels are skipped (the
 // graceful-downgrade path is covered by simd_dispatch_test).
@@ -884,12 +884,48 @@ TEST_P(SimdDiffTest, DivModScalarAdversarialValues) {
       ASSERT_LT(r_want[i], d) << values[i] << " % " << d;
     }
   }
+  // Wrap-around arithmetic: at the extremes every one of these ops
+  // overflows, and each lane must wrap modulo 2^64 — as defined behaviour,
+  // in the vector body and in the tail lanes alike.
+  constexpr Word kMax = std::numeric_limits<Word>::max();
+  constexpr Word kMin = std::numeric_limits<Word>::min();
+  WordVec a = values;
+  a.insert(a.end(), {kMax, kMin, kMax - 1, kMin + 1, kMax, kMin, -1});
+  const WordVec b(a.rbegin(), a.rend());
+  const auto u = [](Word x) { return static_cast<std::uint64_t>(x); };
+  const auto wrap = [](std::uint64_t x) { return static_cast<Word>(x); };
+  std::uint64_t total = 0;
+  for (const Word x : a) total += u(x);
+  VectorMachine serial = make_serial(order(), 7);
+  VectorMachine simd = make_simd(order(), 7, level());
+  for (VectorMachine* m : {&serial, &simd}) {
+    SCOPED_TRACE(m->backend_name());
+    const WordVec sum = m->add(a, b);
+    const WordVec diff = m->sub(a, b);
+    const WordVec prod = m->mul(a, b);
+    const WordVec sum_s = m->add_scalar(a, kMax);
+    const WordVec prod_s = m->mul_scalar(a, kMin + 1);
+    const WordVec neg = m->negate(a);
+    const WordVec ramp = m->iota(a.size(), kMax, kMax - 2);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(sum[i], wrap(u(a[i]) + u(b[i]))) << "lane " << i;
+      ASSERT_EQ(diff[i], wrap(u(a[i]) - u(b[i]))) << "lane " << i;
+      ASSERT_EQ(prod[i], wrap(u(a[i]) * u(b[i]))) << "lane " << i;
+      ASSERT_EQ(sum_s[i], wrap(u(a[i]) + u(kMax))) << "lane " << i;
+      ASSERT_EQ(prod_s[i], wrap(u(a[i]) * u(kMin + 1))) << "lane " << i;
+      ASSERT_EQ(neg[i], wrap(std::uint64_t{0} - u(a[i]))) << "lane " << i;
+      ASSERT_EQ(ramp[i], wrap(u(kMax) + u(kMax - 2) * i)) << "lane " << i;
+    }
+    ASSERT_EQ(m->reduce_sum(a), wrap(total));
+  }
 }
 
 TEST_P(SimdDiffTest, ComposesWithParallelBackend) {
   // parallel+simd: pool chunks run the SIMD inner loops. Must match serial
-  // for the full script at multiple worker counts.
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+  // for the full script at multiple worker counts; one worker is the
+  // deployed configuration, where every instruction runs unsplit.
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     const Inputs in(1000, 0xc0de5000 + threads);
     VectorMachine serial = make_serial(order(), 99);
     VectorMachine both = make_parallel_simd(order(), 99, threads, level());

@@ -1,7 +1,9 @@
-// Unit and regression tests for the parallel backend internals: the chunk
+// Unit and regression tests for the backend's chunking internals: the chunk
 // planner (overflow + zero-lane-chunk clipping), the early-cut first_oob
 // scan, both lane-exact scatter merges, worker chunk affinity, and the
-// multi-op batched dispatch (VectorMachine::OpBatch).
+// multi-op batched dispatch (VectorMachine::OpBatch). The oracle is the
+// one-worker scalar-table backend (and apply_scatter_reference for
+// scatters).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,11 +21,17 @@
 #include "telemetry/metrics.h"
 #include "vm/backend.h"
 #include "vm/machine.h"
-#include "vm/parallel_backend.h"
+#include "vm/simd_kernels.h"
 #include "vm/thread_pool.h"
 
 namespace folvec::vm {
 namespace {
+
+/// A backend on the scalar reference table; one worker is the oracle.
+Backend scalar_backend(std::size_t workers,
+                       MergeStrategy merge = MergeStrategy::kAuto) {
+  return Backend(simd_kernels_scalar(), workers, /*grain=*/1, merge);
+}
 
 // ---- chunk planner ---------------------------------------------------------
 
@@ -99,7 +107,7 @@ TEST(ChunkPlanTest, TinyVectorReductionsMatchSerialAtGrainOne) {
 // ---- first_oob early cut ---------------------------------------------------
 
 TEST(FirstOobTest, GloballyFirstHitAtEveryWorkerCount) {
-  SerialBackend serial;
+  Backend serial = scalar_backend(1);
   Xoshiro256 rng(0xf00b);
   for (int round = 0; round < 60; ++round) {
     const auto n = static_cast<std::size_t>(rng.in_range(1, 5000));
@@ -115,7 +123,7 @@ TEST(FirstOobTest, GloballyFirstHitAtEveryWorkerCount) {
     }
     const std::size_t want = serial.first_oob(idx, table_size, nullptr);
     for (const std::size_t workers : {1u, 2u, 3u, 4u, 8u}) {
-      ParallelBackend parallel(workers, /*grain=*/1);
+      Backend parallel = scalar_backend(workers);
       EXPECT_EQ(parallel.first_oob(idx, table_size, nullptr), want)
           << "n=" << n << " workers=" << workers;
     }
@@ -130,10 +138,10 @@ TEST(FirstOobTest, EarlyCutNeverSkipsAnEarlierHitInAnotherChunk) {
   WordVec idx(n, 0);
   idx[1200] = -7;      // global first, early chunk, past the poll stride
   idx[n - 1] = 99999;  // instant hit for the last chunk
-  SerialBackend serial;
+  Backend serial = scalar_backend(1);
   ASSERT_EQ(serial.first_oob(idx, 10, nullptr), 1200u);
   for (const std::size_t workers : {2u, 4u, 8u}) {
-    ParallelBackend parallel(workers, /*grain=*/1);
+    Backend parallel = scalar_backend(workers);
     EXPECT_EQ(parallel.first_oob(idx, 10, nullptr), 1200u)
         << "workers=" << workers;
   }
@@ -146,25 +154,15 @@ TEST(FirstOobTest, MaskedLanesAreExemptAtEveryWorkerCount) {
   idx[100] = 500;  // masked off: not a hit
   mask[100] = 0;
   idx[3000] = 600;  // active: the hit
-  SerialBackend serial;
+  Backend serial = scalar_backend(1);
   ASSERT_EQ(serial.first_oob(idx, 256, mask.data()), 3000u);
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    ParallelBackend parallel(workers, /*grain=*/1);
+    Backend parallel = scalar_backend(workers);
     EXPECT_EQ(parallel.first_oob(idx, 256, mask.data()), 3000u);
   }
 }
 
 // ---- scatter merge strategies ----------------------------------------------
-
-/// Serial-reference scatter for one traversal over possibly-masked lanes.
-void reference_scatter(WordVec& table, const WordVec& idx, const WordVec& vals,
-                       const std::vector<std::uint8_t>* mask,
-                       ScatterTraversal traversal,
-                       const std::vector<std::size_t>& order) {
-  SerialBackend serial;
-  serial.scatter(table, idx, vals, mask != nullptr ? mask->data() : nullptr,
-                 traversal, order);
-}
 
 TEST(ScatterMergeTest, BothMergesMatchSerialForEveryTraversalAndWorkerCount) {
   Xoshiro256 rng(0x5ca77e2);
@@ -193,13 +191,14 @@ TEST(ScatterMergeTest, BothMergesMatchSerialForEveryTraversalAndWorkerCount) {
         order.clear();
       }
       WordVec want(table_size, -1);
-      reference_scatter(want, idx, vals, use_mask ? &mask : nullptr,
-                        traversal, order);
+      apply_scatter_reference(want, idx, vals,
+                              use_mask ? mask.data() : nullptr, traversal,
+                              order);
       for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
         for (const MergeStrategy merge :
              {MergeStrategy::kAuto, MergeStrategy::kSinglePass,
               MergeStrategy::kTwoPass}) {
-          ParallelBackend parallel(workers, /*grain=*/1, merge);
+          Backend parallel = scalar_backend(workers, merge);
           WordVec got(table_size, -1);
           parallel.scatter(got, idx, vals,
                            use_mask ? mask.data() : nullptr, traversal,
@@ -228,7 +227,7 @@ TEST(ScatterMergeTest, AutoSelectsSinglePassForStreamingTraversals) {
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = n - 1 - i;
   {
-    ParallelBackend parallel(4, /*grain=*/1);
+    Backend parallel = scalar_backend(4);
     WordVec table(64, 0);
     parallel.scatter(table, idx, vals, nullptr, ScatterTraversal::kForward,
                      {});
@@ -259,7 +258,7 @@ TEST(ScatterMergeTest, AutoCutsOverByLengthForExplicitTraversals) {
     }
     std::vector<std::size_t> order(n);
     for (std::size_t i = 0; i < n; ++i) order[i] = n - 1 - i;
-    ParallelBackend parallel(4, /*grain=*/1);
+    Backend parallel = scalar_backend(4);
     WordVec table(63, 0);
     parallel.scatter(table, idx, vals, nullptr, ScatterTraversal::kExplicit,
                      order);

@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "telemetry/metrics.h"
 #include "vm/machine.h"
@@ -114,6 +115,55 @@ TEST(SimdDispatchTest, KernelTablesCarryTheirOwnLevelAndName) {
     const SimdKernels& table = simd_kernels_for(level);
     EXPECT_EQ(table.level, level);
     EXPECT_STREQ(table.name, simd_level_name(level));
+    // Resolution makes the table total: the machine calls every entry
+    // directly. Only conflict_rank may stay null (no hardware conflict
+    // detection at that level).
+    static_assert(sizeof(SimdKernels) == 42 * sizeof(void*),
+                  "a new SimdKernels entry needs a line below");
+    const std::pair<const char*, bool> entries[] = {
+        {"add", table.add != nullptr},
+        {"sub", table.sub != nullptr},
+        {"mul", table.mul != nullptr},
+        {"add_s", table.add_s != nullptr},
+        {"mul_s", table.mul_s != nullptr},
+        {"and_s", table.and_s != nullptr},
+        {"or_s", table.or_s != nullptr},
+        {"shr_s", table.shr_s != nullptr},
+        {"neg", table.neg != nullptr},
+        {"div_s", table.div_s != nullptr},
+        {"mod_s", table.mod_s != nullptr},
+        {"cmp_eq", table.cmp_eq != nullptr},
+        {"cmp_ne", table.cmp_ne != nullptr},
+        {"cmp_le", table.cmp_le != nullptr},
+        {"cmp_lt", table.cmp_lt != nullptr},
+        {"cmp_eq_s", table.cmp_eq_s != nullptr},
+        {"cmp_ne_s", table.cmp_ne_s != nullptr},
+        {"cmp_le_s", table.cmp_le_s != nullptr},
+        {"cmp_lt_s", table.cmp_lt_s != nullptr},
+        {"cmp_ge_s", table.cmp_ge_s != nullptr},
+        {"mask_and", table.mask_and != nullptr},
+        {"mask_or", table.mask_or != nullptr},
+        {"mask_not", table.mask_not != nullptr},
+        {"select", table.select != nullptr},
+        {"from_mask", table.from_mask != nullptr},
+        {"iota", table.iota != nullptr},
+        {"gather", table.gather != nullptr},
+        {"gather_masked", table.gather_masked != nullptr},
+        {"load_strided", table.load_strided != nullptr},
+        {"reduce_sum", table.reduce_sum != nullptr},
+        {"reduce_min", table.reduce_min != nullptr},
+        {"reduce_max", table.reduce_max != nullptr},
+        {"count_true", table.count_true != nullptr},
+        {"compress", table.compress != nullptr},
+        {"partition", table.partition != nullptr},
+        {"first_oob", table.first_oob != nullptr},
+        {"scatter_fwd", table.scatter_fwd != nullptr},
+        {"scatter_rev", table.scatter_rev != nullptr},
+        {"match_eq", table.match_eq != nullptr},
+    };
+    for (const auto& [entry, present] : entries) {
+      EXPECT_TRUE(present) << simd_level_name(level) << "." << entry;
+    }
   }
 }
 
