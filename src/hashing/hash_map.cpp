@@ -1,5 +1,6 @@
 #include "hashing/hash_map.h"
 
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -7,7 +8,6 @@
 #include "support/require.h"
 #include "support/status.h"
 #include "telemetry/metrics.h"
-#include "vm/checker.h"
 
 namespace folvec::hashing {
 
@@ -24,103 +24,42 @@ std::size_t round_capacity(std::size_t want) {
   return cap;
 }
 
+/// Keys -1 and -2 would match the kUnentered and kTombstone slot markers.
+void require_non_negative(std::span<const Word> keys) {
+  for (const Word k : keys) {
+    FOLVEC_REQUIRE(k >= 0, "keys must be non-negative");
+  }
+}
+
 }  // namespace
 
 VectorHashMap::VectorHashMap(std::size_t initial_capacity)
     : slots_(round_capacity(initial_capacity), kUnentered),
       values_(slots_.size(), 0) {}
 
-WordVec VectorHashMap::find_slots(VectorMachine& m,
-                                  std::span<const Word> keys) const {
-  WordVec result(keys.size(), -1);
-  if (keys.empty()) return result;
-  const auto size = static_cast<Word>(slots_.size());
-  WordVec key_vec = m.copy(keys);
-  WordVec lane = m.iota(keys.size());
-  WordVec hashed = m.mod_scalar(key_vec, size);
-  const std::size_t max_iterations = slots_.size() * 33;
-  for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    const WordVec probed = m.gather(slots_, hashed);
-    const Mask hit = m.eq(probed, key_vec);
-    const Mask miss = m.eq_scalar(probed, kUnentered);
-    const WordVec hit_lanes = m.compress(lane, hit);
-    const WordVec hit_slots = m.compress(hashed, hit);
-    for (std::size_t i = 0; i < hit_lanes.size(); ++i) {
-      result[static_cast<std::size_t>(hit_lanes[i])] = hit_slots[i];
-    }
-    const Mask active = m.mask_not(m.mask_or(hit, miss));
-    if (m.count_true(active) == 0) return result;
-    key_vec = m.compress(key_vec, active);
-    lane = m.compress(lane, active);
-    hashed = m.compress(hashed, active);
-    hashed = m.mod_scalar(
-        m.add(hashed, m.add_scalar(m.and_scalar(key_vec, 31), 1)), size);
-  }
-  // A full sweep without every lane retiring: those lanes sit on probe
-  // cycles with no empty slot (full table or the gcd hazard of
-  // open_table.h) and are reported absent. Surfaced rather than silent —
-  // see multi_hash_open_contains.
-  telemetry::count("hashing.lookup_sweep_exhausted", key_vec.size());
-  return result;
-}
-
 WordVec VectorHashMap::insert_tracking_slots(VectorMachine& m,
-                                             const WordVec& keys) {
-  WordVec result(keys.size(), -1);
-  if (keys.empty()) return result;
-  if (FaultPlan* plan = faults();
-      plan != nullptr && plan->fires(FaultSite::kProbeSaturation)) {
-    telemetry::count("fault.injected.probe");
-    throw RecoverableError(StatusCode::kProbeCycleSaturated,
-                           "injected probe-cycle saturation");
+                                             std::span<const Word> keys) {
+  MultiHashStats stats;
+  WordVec slots;
+  const Status st = try_multi_hash_open_insert(
+      m, slots_, keys, ProbeVariant::kKeyDependent, &stats, &slots);
+  if (st.is_ok()) {
+    entered_ += keys.size();
+    return slots;
   }
-  const auto size = static_cast<Word>(slots_.size());
-  // Figure 8 races distinct keys for empty slots: a sanctioned data race.
-  const vm::ConflictWindow window(m, slots_, vm::WindowKind::kDataRace,
-                                  "hash map insert");
-  WordVec key_vec = m.copy(keys);
-  WordVec lane = m.iota(keys.size());
-  WordVec hashed = m.mod_scalar(key_vec, size);
-  // Figure 8 with lane bookkeeping: store into empty slots, keep the lanes
-  // whose key survived the overwrite-and-check, re-probe the rest.
-  {
-    const Mask empty = m.eq_scalar(m.gather(slots_, hashed), kUnentered);
-    m.scatter_masked(slots_, hashed, key_vec, empty);
+  if (stats.iterations != 0) {
+    // The probe loop ran and swept the table without converging (saturated
+    // probe cycles on a composite-sized table): keys that did land stay in
+    // slots_, so reconcile entered_ with the table before surfacing the
+    // error. Without this, a retry whose rehash also fails (and rolls back
+    // to exactly this state) would treat the landed strays as pre-existing
+    // keys forever: size() undercounts and a later erase of those keys
+    // underflows the live count. An injected fault leaves the table as it
+    // was.
+    entered_ = static_cast<std::size_t>(
+        m.count_true(m.ge_scalar(m.load(slots_, 0, slots_.size()), 0)));
   }
-  const std::size_t max_iterations = slots_.size() * 33;
-  for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    const Mask entered = m.eq(m.gather(slots_, hashed), key_vec);
-    const WordVec done_lanes = m.compress(lane, entered);
-    const WordVec done_slots = m.compress(hashed, entered);
-    for (std::size_t i = 0; i < done_lanes.size(); ++i) {
-      result[static_cast<std::size_t>(done_lanes[i])] = done_slots[i];
-    }
-    const Mask rest = m.mask_not(entered);
-    if (m.count_true(rest) == 0) {
-      entered_ += keys.size();
-      return result;
-    }
-    key_vec = m.compress(key_vec, rest);
-    lane = m.compress(lane, rest);
-    hashed = m.compress(hashed, rest);
-    hashed = m.mod_scalar(
-        m.add(hashed, m.add_scalar(m.and_scalar(key_vec, 31), 1)), size);
-    const Mask empty = m.eq_scalar(m.gather(slots_, hashed), kUnentered);
-    m.scatter_masked(slots_, hashed, key_vec, empty);
-  }
-  // Non-convergence after a full sweep is data-dependent (saturated probe
-  // cycles on a composite-sized table), not a library bug: report it
-  // recoverably so upsert_batch can rehash bigger and retry. Keys that did
-  // land stay in slots_ — so reconcile entered_ with the table before
-  // surfacing the error. Without this, a retry whose rehash also fails (and
-  // rolls back to exactly this state) would treat the landed strays as
-  // pre-existing keys forever: size() undercounts and a later erase of
-  // those keys underflows the live count.
-  entered_ = static_cast<std::size_t>(
-      m.count_true(m.ge_scalar(m.load(slots_, 0, slots_.size()), 0)));
-  telemetry::count("hashing.probe_cycle_saturated");
-  throw RecoverableError(StatusCode::kProbeCycleSaturated,
-                         "hash map insert swept the table without converging");
+  throw RecoverableError(st.code(), st.message());
 }
 
 void VectorHashMap::rehash(VectorMachine& m, std::size_t min_capacity) {
@@ -169,8 +108,10 @@ void VectorHashMap::grow(VectorMachine& m, std::size_t need) {
 
 std::size_t VectorHashMap::erase_batch(VectorMachine& m,
                                        std::span<const Word> keys) {
+  require_non_negative(keys);
   if (keys.empty()) return 0;
-  const WordVec slot_vec = find_slots(m, keys);
+  const WordVec slot_vec =
+      multi_hash_open_find(m, slots_, keys, ProbeVariant::kKeyDependent);
   const Mask present = m.ne_scalar(slot_vec, -1);
   const WordVec hit_slots = m.compress(slot_vec, present);
   if (hit_slots.empty()) return 0;
@@ -200,10 +141,8 @@ void VectorHashMap::upsert_batch(VectorMachine& m,
                                  std::span<const Word> values) {
   FOLVEC_REQUIRE(keys.size() == values.size(),
                  "keys/values must have equal length");
+  require_non_negative(keys);
   if (keys.empty()) return;
-  for (Word k : keys) {
-    FOLVEC_REQUIRE(k >= 0, "keys must be non-negative");
-  }
   // Graceful degradation: recoverable exhaustion mid-attempt (saturated
   // probe cycle, injected fault) is answered by rehashing to double
   // capacity and re-running the attempt. The re-run re-derives which keys
@@ -238,14 +177,12 @@ void VectorHashMap::upsert_batch_once(VectorMachine& m,
   // Split the batch into existing keys (value overwrite) and new keys
   // (Figure 8 insert). Duplicates *within* the batch need care: only the
   // first occurrence of a new key performs the insert; the rest become
-  // value overwrites of that freshly created slot. One overwrite-and-check
-  // round on a per-key claim table makes the split.
-  const WordVec existing_slots = find_slots(m, keys);
+  // value overwrites of that freshly created slot. Lanes whose key is
+  // already in the map know their slot now; the rest read -1.
+  WordVec slot_vec =
+      multi_hash_open_find(m, slots_, keys, ProbeVariant::kKeyDependent);
   WordVec key_vec = m.copy(keys);
   WordVec val_vec = m.copy(values);
-
-  // Lanes whose key is already in the map: slot known.
-  WordVec slot_vec = existing_slots;  // -1 where absent
 
   const Mask absent = m.eq_scalar(slot_vec, -1);
   if (m.count_true(absent) > 0) {
@@ -253,19 +190,23 @@ void VectorHashMap::upsert_batch_once(VectorMachine& m,
     const WordVec absent_lanes = m.compress(m.iota(keys.size()), absent);
     // The Figure 8 inserter requires distinct keys, so only the first
     // occurrence of each absent key inserts (scalar-unit bookkeeping, one
-    // pass); the duplicates then resolve their slot by lookup like any
-    // other lane.
-    std::unordered_set<Word> seen;
+    // pass); every occurrence then takes the slot its first occurrence
+    // landed in.
+    std::unordered_map<Word, std::size_t> first_of;
+    std::vector<std::size_t> first_index(absent_keys.size());
     WordVec first_keys;
-    for (const Word k : absent_keys) {
+    for (std::size_t i = 0; i < absent_keys.size(); ++i) {
       m.scalar_mem(2);
       m.scalar_branch(1);
-      if (seen.insert(k).second) first_keys.push_back(k);
+      const auto [it, fresh] =
+          first_of.try_emplace(absent_keys[i], first_keys.size());
+      if (fresh) first_keys.push_back(absent_keys[i]);
+      first_index[i] = it->second;
     }
-    insert_tracking_slots(m, first_keys);
-    const WordVec resolved = find_slots(m, absent_keys);
+    const WordVec new_slots = insert_tracking_slots(m, first_keys);
     for (std::size_t i = 0; i < absent_lanes.size(); ++i) {
-      slot_vec[static_cast<std::size_t>(absent_lanes[i])] = resolved[i];
+      slot_vec[static_cast<std::size_t>(absent_lanes[i])] =
+          new_slots[first_index[i]];
     }
   }
 
@@ -277,14 +218,18 @@ void VectorHashMap::upsert_batch_once(VectorMachine& m,
 WordVec VectorHashMap::lookup_batch(VectorMachine& m,
                                     std::span<const Word> keys,
                                     Word missing) const {
-  const WordVec slots = find_slots(m, keys);
+  require_non_negative(keys);
+  const WordVec slots =
+      multi_hash_open_find(m, slots_, keys, ProbeVariant::kKeyDependent);
   const Mask present = m.ne_scalar(slots, -1);
   const WordVec fetched = m.gather_masked(values_, slots, present, missing);
   return fetched;
 }
 
 bool VectorHashMap::contains(VectorMachine& m, Word key) const {
-  const WordVec slots = find_slots(m, WordVec{key});
+  FOLVEC_REQUIRE(key >= 0, "keys must be non-negative");
+  const WordVec slots = multi_hash_open_find(m, slots_, WordVec{key},
+                                             ProbeVariant::kKeyDependent);
   return slots[0] != -1;
 }
 

@@ -12,10 +12,11 @@
 //   * automatic rehash at 70% load, itself vectorized: the survivor keys
 //     and values are compressed out and re-entered into the bigger table.
 //
-// Insertion tracks each key's final slot, which the listing-faithful
-// multi_hash_open_insert does not expose; the probe loop is therefore
-// restated here with slot tracking (same structure, same FOL
-// overwrite-and-check core).
+// The map has no probe loop of its own: inserts run the Figure 8 loop of
+// open_table.h with its slot output (each new key's slot, for the value
+// write), and lookups, erases and upserts find slots with the lockstep
+// multi_hash_open_find. The map keeps only its own bookkeeping: the live
+// count, tombstones and growth.
 #pragma once
 
 #include <cstddef>
@@ -45,7 +46,9 @@ class VectorHashMap {
                     std::span<const vm::Word> values);
 
   /// Batch lookup: returns one value lane per query key, `missing` for
-  /// absent keys. Read-only; duplicate queries are fine.
+  /// absent keys. Read-only; duplicate queries are fine. Like every key
+  /// this class takes, query keys must be non-negative: -1 and -2 are the
+  /// free-slot and tombstone markers.
   vm::WordVec lookup_batch(vm::VectorMachine& m,
                            std::span<const vm::Word> keys,
                            vm::Word missing) const;
@@ -80,19 +83,16 @@ class VectorHashMap {
   void upsert_batch_once(vm::VectorMachine& m, std::span<const vm::Word> keys,
                          std::span<const vm::Word> values);
 
-  /// Enters keys (all distinct, none present) and returns their slots.
-  /// Throws folvec::RecoverableError(kProbeCycleSaturated) when the probe
-  /// loop sweeps the table without converging or fault injection forces the
+  /// Enters keys (all distinct, none present) through
+  /// try_multi_hash_open_insert and returns their slots. Throws
+  /// folvec::RecoverableError(kProbeCycleSaturated) when the probe loop
+  /// sweeps the table without converging or fault injection forces the
   /// condition; the table may then hold a partial subset of `keys`, and
   /// entered_ is reconciled with the live slots before the throw so size()
   /// stays truthful even when every later recovery attempt fails too (the
   /// retry path treats the landed strays as existing keys).
   vm::WordVec insert_tracking_slots(vm::VectorMachine& m,
-                                    const vm::WordVec& keys);
-
-  /// Finds the slot of each key, -1 when absent (lockstep probe).
-  vm::WordVec find_slots(vm::VectorMachine& m,
-                         std::span<const vm::Word> keys) const;
+                                    std::span<const vm::Word> keys);
 
   void grow(vm::VectorMachine& m, std::size_t need);
 

@@ -1,14 +1,12 @@
 #include "hashing/open_table.h"
 
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "hashing/hash_fn.h"
 #include "support/faultsim.h"
 #include "support/require.h"
 #include "telemetry/metrics.h"
-#include "vm/buffer_pool.h"
 #include "vm/checker.h"
 
 namespace folvec::hashing {
@@ -50,12 +48,28 @@ Status ScalarOpenTable::try_insert(Word key, std::size_t* probes_out) {
                   "every slot of the " + std::to_string(slots_.size()) +
                       "-slot table is occupied");
   }
+  std::size_t probes = 0;
+  if (!enter(key, probes)) {
+    telemetry::count("hashing.probe_cycle_saturated");
+    return Status(
+        StatusCode::kProbeCycleSaturated,
+        "probe cycle of key " + std::to_string(key) + " (step " +
+            std::to_string(probe_step(key)) + ", table size " +
+            std::to_string(slots_.size()) +
+            ") has no free slot although the table is not full");
+  }
+  telemetry::observe("hashing.scalar.probe_count", probes);
+  if (probes_out != nullptr) *probes_out = probes;
+  return Status::ok();
+}
+
+bool ScalarOpenTable::enter(Word key, std::size_t& probes) {
   const auto size = static_cast<Word>(slots_.size());
   // hash: one (slow) integer division plus bookkeeping on the scalar unit.
   cost_.div(1);
   cost_.alu(1);
   Word h = mod_hash(key, size);
-  std::size_t probes = 1;
+  probes = 1;
   // Probe until an empty slot; each probe is a load + compare-and-branch,
   // and a re-probe adds the step arithmetic and another modulus.
   cost_.mem(1);
@@ -73,22 +87,12 @@ Status ScalarOpenTable::try_insert(Word key, std::size_t* probes_out) {
     // the table size: after `size` probes every reachable slot has been
     // visited. Exceeding that means the key's cycle holds no free slot even
     // though the table is not full (gcd hazard — see the header).
-    if (probes > slots_.size()) {
-      telemetry::count("hashing.probe_cycle_saturated");
-      return Status(
-          StatusCode::kProbeCycleSaturated,
-          "probe cycle of key " + std::to_string(key) + " (step " +
-              std::to_string(probe_step(key)) + ", table size " +
-              std::to_string(slots_.size()) +
-              ") has no free slot although the table is not full");
-    }
+    if (probes > slots_.size()) return false;
   }
   slots_[static_cast<std::size_t>(h)] = key;
   cost_.mem(1);
   ++entered_;
-  telemetry::observe("hashing.scalar.probe_count", probes);
-  if (probes_out != nullptr) *probes_out = probes;
-  return Status::ok();
+  return true;
 }
 
 std::size_t ScalarOpenTable::insert(Word key) {
@@ -120,22 +124,9 @@ void ScalarOpenTable::grow() {
     // Re-entry cannot fail: the new size is prime (full-cycle probing) and
     // strictly larger than the number of live keys. Injected faults are
     // ignored here — the re-entry IS the recovery path.
-    const auto size = static_cast<Word>(slots_.size());
-    cost_.div(1);
-    cost_.alu(1);
-    Word h = mod_hash(v, size);
-    cost_.mem(1);
-    cost_.branch(1);
-    while (slots_[static_cast<std::size_t>(h)] != kUnentered) {
-      h = mod_hash(h + probe_step(v), size);
-      cost_.div(1);
-      cost_.alu(2);
-      cost_.mem(1);
-      cost_.branch(1);
-    }
-    slots_[static_cast<std::size_t>(h)] = v;
-    cost_.mem(1);
-    ++entered_;
+    std::size_t probes = 0;
+    const bool entered = enter(v, probes);
+    FOLVEC_CHECK(entered, "re-entry into a grown prime-sized table failed");
   }
 }
 
@@ -163,7 +154,8 @@ std::size_t ScalarOpenTable::insert_or_grow(Word key) {
 bool ScalarOpenTable::contains(Word key) const {
   const auto size = static_cast<Word>(slots_.size());
   Word h = mod_hash(key, size);
-  for (std::size_t probes = 0; probes <= slots_.size() * 33; ++probes) {
+  // A constant-step sequence cycles within `size` probes (see enter()).
+  for (std::size_t probes = 0; probes < slots_.size(); ++probes) {
     const Word v = slots_[static_cast<std::size_t>(h)];
     if (v == key) return true;
     if (v == kUnentered) return false;
@@ -174,13 +166,44 @@ bool ScalarOpenTable::contains(Word key) const {
 
 namespace {
 
-/// Body of the Figure 8 insert, factored so the try_ wrapper can translate
-/// its recoverable failure modes into Statuses without unwinding machinery
-/// at every return site.
-Status multi_hash_open_insert_body(VectorMachine& m, std::span<Word> table,
-                                   std::span<const Word> keys,
-                                   ProbeVariant variant,
-                                   MultiHashStats& stats) {
+/// Subscript recalculation: moves every lane one step along its probe
+/// sequence. The key-dependent variant separates keys that collided at the
+/// same slot by giving each its own stride. The chain is elementwise, so it
+/// queues under one OpBatch and crosses the pool boundary once at the next
+/// gather instead of once per op. Queued kernels hold pointers into the
+/// named intermediates until the batch flushes, so they are declared before
+/// (and outlive) the batch.
+void advance_probe(VectorMachine& m, WordVec& hashed,
+                   std::span<const Word> keys, ProbeVariant variant,
+                   Word size) {
+  WordVec tmp;
+  WordVec step;
+  const VectorMachine::OpBatch batch(m);
+  switch (variant) {
+    case ProbeVariant::kLinear:
+      m.add_scalar_into(tmp, hashed, 1);
+      m.mod_scalar_into(hashed, tmp, size);
+      break;
+    case ProbeVariant::kKeyDependent:
+      m.and_scalar_into(tmp, keys, 31);
+      m.add_scalar_into(step, tmp, 1);
+      m.add_into(tmp, hashed, step);
+      m.mod_scalar_into(hashed, tmp, size);
+      break;
+  }
+}
+
+}  // namespace
+
+Status try_multi_hash_open_insert(VectorMachine& m, std::span<Word> table,
+                                  std::span<const Word> keys,
+                                  ProbeVariant variant,
+                                  MultiHashStats* stats_out,
+                                  WordVec* slots_out) {
+  MultiHashStats scratch_stats;
+  MultiHashStats& stats = stats_out != nullptr ? *stats_out : scratch_stats;
+  stats = MultiHashStats{};
+  if (slots_out != nullptr) slots_out->assign(keys.size(), -1);
   if (keys.empty()) return Status::ok();
   const auto size = static_cast<Word>(table.size());
   FOLVEC_REQUIRE(size > 32,
@@ -191,15 +214,16 @@ Status multi_hash_open_insert_body(VectorMachine& m, std::span<Word> table,
     return Status(StatusCode::kProbeCycleSaturated,
                   "injected probe-cycle saturation");
   }
-  std::size_t free_slots = 0;
-  for (Word v : table) free_slots += (v == kUnentered) ? 1u : 0u;
-  if (keys.size() > free_slots) {
-    // Data-dependent, not caller misuse: how full the table is depends on
-    // what was previously inserted. Recover by growing (see
-    // VectorHashMap::rehash) and retrying the batch.
-    return Status(StatusCode::kTableFull,
-                  std::to_string(keys.size()) + " keys for " +
-                      std::to_string(free_slots) + " free slots");
+  if (slots_out == nullptr) {
+    std::size_t free_slots = 0;
+    for (Word v : table) free_slots += (v == kUnentered) ? 1u : 0u;
+    if (keys.size() > free_slots) {
+      // Data-dependent, not caller misuse: how full the table is depends on
+      // what was previously inserted. Recover by growing and retrying.
+      return Status(StatusCode::kTableFull,
+                    std::to_string(keys.size()) + " keys for " +
+                        std::to_string(free_slots) + " free slots");
+    }
   }
 
   const vm::AlgoSpan span(m, "hashing.multi_insert");
@@ -213,76 +237,56 @@ Status multi_hash_open_insert_body(VectorMachine& m, std::span<Word> table,
   // are a sanctioned data-race window over the table.
   const vm::ConflictWindow window(m, table, vm::WindowKind::kDataRace,
                                   "multiple hashing insert");
-  // Retry-round working vectors are pooled and refilled in place; after the
-  // first round the loop performs no allocation.
-  vm::BufferPool& pool = m.pool();
-  vm::PooledVec key_vec(pool, keys.size());
-  vm::PooledVec next_key(pool, keys.size());
-  vm::PooledVec next_hashed(pool, keys.size());
-  vm::PooledVec probed(pool, keys.size());
-  // Kept half of the splits; unused.
-  vm::PooledVec entered_scratch(pool, keys.size());
-  // Named intermediates for the batched subscript recalculation below:
-  // queued kernels hold pointers into these until the batch flushes, so the
-  // chain cannot be composed from value-returning temporaries.
-  vm::PooledVec probe_tmp(pool, keys.size());
-  vm::PooledVec step_vec(pool, keys.size());
-  m.copy_into(*key_vec, keys);
-  WordVec hashed = m.mod_scalar(*key_vec, size);
+  // Working vectors shrink with the survivors each round, so the loop
+  // holds no more memory than the keys still probing.
+  WordVec key_vec = m.copy(keys);
+  WordVec lane;  // key index of each lane; tracked only for slots_out
+  if (slots_out != nullptr) lane = m.iota(keys.size());
+  WordVec hashed = m.mod_scalar(key_vec, size);
   {
-    m.gather_into(*probed, table, hashed);
-    const Mask empty = m.eq_scalar(*probed, kUnentered);
-    m.scatter_masked(table, hashed, *key_vec, empty);
+    const Mask empty = m.eq_scalar(m.gather(table, hashed), kUnentered);
+    m.scatter_masked(table, hashed, key_vec, empty);
   }
-  stats.max_vector_len = key_vec->size();
+  stats.max_vector_len = key_vec.size();
 
   // Outer loop: detect which keys made it, pack the rest, re-probe.
-  const std::size_t max_iterations = table.size() * 33;
-  for (std::size_t iter = 0; iter < max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < table.size(); ++iter) {
     ++stats.iterations;
     const vm::AlgoSpan round_span(m, "retry", iter);
-    m.gather_into(*probed, table, hashed);
-    const Mask entered = m.eq(*probed, *key_vec);
-    const std::size_t nrest = key_vec->size() - m.count_true(entered);
+    const Mask entered = m.eq(m.gather(table, hashed), key_vec);
+    const std::size_t nrest = key_vec.size() - m.count_true(entered);
     // Keys confirmed entered this pass found their slot on probe iter+1.
     telemetry::observe("hashing.probe_count", iter + 1,
-                       key_vec->size() - nrest);
+                       key_vec.size() - nrest);
     if (nrest == 0) {
+      if (slots_out != nullptr) {
+        // Every remaining lane entered at its current slot.
+        for (std::size_t i = 0; i < lane.size(); ++i) {
+          (*slots_out)[static_cast<std::size_t>(lane[i])] = hashed[i];
+        }
+      }
       telemetry::count("hashing.retry_rounds", stats.iterations);
       telemetry::observe("hashing.retry_rounds_per_call", stats.iterations);
       return Status::ok();
     }
 
-    // One partition per control vector replaces the old mask_not + two
-    // compresses; the kept (entered) halves are dead.
-    m.partition_into(*entered_scratch, *next_hashed, hashed, entered);
-    m.partition_into(*entered_scratch, *next_key, *key_vec, entered);
-    std::swap(hashed, *next_hashed);
-    std::swap(*key_vec, *next_key);
-
-    // Subscript recalculation. The optimized variant separates keys that
-    // collided at the same slot by giving each its own stride. The whole
-    // chain is elementwise, so it queues under one OpBatch and crosses the
-    // pool boundary once at the gather below instead of once per op.
-    {
-      const vm::VectorMachine::OpBatch batch(m);
-      switch (variant) {
-        case ProbeVariant::kLinear:
-          m.add_scalar_into(*probe_tmp, hashed, 1);
-          m.mod_scalar_into(hashed, *probe_tmp, size);
-          break;
-        case ProbeVariant::kKeyDependent:
-          m.and_scalar_into(*probe_tmp, *key_vec, 31);
-          m.add_scalar_into(*step_vec, *probe_tmp, 1);
-          m.add_into(*probe_tmp, hashed, *step_vec);
-          m.mod_scalar_into(hashed, *probe_tmp, size);
-          break;
+    // One partition per control vector: the rejected halves carry on
+    // probing, the kept halves are the entered slots and their lanes.
+    auto [entered_slots, rest_hashed] = m.partition(hashed, entered);
+    hashed = std::move(rest_hashed);
+    key_vec = m.partition(key_vec, entered).second;
+    if (slots_out != nullptr) {
+      auto [entered_lanes, rest_lanes] = m.partition(lane, entered);
+      for (std::size_t i = 0; i < entered_lanes.size(); ++i) {
+        (*slots_out)[static_cast<std::size_t>(entered_lanes[i])] =
+            entered_slots[i];
       }
+      lane = std::move(rest_lanes);
     }
 
-    m.gather_into(*probed, table, hashed);
-    const Mask empty = m.eq_scalar(*probed, kUnentered);
-    m.scatter_masked(table, hashed, *key_vec, empty);
+    advance_probe(m, hashed, key_vec, variant, size);
+    const Mask empty = m.eq_scalar(m.gather(table, hashed), kUnentered);
+    m.scatter_masked(table, hashed, key_vec, empty);
   }
   // A full sweep of the table without convergence: every remaining key's
   // probe cycle is saturated (composite size + gcd hazard). The table holds
@@ -291,27 +295,8 @@ Status multi_hash_open_insert_body(VectorMachine& m, std::span<Word> table,
   telemetry::count("hashing.probe_cycle_saturated");
   return Status(StatusCode::kProbeCycleSaturated,
                 "multiple hashing swept the table without converging (" +
-                    std::to_string(key_vec->size()) +
+                    std::to_string(key_vec.size()) +
                     " keys on saturated probe cycles)");
-}
-
-}  // namespace
-
-Status try_multi_hash_open_insert(VectorMachine& m, std::span<Word> table,
-                                  std::span<const Word> keys,
-                                  ProbeVariant variant,
-                                  MultiHashStats* stats_out) {
-  MultiHashStats stats;
-  Status st;
-  try {
-    st = multi_hash_open_insert_body(m, table, keys, variant, stats);
-  } catch (const RecoverableError& e) {
-    // A capped buffer pool running dry mid-insert arrives as an exception
-    // from acquire(); forward it as a value.
-    st = e.status();
-  }
-  if (stats_out != nullptr) *stats_out = stats;
-  return st;
 }
 
 MultiHashStats multi_hash_open_insert(VectorMachine& m,
@@ -319,70 +304,42 @@ MultiHashStats multi_hash_open_insert(VectorMachine& m,
                                       std::span<const Word> keys,
                                       ProbeVariant variant) {
   MultiHashStats stats;
-  const Status st = multi_hash_open_insert_body(m, table, keys, variant, stats);
+  const Status st = try_multi_hash_open_insert(m, table, keys, variant, &stats);
   if (!st.is_ok()) throw RecoverableError(st.code(), st.message());
   return stats;
 }
 
-vm::Mask multi_hash_open_contains(VectorMachine& m,
-                                  std::span<const Word> table,
-                                  std::span<const Word> keys,
-                                  ProbeVariant variant,
-                                  MultiHashLookupStats* lookup_stats) {
+WordVec multi_hash_open_find(VectorMachine& m, std::span<const Word> table,
+                             std::span<const Word> keys, ProbeVariant variant,
+                             MultiHashLookupStats* lookup_stats) {
   if (lookup_stats != nullptr) *lookup_stats = MultiHashLookupStats{};
   const auto size = static_cast<Word>(table.size());
   FOLVEC_REQUIRE(size > 32,
                  "the key-dependent probe step requires size(table) > 32");
-  Mask found(keys.size(), 0);
-  if (keys.empty()) return found;
+  WordVec result(keys.size(), -1);
+  if (keys.empty()) return result;
 
   // Lockstep probing: lanes retire when they hit their key (found) or an
   // empty slot (absent); the rest advance along their probe sequence.
-  // Working vectors are pooled; the probe loop allocates only masks.
-  vm::BufferPool& pool = m.pool();
-  vm::PooledVec key_vec(pool, keys.size());
-  vm::PooledVec lane(pool, keys.size());
-  vm::PooledVec probed(pool, keys.size());
-  vm::PooledVec hit_lanes(pool, keys.size());
-  vm::PooledVec packed(pool, keys.size());
-  // Named intermediates for the batched subscript recalculation (see the
-  // insert loop): queued kernels hold pointers into these until the flush.
-  vm::PooledVec probe_tmp(pool, keys.size());
-  vm::PooledVec step_vec(pool, keys.size());
-  m.copy_into(*key_vec, keys);
-  m.iota_into(*lane, keys.size());
-  WordVec hashed = m.mod_scalar(*key_vec, size);
-  const std::size_t max_iterations = table.size() * 33;
-  for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    m.gather_into(*probed, table, hashed);
-    const Mask hit = m.eq(*probed, *key_vec);
-    const Mask miss = m.eq_scalar(*probed, kUnentered);
+  WordVec key_vec = m.copy(keys);
+  WordVec lane = m.iota(keys.size());
+  WordVec hashed = m.mod_scalar(key_vec, size);
+  for (std::size_t iter = 0; iter < table.size(); ++iter) {
+    const WordVec probed = m.gather(table, hashed);
+    const Mask hit = m.eq(probed, key_vec);
+    const Mask miss = m.eq_scalar(probed, kUnentered);
     // Record hits through the lane index vector.
-    m.compress_into(*hit_lanes, *lane, hit);
-    for (Word l : *hit_lanes) found[static_cast<std::size_t>(l)] = 1;
-    const Mask active = m.mask_not(m.mask_or(hit, miss));
-    if (m.count_true(active) == 0) return found;
-    m.compress_into(*packed, *key_vec, active);
-    std::swap(*key_vec, *packed);
-    m.compress_into(*packed, *lane, active);
-    std::swap(*lane, *packed);
-    m.compress_into(*packed, hashed, active);
-    std::swap(hashed, *packed);
-    {
-      const vm::VectorMachine::OpBatch batch(m);
-      switch (variant) {
-        case ProbeVariant::kLinear:
-          m.add_scalar_into(*probe_tmp, hashed, 1);
-          m.mod_scalar_into(hashed, *probe_tmp, size);
-          break;
-        case ProbeVariant::kKeyDependent:
-          m.and_scalar_into(*probe_tmp, *key_vec, 31);
-          m.add_scalar_into(*step_vec, *probe_tmp, 1);
-          m.add_into(*probe_tmp, hashed, *step_vec);
-          m.mod_scalar_into(hashed, *probe_tmp, size);
-          break;
-      }
+    const WordVec hit_lanes = m.compress(lane, hit);
+    const WordVec hit_slots = m.compress(hashed, hit);
+    for (std::size_t i = 0; i < hit_lanes.size(); ++i) {
+      result[static_cast<std::size_t>(hit_lanes[i])] = hit_slots[i];
     }
+    const Mask active = m.mask_not(m.mask_or(hit, miss));
+    if (m.count_true(active) == 0) return result;
+    key_vec = m.compress(key_vec, active);
+    lane = m.compress(lane, active);
+    hashed = m.compress(hashed, active);
+    advance_probe(m, hashed, key_vec, variant, size);
   }
   // Lanes still probing after a full sweep of the table are reported
   // absent. Reachable only when some probe cycle holds no empty slot — the
@@ -390,11 +347,11 @@ vm::Mask multi_hash_open_contains(VectorMachine& m,
   // hazard, see the header) — so surface the count instead of falling
   // through silently: a caller seeing nonzero exhausted lanes on a table it
   // believes sparse has hit the hazard and should grow to a prime size.
-  telemetry::count("hashing.lookup_sweep_exhausted", key_vec->size());
+  telemetry::count("hashing.lookup_sweep_exhausted", key_vec.size());
   if (lookup_stats != nullptr) {
-    lookup_stats->sweep_exhausted_lanes = key_vec->size();
+    lookup_stats->sweep_exhausted_lanes = key_vec.size();
   }
-  return found;
+  return result;
 }
 
 }  // namespace folvec::hashing

@@ -85,6 +85,11 @@ class ScalarOpenTable {
 
  private:
   vm::Word probe_step(vm::Word key) const;
+  /// Walks `key`'s probe sequence to the first unentered slot and enters
+  /// the key there, charging the scalar unit per probe; `probes` receives
+  /// the probe count. Returns false, with the table unchanged, when the
+  /// walk exceeds the table size (a saturated probe cycle).
+  bool enter(vm::Word key, std::size_t& probes);
   void grow();
 
   std::vector<vm::Word> slots_;
@@ -115,16 +120,28 @@ MultiHashStats multi_hash_open_insert(vm::VectorMachine& m,
 
 /// Status-returning form: kTableFull when `keys` outnumber the free slots,
 /// kProbeCycleSaturated when the retry loop sweeps the table without
-/// converging (or fault injection forces it), kPoolExhausted forwarded from
-/// a capped buffer pool. `stats_out` (when non-null) receives the pass
-/// statistics accumulated so far even on failure.
+/// converging (or fault injection forces it). `stats_out` (when non-null)
+/// receives the pass statistics accumulated so far even on failure.
+///
+/// The sweep is bounded by the table size: a probe sequence advances by a
+/// constant per-key step, so it cycles within `size` slots, and a key that
+/// has not landed after `size` probes never will.
+///
+/// `slots_out`, when non-null, receives one slot per key: (*slots_out)[i] is
+/// the slot keys[i] landed in, or -1 when it did not land (failure only).
+/// Asking for slots partitions a lane index vector beside the keys in every
+/// retry round. It also skips the O(size) free-slot precheck: the
+/// slot-tracking caller (VectorHashMap) bounds its own load, and an overfull
+/// table then reports kProbeCycleSaturated after the sweep. Without
+/// `slots_out` the instruction stream is exactly the paper's listing.
 Status try_multi_hash_open_insert(vm::VectorMachine& m,
                                   std::span<vm::Word> table,
                                   std::span<const vm::Word> keys,
                                   ProbeVariant variant,
-                                  MultiHashStats* stats_out = nullptr);
+                                  MultiHashStats* stats_out = nullptr,
+                                  vm::WordVec* slots_out = nullptr);
 
-/// Statistics returned by the vectorized membership query.
+/// Statistics returned by the vectorized lookup.
 struct MultiHashLookupStats {
   /// Lanes still probing after a full sweep of the table — reported absent.
   /// Non-zero only when a table with no empty slot on some probe cycle is
@@ -134,14 +151,17 @@ struct MultiHashLookupStats {
   std::size_t sweep_exhausted_lanes = 0;
 };
 
-/// Vectorized membership query: probes all keys in lockstep and returns one
-/// mask lane per key. Read-only, so index-vector duplicates are harmless
-/// (the paper's Figure 2b case) — no FOL pass is needed, and duplicate
-/// query keys are allowed.
-vm::Mask multi_hash_open_contains(vm::VectorMachine& m,
-                                  std::span<const vm::Word> table,
-                                  std::span<const vm::Word> keys,
-                                  ProbeVariant variant,
-                                  MultiHashLookupStats* lookup_stats = nullptr);
+/// Vectorized lookup: probes all keys in lockstep and returns each key's
+/// slot, -1 when absent. A lane retires when it meets its key or a
+/// kUnentered slot; any other slot value (another key, or VectorHashMap's
+/// tombstone) keeps it walking. The walk is bounded by the table size, as
+/// for the insert. Read-only, so index-vector duplicates are harmless (the
+/// paper's Figure 2b case) — no FOL pass is needed, and duplicate query
+/// keys are allowed.
+vm::WordVec multi_hash_open_find(vm::VectorMachine& m,
+                                 std::span<const vm::Word> table,
+                                 std::span<const vm::Word> keys,
+                                 ProbeVariant variant,
+                                 MultiHashLookupStats* lookup_stats = nullptr);
 
 }  // namespace folvec::hashing

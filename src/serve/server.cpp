@@ -31,6 +31,7 @@ BatchServer::~BatchServer() {
 }
 
 std::uint64_t BatchServer::submit(OpKind op, Word key, Word value) {
+  FOLVEC_REQUIRE(key >= 0, "keys must be non-negative");
   FOLVEC_REQUIRE(op != OpKind::kUpsert || value != kAbsent,
                  "upsert value collides with the kAbsent lookup sentinel");
   return queue_.push(op, key, value);

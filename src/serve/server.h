@@ -54,7 +54,8 @@ class BatchServer {
   BatchServer& operator=(const BatchServer&) = delete;
 
   /// Enqueue one request; returns its id (0 once the queue is closed).
-  /// Upsert values must not equal kAbsent — that sentinel is reserved for
+  /// Keys must be non-negative for every op (checked here, so a bad key
+  /// never reaches a batch). Upsert values must not equal kAbsent — that sentinel is reserved for
   /// "missing" in lookup responses.
   std::uint64_t submit(OpKind op, vm::Word key, vm::Word value = 0);
 

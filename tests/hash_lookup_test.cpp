@@ -1,5 +1,5 @@
-// Tests for the vectorized read paths: open-addressing lockstep membership
-// probes and chaining lockstep frequency counts — the paper's Figure 2b
+// Tests for the vectorized read paths: open-addressing lockstep slot finds
+// and chaining lockstep frequency counts — the paper's Figure 2b
 // case (read-only index vectors may share freely).
 #include <gtest/gtest.h>
 
@@ -13,12 +13,11 @@
 namespace folvec::hashing {
 namespace {
 
-using vm::Mask;
 using vm::VectorMachine;
 using vm::Word;
 using vm::WordVec;
 
-TEST(MultiHashOpenContainsTest, FindsPresentRejectsAbsent) {
+TEST(MultiHashOpenFindTest, FindsPresentRejectsAbsent) {
   VectorMachine m;
   std::vector<Word> table(521, kUnentered);
   const auto keys = random_unique_keys(200, 1 << 30, 5);
@@ -31,42 +30,57 @@ TEST(MultiHashOpenContainsTest, FindsPresentRejectsAbsent) {
       queries.push_back(a);
     }
   }
-  const Mask found =
-      multi_hash_open_contains(m, table, queries, ProbeVariant::kKeyDependent);
+  const WordVec slots =
+      multi_hash_open_find(m, table, queries, ProbeVariant::kKeyDependent);
   for (std::size_t i = 0; i < 50; ++i) {
-    EXPECT_TRUE(found[i]) << "present key " << queries[i] << " not found";
+    ASSERT_NE(slots[i], -1) << "present key " << queries[i] << " not found";
+    EXPECT_EQ(table[static_cast<std::size_t>(slots[i])], queries[i])
+        << "present key " << queries[i] << " found at a foreign slot";
   }
   for (std::size_t i = 50; i < queries.size(); ++i) {
-    EXPECT_FALSE(found[i]) << "absent key " << queries[i] << " found";
+    EXPECT_EQ(slots[i], -1) << "absent key " << queries[i] << " found";
   }
 }
 
-TEST(MultiHashOpenContainsTest, DuplicateQueriesAllowed) {
+TEST(MultiHashOpenFindTest, DuplicateQueriesAllowed) {
   VectorMachine m;
   std::vector<Word> table(67, kUnentered);
   multi_hash_open_insert(m, table, WordVec{5, 72}, ProbeVariant::kLinear);
-  const Mask found = multi_hash_open_contains(
-      m, table, WordVec{5, 5, 72, 6}, ProbeVariant::kLinear);
-  EXPECT_EQ(found, (Mask{1, 1, 1, 0}));
+  const WordVec slots = multi_hash_open_find(m, table, WordVec{5, 5, 72, 6},
+                                             ProbeVariant::kLinear);
+  ASSERT_NE(slots[0], -1);
+  ASSERT_NE(slots[2], -1);
+  EXPECT_EQ(slots[1], slots[0]);
+  EXPECT_EQ(table[static_cast<std::size_t>(slots[0])], 5);
+  EXPECT_EQ(table[static_cast<std::size_t>(slots[2])], 72);
+  EXPECT_EQ(slots[3], -1);
 }
 
-TEST(MultiHashOpenContainsTest, FullTableAbsentKeyTerminates) {
+TEST(MultiHashOpenFindTest, FullTableAbsentKeyTerminates) {
   VectorMachine m;
   std::vector<Word> table(67, kUnentered);
   const auto keys = random_unique_keys(67, 1 << 20, 7);
   multi_hash_open_insert(m, table, keys, ProbeVariant::kKeyDependent);
-  Word absent = 1 << 21;
-  const Mask found = multi_hash_open_contains(
-      m, table, WordVec{absent}, ProbeVariant::kKeyDependent);
-  EXPECT_EQ(found[0], 0);
+  const Word absent = 1 << 21;
+  const std::uint64_t gathers_before =
+      m.cost().instructions(vm::OpClass::kVectorGather);
+  MultiHashLookupStats stats;
+  const WordVec slots = multi_hash_open_find(
+      m, table, WordVec{absent}, ProbeVariant::kKeyDependent, &stats);
+  EXPECT_EQ(slots[0], -1);
+  EXPECT_EQ(stats.sweep_exhausted_lanes, 1u);
+  // The probe sequence cycles within the table size, so the sweep stops
+  // after one gather per slot of the 67-slot table.
+  EXPECT_LE(m.cost().instructions(vm::OpClass::kVectorGather) - gathers_before,
+            68u);
 }
 
-TEST(MultiHashOpenContainsTest, EmptyQueryVector) {
+TEST(MultiHashOpenFindTest, EmptyQueryVector) {
   VectorMachine m;
   std::vector<Word> table(67, kUnentered);
-  const Mask found = multi_hash_open_contains(m, table, WordVec{},
-                                              ProbeVariant::kKeyDependent);
-  EXPECT_TRUE(found.empty());
+  const WordVec slots =
+      multi_hash_open_find(m, table, WordVec{}, ProbeVariant::kKeyDependent);
+  EXPECT_TRUE(slots.empty());
 }
 
 TEST(ChainMultiCountTest, MatchesScalarCounts) {
@@ -91,11 +105,11 @@ TEST(ChainMultiCountTest, EmptyTableAndEmptyQueries) {
   EXPECT_EQ(t.multi_count(m, WordVec{3, 4}), (WordVec{0, 0}));
 }
 
-// Property: contains-mask agrees with the scalar table for every key.
-class OpenContainsPropertyTest
+// Property: the find agrees with the scalar table for every key.
+class OpenFindPropertyTest
     : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
 
-TEST_P(OpenContainsPropertyTest, AgreesWithScalarTable) {
+TEST_P(OpenFindPropertyTest, AgreesWithScalarTable) {
   const auto [size, load_pct] = GetParam();
   const auto n = size * static_cast<std::size_t>(load_pct) / 100;
   const auto keys = random_unique_keys(n, 1 << 30, size + n);
@@ -106,16 +120,16 @@ TEST_P(OpenContainsPropertyTest, AgreesWithScalarTable) {
   multi_hash_open_insert(m, table, keys, ProbeVariant::kKeyDependent);
 
   const auto queries = random_keys(300, 1 << 30, size * 31);
-  const Mask found = multi_hash_open_contains(m, table, queries,
-                                              ProbeVariant::kKeyDependent);
+  const WordVec slots =
+      multi_hash_open_find(m, table, queries, ProbeVariant::kKeyDependent);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(found[i] != 0, scalar_table.contains(queries[i]))
+    ASSERT_EQ(slots[i] != -1, scalar_table.contains(queries[i]))
         << "query " << queries[i];
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    LoadSweep, OpenContainsPropertyTest,
+    LoadSweep, OpenFindPropertyTest,
     ::testing::Combine(::testing::Values<std::size_t>(67, 521),
                        ::testing::Values(10, 60, 95)));
 

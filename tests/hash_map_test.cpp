@@ -47,6 +47,51 @@ TEST(VectorHashMapTest, DuplicateKeysInBatchLastLaneWins) {
   map.upsert_batch(m, WordVec{7, 8, 7, 7}, WordVec{1, 2, 3, 4});
   EXPECT_EQ(map.size(), 2u);
   EXPECT_EQ(map.lookup_batch(m, WordVec{7, 8}, -1), (WordVec{4, 2}));
+
+  // 300 new keys, each repeated three times in one batch, outgrow the
+  // initial capacity: every occurrence takes the slot its first occurrence
+  // was entered at, so the last lane still wins after the growth rehash.
+  const std::size_t capacity_before = map.capacity();
+  const auto fresh = random_unique_keys(300, 1 << 30, 17);
+  WordVec keys;
+  WordVec values;
+  for (Word round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      keys.push_back(fresh[i]);
+      values.push_back(round * 1000 + static_cast<Word>(i));
+    }
+  }
+  for (const Word k : fresh) ASSERT_GT(k, 8) << "seed collides with 7/8";
+  map.upsert_batch(m, keys, values);
+  EXPECT_GT(map.capacity(), capacity_before);
+  EXPECT_EQ(map.size(), 2 + fresh.size());
+  const WordVec found = map.lookup_batch(m, fresh, -1);
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    ASSERT_EQ(found[i], 2000 + static_cast<Word>(i)) << "key " << fresh[i];
+  }
+  EXPECT_EQ(map.lookup_batch(m, WordVec{7, 8}, -1), (WordVec{4, 2}));
+}
+
+TEST(VectorHashMapTest, NegativeKeysRejectedByEveryOperation) {
+  // -1 and -2 equal the kUnentered and kTombstone slot markers, so a
+  // negative key would "hit" a free or erased slot.
+  VectorMachine m;
+  VectorHashMap map;
+  map.upsert_batch(m, WordVec{5}, WordVec{50});
+  map.erase_batch(m, WordVec{5});
+  map.upsert_batch(m, WordVec{6}, WordVec{60});
+  for (const Word k : {Word{-1}, Word{-2}, Word{-7}}) {
+    EXPECT_THROW(map.lookup_batch(m, WordVec{6, k}, -99), PreconditionError)
+        << "key " << k;
+    EXPECT_THROW(map.contains(m, k), PreconditionError) << "key " << k;
+    EXPECT_THROW(map.erase_batch(m, WordVec{k}), PreconditionError)
+        << "key " << k;
+    EXPECT_THROW(map.upsert_batch(m, WordVec{k}, WordVec{1}),
+                 PreconditionError)
+        << "key " << k;
+  }
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(map.lookup_batch(m, WordVec{5, 6}, -99), (WordVec{-99, 60}));
 }
 
 TEST(VectorHashMapTest, EmptyBatchIsNoop) {

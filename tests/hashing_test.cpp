@@ -287,6 +287,17 @@ TEST_P(MultiHashOpenPropertyTest, AllKeysEnteredOnce) {
   auto sorted = keys;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(table_contents(table), sorted);
+
+  // The slot-reporting insert places every key exactly where the listing
+  // does, and each reported slot is the one the lockstep find returns.
+  VectorMachine m_slots(cfg);
+  std::vector<Word> tracked(size, kUnentered);
+  WordVec slots;
+  ASSERT_TRUE(try_multi_hash_open_insert(m_slots, tracked, keys, variant,
+                                         nullptr, &slots)
+                  .is_ok());
+  EXPECT_EQ(tracked, table);
+  EXPECT_EQ(slots, multi_hash_open_find(m_slots, tracked, keys, variant));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -40,7 +40,6 @@
 namespace folvec {
 namespace {
 
-using vm::Mask;
 using vm::VectorMachine;
 using vm::Word;
 using vm::WordVec;
@@ -179,9 +178,9 @@ TEST(LookupSweep, ExhaustedLanesAreCountedAndReported) {
   }
   const WordVec queries{7 + 32 * 7};
   hashing::MultiHashLookupStats stats;
-  const Mask found = hashing::multi_hash_open_contains(
+  const WordVec slots = hashing::multi_hash_open_find(
       m, table, queries, hashing::ProbeVariant::kKeyDependent, &stats);
-  EXPECT_EQ(found[0], 0) << "absent key must be reported absent";
+  EXPECT_EQ(slots[0], -1) << "absent key must be reported absent";
   EXPECT_EQ(stats.sweep_exhausted_lanes, 1u);
   EXPECT_EQ(counter(reg, "hashing.lookup_sweep_exhausted"), 1u);
 }
@@ -196,10 +195,11 @@ TEST(LookupSweep, CleanLookupReportsZeroExhausted) {
                                   hashing::ProbeVariant::kKeyDependent);
   hashing::MultiHashLookupStats stats;
   stats.sweep_exhausted_lanes = 99;  // must be reset by the call
-  const Mask found = hashing::multi_hash_open_contains(
+  const WordVec slots = hashing::multi_hash_open_find(
       m, table, WordVec{5, 40, 72, 1000},
       hashing::ProbeVariant::kKeyDependent, &stats);
-  EXPECT_EQ(found.popcount(), 3u);
+  EXPECT_EQ(std::count(slots.begin(), slots.end(), -1), 1);
+  EXPECT_EQ(slots[3], -1);
   EXPECT_EQ(stats.sweep_exhausted_lanes, 0u);
   EXPECT_EQ(counter(reg, "hashing.lookup_sweep_exhausted"), 0u);
 }

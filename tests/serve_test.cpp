@@ -22,6 +22,7 @@
 #include "serve/server.h"
 #include "serve/sharded_map.h"
 #include "support/prng.h"
+#include "support/require.h"
 #include "vm/machine.h"
 
 namespace folvec::serve {
@@ -471,6 +472,30 @@ TEST(BatchServerTest, ThreadedModeServesEverything) {
 TEST(BatchServerTest, RejectsUpsertOfTheAbsentSentinel) {
   BatchServer server;
   EXPECT_THROW(server.submit(OpKind::kUpsert, 1, kAbsent), std::exception);
+}
+
+TEST(BatchServerTest, RejectsNegativeKeysAtSubmit) {
+  // Checked at submit, not when the batch executes: a bad key must neither
+  // discard the responses of requests queued before it nor escape the
+  // threaded dispatch loop.
+  BatchServer server;
+  server.submit(OpKind::kUpsert, 7, 70);
+  server.submit(OpKind::kLookup, 7, 0);
+  for (const OpKind op : {OpKind::kUpsert, OpKind::kLookup, OpKind::kErase}) {
+    EXPECT_THROW(server.submit(op, -5, 0), PreconditionError)
+        << op_kind_name(op);
+  }
+  EXPECT_EQ(server.pump_all(), 2u);
+  const std::vector<Response> rs = server.take_responses();
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_EQ(rs[1].status, ResponseStatus::kOk);
+  EXPECT_EQ(rs[1].value, 70);
+
+  server.start();
+  EXPECT_THROW(server.submit(OpKind::kErase, -1, 0), PreconditionError);
+  server.submit(OpKind::kLookup, 7, 0);
+  server.stop();
+  EXPECT_EQ(server.served(), 3u);
 }
 
 }  // namespace
