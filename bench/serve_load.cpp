@@ -21,13 +21,6 @@
 // unsharded VectorHashMap (full key sweep, bit-identical), so the bench
 // doubles as an end-to-end differential test at load sizes.
 //
-// A final section measures the parallel backend's scatter merge strategy
-// on exactly the scatters the serving layer issues (shard-local,
-// kShuffled => kExplicit traversal, sub-batch sized): kAuto against both
-// forced strategies. The wall-acceleration notes feed
-// bench/goldens/backend_scaling.json, encoding the kAuto cutover decision
-// (single-pass below ~160 lanes, two-pass above) as a regression floor.
-//
 // SLO notes: p50/p99 end-to-end latency and throughput land in wall-keyed
 // notes (exempt from the deterministic trend gate); the smoke-size SLO
 // assertions (generous bounds — shared runners are noisy) are recorded as
@@ -270,54 +263,6 @@ ScenarioResult run_open_loop(const std::vector<Op>& ops, std::size_t shards,
   return r;
 }
 
-// ---- merge-strategy measurement (backend_scaling golden feed) --------------
-
-double run_merge_strategy(const std::vector<Op>& ops, std::size_t key_space,
-                          std::size_t workers, vm::MergeStrategy merge,
-                          WordVec* digest_out) {
-  serve::ShardedMapConfig cfg;
-  cfg.shards = 4;
-  cfg.machine.backend = vm::BackendKind::kParallel;
-  cfg.machine.backend_threads = workers;
-  cfg.machine.backend_grain = 8;  // sub-batches are short; let the pool split
-  cfg.machine.audit = false;
-  cfg.machine.scatter_order = vm::ScatterOrder::kShuffled;  // kExplicit path
-  cfg.machine.merge_strategy = merge;
-  serve::ShardedMap map(cfg);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t i = 0;
-  while (i < ops.size()) {
-    std::size_t j = i;
-    while (j < ops.size() && ops[j].kind == ops[i].kind) ++j;
-    // Serve-shaped batching: cap runs at the coalescer's default batch.
-    for (std::size_t base = i; base < j; base += 512) {
-      const std::size_t end = std::min(j, base + 512);
-      WordVec keys;
-      for (std::size_t k = base; k < end; ++k) keys.push_back(ops[k].key);
-      switch (ops[i].kind) {
-        case OpKind::kUpsert: {
-          WordVec vals;
-          for (std::size_t k = base; k < end; ++k) vals.push_back(ops[k].value);
-          map.upsert_batch(keys, vals);
-          break;
-        }
-        case OpKind::kLookup:
-          map.lookup_batch(keys, serve::kAbsent);
-          break;
-        case OpKind::kErase:
-          map.erase_batch(keys);
-          break;
-      }
-    }
-    i = j;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  WordVec sweep;
-  for (Word k = 0; k < static_cast<Word>(key_space); ++k) sweep.push_back(k);
-  *digest_out = map.lookup_batch(sweep, serve::kAbsent);
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
 }  // namespace
 
 int main() {
@@ -442,34 +387,6 @@ int main() {
     report.note("slo_throughput_over_1k_rps_pass", tput_ok ? 1 : 0);
     FOLVEC_CHECK(p99_ok, "SLO: open-loop p99 must stay under 250ms at smoke");
     FOLVEC_CHECK(tput_ok, "SLO: open-loop throughput must exceed 1k req/s");
-  }
-
-  // ---- merge-strategy on serve-shaped explicit scatters -------------------
-  // Feeds bench/goldens/backend_scaling.json: kAuto (single-pass <= 160
-  // lanes, two-pass above) must not lose to either forced strategy on the
-  // serving layer's shard-local scatters by more than timing noise.
-  {
-    const std::vector<Op> ops =
-        make_stream(107, n_requests, key_space, KeyDist::kZipf);
-    WordVec digest_auto, digest_single, digest_two;
-    const double wall_auto = run_merge_strategy(ops, key_space, workers,
-                                                vm::MergeStrategy::kAuto,
-                                                &digest_auto);
-    const double wall_single = run_merge_strategy(ops, key_space, workers,
-                                                  vm::MergeStrategy::kSinglePass,
-                                                  &digest_single);
-    const double wall_two = run_merge_strategy(ops, key_space, workers,
-                                               vm::MergeStrategy::kTwoPass,
-                                               &digest_two);
-    FOLVEC_CHECK(digest_auto == digest_single && digest_auto == digest_two,
-                 "merge strategies must be bit-identical on the serve "
-                 "workload");
-    report.note("serve_scatter_auto_vs_single_wall_accel",
-                wall_single / wall_auto);
-    report.note("serve_scatter_auto_vs_two_wall_accel", wall_two / wall_auto);
-    std::cout << "merge strategy on serve scatters: auto " << wall_auto * 1e3
-              << "ms, forced single " << wall_single * 1e3
-              << "ms, forced two-pass " << wall_two * 1e3 << "ms\n";
   }
 
   return 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <thread>
 
 #include "support/require.h"
@@ -54,11 +53,10 @@ void apply_scatter_reference(std::span<Word> table, std::span<const Word> idx,
 }
 
 Backend::Backend(const SimdKernels& kernels, std::size_t workers,
-                 std::size_t grain, MergeStrategy merge)
+                 std::size_t grain)
     : k_(kernels),
       workers_(workers == 0 ? hardware_workers() : workers),
-      grain_(std::max<std::size_t>(1, grain)),
-      merge_(merge) {}
+      grain_(std::max<std::size_t>(1, grain)) {}
 
 Backend::~Backend() = default;
 
@@ -224,8 +222,7 @@ void Backend::scatter(std::span<Word> table, std::span<const Word> idx,
                       std::span<const Word> vals, const std::uint8_t* mask,
                       ScatterTraversal traversal,
                       std::span<const std::size_t> order) {
-  const std::size_t c = chunks_for(idx.size());
-  if (c <= 1 || table.empty()) {
+  if (chunks_for(idx.size()) <= 1 || table.empty()) {
     telemetry::count("pool.scatter.inline");
     // The table's scatters cover the two lane-order traversals; explicit
     // (shuffled) orders have no vector shape and run the reference loop.
@@ -244,29 +241,8 @@ void Backend::scatter(std::span<Word> table, std::span<const Word> idx,
     }
   }
   telemetry::count("pool.scatter.parallel");
-  // kAuto selection. Forward/reverse traversals always take the single
-  // pass: position order is computable per worker, so one dispatch wins
-  // outright. Explicit traversals pay an order[] indirection in every
-  // worker's full-length scan, so the two-pass route+replay wins once the
-  // scatter is long enough to amortize its bucket setup — but short
-  // explicit scatters (the serving layer's shard-local sub-batches) sit
-  // below that: measured on 2/4/8 workers the crossover is ~160-192
-  // lanes, with single-pass ahead by up to 30% at 64 lanes and two-pass
-  // ahead by 2-4x from 1k lanes up (floors encoded in
-  // bench/goldens/backend_scaling.json via the serve_load bench).
-  constexpr std::size_t kExplicitSinglePassMaxLanes = 160;
-  const bool single =
-      merge_ == MergeStrategy::kSinglePass ||
-      (merge_ == MergeStrategy::kAuto &&
-       (traversal != ScatterTraversal::kExplicit ||
-        idx.size() <= kExplicitSinglePassMaxLanes));
-  if (single) {
-    telemetry::count("pool.merge.single_pass");
-    scatter_single_pass(table, idx, vals, mask, traversal, order);
-  } else {
-    telemetry::count("pool.merge.two_pass");
-    scatter_two_pass(table, idx, vals, mask, traversal, order, c);
-  }
+  telemetry::count("pool.merge.single_pass");
+  scatter_single_pass(table, idx, vals, mask, traversal, order);
 }
 
 void Backend::scatter_single_pass(std::span<Word> table,
@@ -314,89 +290,15 @@ void Backend::scatter_single_pass(std::span<Word> table,
   });
 }
 
-void Backend::scatter_two_pass(std::span<Word> table,
-                               std::span<const Word> idx,
-                               std::span<const Word> vals,
-                               const std::uint8_t* mask,
-                               ScatterTraversal traversal,
-                               std::span<const std::size_t> order,
-                               std::size_t c) {
-  const std::size_t n = idx.size();
-  // Lane visited at traversal position `pos`; positions ascend 0..n-1.
-  const auto lane_at = [&](std::size_t pos) {
-    switch (traversal) {
-      case ScatterTraversal::kReverse:
-        return n - 1 - pos;
-      case ScatterTraversal::kExplicit:
-        return order[pos];
-      case ScatterTraversal::kForward:
-        break;
-    }
-    return pos;
-  };
-  const std::size_t ranges = c;
-  const std::size_t range_words =
-      table.size() / ranges + (table.size() % ranges != 0 ? 1 : 0);
-  buckets_.resize(c * ranges);
-  for (auto& b : buckets_) b.clear();
-
-  // Pass 1: route each active write to its owning address range, keeping
-  // position order within every (slice, range) bucket.
-  const auto t0 = std::chrono::steady_clock::now();
-  const detail::ChunkPlan p = checked_plan(n, c);
-  pool().run_affine(p.count(), [&](std::size_t slice) {
-    std::vector<Route>* row = &buckets_[slice * ranges];
-    for (std::size_t pos = p.lo(slice); pos < p.hi(slice); ++pos) {
-      const std::size_t lane = lane_at(pos);
-      if (mask != nullptr && mask[lane] == 0) continue;
-      const Word addr = idx[lane];
-      row[static_cast<std::size_t>(addr) / range_words].push_back(
-          Route{addr, vals[lane]});
-    }
-  });
-  const auto t1 = std::chrono::steady_clock::now();
-
-  // Pass 2: each worker owns one address range and replays its buckets in
-  // ascending (slice, position) order — exactly the traversal order
-  // restricted to that range. Ranges are disjoint, so no write races.
-  pool().run_affine(ranges, [&](std::size_t r) {
-    for (std::size_t slice = 0; slice < c; ++slice) {
-      for (const Route& w : buckets_[slice * ranges + r]) {
-        table[static_cast<std::size_t>(w.addr)] = w.val;
-      }
-    }
-  });
-
-  if (telemetry::MetricsRegistry* reg = telemetry::metrics()) {
-    const auto t2 = std::chrono::steady_clock::now();
-    using Sec = std::chrono::duration<double>;
-    reg->time_add("pool.scatter.route_seconds", Sec(t1 - t0).count());
-    reg->time_add("pool.scatter.replay_seconds", Sec(t2 - t1).count());
-    // Replay-phase balance: writes owned by the busiest range vs the total.
-    std::uint64_t total = 0;
-    std::uint64_t busiest = 0;
-    for (std::size_t r = 0; r < ranges; ++r) {
-      std::uint64_t range_total = 0;
-      for (std::size_t slice = 0; slice < c; ++slice) {
-        range_total += buckets_[slice * ranges + r].size();
-      }
-      total += range_total;
-      busiest = std::max(busiest, range_total);
-    }
-    reg->add("pool.scatter.routed_writes", total);
-    reg->observe("pool.scatter.busiest_range_writes", busiest);
-  }
-}
-
 std::size_t Backend::scatter_gather_eq(
     std::span<Word> table, std::span<const Word> idx,
     std::span<const Word> vals, const std::uint8_t* mask,
     ScatterTraversal traversal, std::span<const std::size_t> order,
     std::span<std::uint8_t> out_match, void (*between_passes)(void*),
     void* hook_ctx) {
-  // The scatter pass is exactly the plain scatter (inline, single-pass, or
-  // two-pass merge); the pool join inside it is the barrier that makes every
-  // write visible to the readback pass below.
+  // The scatter pass is exactly the plain scatter (inline or single-pass
+  // merge); the pool join inside it is the barrier that makes every write
+  // visible to the readback pass below.
   scatter(table, idx, vals, mask, traversal, order);
   if (between_passes != nullptr) between_passes(hook_ctx);
 

@@ -21,37 +21,21 @@
 // cache across the whole round.
 //
 // Scatter is the interesting case — the survivor of a contested address is
-// defined by the lane *traversal order* — and, once split, supports two
-// lane-exact ELS merges (selected by MergeStrategy; both are bit-identical
-// to the unsplit scatter):
+// defined by the lane *traversal order* — and, once split, runs one
+// lane-exact ELS merge, the single-pass claim-interval merge: the survivor
+// of an address is its write with the HIGHEST traversal position, i.e. the
+// first one encountered when scanning positions n-1 down to 0. The table is
+// partitioned into disjoint per-worker address intervals; in ONE dispatch
+// every worker scans all n positions in that descending order (forward,
+// reverse, or through the explicit order array), skips addresses outside
+// its interval, and applies the first write it meets to each of its
+// addresses (an epoch-stamped claim array dedups without clearing or
+// atomics — interval disjointness removes all races). Under heavy
+// collisions each address is written exactly once.
 //
-// Two-pass owner-computes merge (kTwoPass):
-//
-//   pass 1 (parallel over traversal positions): each worker walks its
-//     contiguous slice of the traversal order and routes every active
-//     (address, value) write into a bucket keyed by the destination address
-//     range that owns it, preserving the slice's position order;
-//   pass 2 (parallel over address ranges): each worker owns one address
-//     range and replays that range's buckets slice 0..W-1, each in recorded
-//     order — i.e. exactly ascending traversal position.
-//
-// Single-pass claim-interval merge (kSinglePass; kAuto uses it for forward
-// and reverse traversals): the survivor of an address is its write with the
-// HIGHEST traversal position, i.e. the first one encountered when scanning
-// positions n-1 down to 0. The table is partitioned into disjoint
-// per-worker address intervals; in ONE dispatch every worker scans all n
-// positions in that descending order, skips addresses outside its interval,
-// and applies the first write it meets to each of its addresses (an
-// epoch-stamped claim array dedups without clearing or atomics — interval
-// disjointness removes all races). One dispatch instead of two, no routing
-// buckets, and under heavy collisions each address is written exactly once.
-// kAuto keeps long kExplicit traversals on the two-pass path: scanning a
-// shuffled order array per worker touches lanes randomly, where the routing
-// pass at least streams its slice; forcing kSinglePass remains exact.
-//
-// In both merges, for any address writes are applied in traversal-position
-// order by a single owner, so the survivor equals the unsplit scatter's for
-// every ScatterOrder and any worker count. This is the lane-exact ELS
+// For any address the surviving write is chosen by a single owner in
+// traversal-position order, so the survivor equals the unsplit scatter's
+// for every ScatterOrder and any worker count. This is the lane-exact ELS
 // merge: the parallel machine stores exactly one of the written values —
 // the same one the serial machine does.
 #pragma once
@@ -144,8 +128,7 @@ class Backend {
   /// static). `workers` == 0 picks std::thread::hardware_concurrency (at
   /// least 1). `grain` is the minimum lane count per chunk: instructions
   /// shorter than two grains run inline, so tiny vectors skip dispatch.
-  Backend(const SimdKernels& kernels, std::size_t workers, std::size_t grain,
-          MergeStrategy merge = MergeStrategy::kAuto);
+  Backend(const SimdKernels& kernels, std::size_t workers, std::size_t grain);
   ~Backend();
   Backend(const Backend&) = delete;
   Backend& operator=(const Backend&) = delete;
@@ -213,12 +196,6 @@ class Backend {
                ScatterTraversal traversal, std::span<const std::size_t> order);
 
  private:
-  /// One routed scatter write: destination address and the value stored.
-  struct Route {
-    Word addr;
-    Word val;
-  };
-
   /// Chunks an n-lane instruction: 1 (inline) below two grains, otherwise
   /// at most `workers_`, never fewer than one grain per chunk.
   std::size_t chunks_for(std::size_t n) const;
@@ -240,10 +217,7 @@ class Backend {
   std::vector<std::size_t> chunk_offsets(std::span<const std::uint8_t> m,
                                          const detail::ChunkPlan& p);
 
-  void scatter_two_pass(std::span<Word> table, std::span<const Word> idx,
-                        std::span<const Word> vals, const std::uint8_t* mask,
-                        ScatterTraversal traversal,
-                        std::span<const std::size_t> order, std::size_t c);
+  /// The claim-interval merge of a split scatter (see the file comment).
   void scatter_single_pass(std::span<Word> table, std::span<const Word> idx,
                            std::span<const Word> vals,
                            const std::uint8_t* mask,
@@ -253,11 +227,7 @@ class Backend {
   const SimdKernels& k_;
   std::size_t workers_;
   std::size_t grain_;
-  MergeStrategy merge_;
   std::unique_ptr<ThreadPool> pool_;
-  /// Scatter routing buckets, row-major [slice][owner range]; reused across
-  /// instructions to keep capacity warm (two-pass merge only).
-  std::vector<std::vector<Route>> buckets_;
   /// Single-pass merge claim stamps, one per table word: claim_[addr] ==
   /// claim_epoch_ means `addr` already received its surviving write this
   /// instruction. Bumping the epoch invalidates every stamp at once, so the

@@ -144,8 +144,7 @@ VectorMachine::VectorMachine(const MachineConfig& config)
       is_simd_kind(kind_)
           ? simd_kernels_for(simd_resolve_level(config_.simd_level))
           : simd_kernels_scalar(),
-      pooled ? config_.backend_threads : 1, config_.backend_grain,
-      config_.merge_strategy);
+      pooled ? config_.backend_threads : 1, config_.backend_grain);
   if (kind_ != config_.backend) warn_audit_pin_once();
 }
 
@@ -270,7 +269,7 @@ void VectorMachine::observe_range(std::span<const Word> v) {
 
 bool VectorMachine::elide_allowed() const {
   return analyzer_ != nullptr && checker_ != nullptr && config_.audit_elide &&
-         !config_.inject_els_violation && faults() == nullptr;
+         faults() == nullptr;
 }
 
 // ---- multi-op batched dispatch ---------------------------------------------
@@ -1222,9 +1221,8 @@ void VectorMachine::scatter(std::span<Word> table, std::span<const Word> idx,
   // Exactly one kElsViolation draw per unmasked scatter-class instruction
   // (this is the composition's one scatter); a fired instruction consumes no
   // shuffle draw, in fused and unfused mode alike, so the RNG streams stay
-  // aligned. The config flag short-circuits the draw: a machine built to
-  // always violate ELS needs no plan.
-  if (config_.inject_els_violation || els_fault_fires()) {
+  // aligned.
+  if (els_fault_fires()) {
     amalgam_scatter(table, idx, vals);
     if (analyzer_ != nullptr) {
       analyzer_->rec_scatter(table, idx, vals, {}, /*ordered=*/false, sv,
@@ -1392,9 +1390,7 @@ void VectorMachine::scatter_gather_eq_into(Mask& out, std::span<Word> table,
                                            std::span<const Word> idx,
                                            std::span<const Word> vals) {
   flush_batch();
-  // The ELS-violation injection lives in the plain scatter, so the injected
-  // amalgam must flow through the unfused composition to stay observable.
-  if (!config_.fuse || config_.inject_els_violation) {
+  if (!config_.fuse) {
     scatter(table, idx, vals);
     const WordVec readback = gather(table, idx);
     out = eq(readback, vals);
@@ -1462,7 +1458,7 @@ Mask VectorMachine::scatter_gather_eq_masked(std::span<Word> table,
                                              std::span<const Word> vals,
                                              const Mask& active) {
   flush_batch();
-  if (!config_.fuse || config_.inject_els_violation) {
+  if (!config_.fuse) {
     scatter_masked(table, idx, vals, active);
     const WordVec readback = gather(table, idx);
     return mask_and(eq(readback, vals), active);

@@ -20,9 +20,10 @@
 // (first lane wins), or shuffled (a fresh deterministic pseudo-random
 // write order per scatter, modelling the undefined inter-pipe interleaving
 // of a parallel-pipe machine like the S-3800). Tests fuzz FOL under all
-// three. A failure-injection mode (`inject_els_violation`) deliberately
-// breaks the ELS guarantee by storing a bitwise amalgam of the colliding
-// values, which FOL must detect rather than silently mis-decompose.
+// three. Failure injection (the `els` site of an installed FaultPlan, see
+// support/faultsim.h) deliberately breaks the ELS guarantee by storing a
+// bitwise amalgam of the colliding values, which FOL must detect rather than
+// silently mis-decompose.
 //
 // Every operation records itself in a CostAccumulator so benchmarks can
 // price the run under a chime model (see cost_model.h). Scalar baseline
@@ -98,25 +99,11 @@ using SimdCmpFn = void (*)(std::uint8_t*, const Word*, const Word*,
 using SimdCmpSFn = void (*)(std::uint8_t*, const Word*, Word, std::size_t,
                             std::size_t);
 
-/// How the backend merges colliding writes of a scatter split across
-/// workers (see backend.h for both algorithms; every choice is
-/// bit-identical to serial, they differ only in memory traffic and dispatch
-/// count).
-enum class MergeStrategy : std::uint8_t {
-  kAuto,        ///< single-pass for forward/reverse traversals and short
-                ///< explicit ones (<= 160 lanes); two-pass for the rest
-  kSinglePass,  ///< claim-interval merge, one dispatch (any traversal)
-  kTwoPass,     ///< owner-computes route+replay merge (the PR 2 reference)
-};
-
 struct MachineConfig {
   ScatterOrder scatter_order = ScatterOrder::kForward;
   /// Seed for the kShuffled write orders (each scatter derives a fresh
   /// sub-seed, so repeated scatters see different orders deterministically).
   std::uint64_t shuffle_seed = 0x51d5eedULL;
-  /// Failure injection: colliding scatter lanes store an amalgam (XOR) of
-  /// their values, violating the ELS condition. For tests only.
-  bool inject_els_violation = false;
 
   /// Default audit setting: from the FOLVEC_AUDIT environment variable when
   /// set (off spellings, case-insensitive: 0/false/off/no — see
@@ -153,10 +140,6 @@ struct MachineConfig {
   /// instruction. Tests lower it to exercise the parallel path on short
   /// vectors; benches keep the default so tiny ops skip dispatch.
   std::size_t backend_grain = 4096;
-  /// Merge strategy for scatters split across workers. kAuto picks per
-  /// instruction; the forced settings exist for differential tests and
-  /// ablation benches (every setting is bit-identical to serial).
-  MergeStrategy merge_strategy = MergeStrategy::kAuto;
 
   /// Default fusion setting: from the FOLVEC_FUSE environment variable when
   /// set (boolean spellings of support/env.h), else true.

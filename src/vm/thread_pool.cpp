@@ -13,7 +13,7 @@ namespace folvec::vm {
 
 ThreadPool::ThreadPool(std::size_t workers) {
   FOLVEC_REQUIRE(workers >= 1, "thread pool needs at least one worker");
-  // Slot `workers - 1` belongs to the thread calling run().
+  // Slot `workers - 1` belongs to the thread calling run_affine().
   worker_stats_.resize(workers);
   threads_.reserve(workers - 1);
   for (std::size_t i = 0; i + 1 < workers; ++i) {
@@ -35,7 +35,6 @@ void ThreadPool::flush_telemetry() const {
   telemetry::MetricsRegistry* r = telemetry::metrics();
   if (r == nullptr || (jobs_ == 0 && inline_jobs_ == 0)) return;
   r->add("pool.jobs", jobs_);
-  r->add("pool.affine_jobs", affine_jobs_);
   r->add("pool.inline_jobs", inline_jobs_);
   r->add("pool.tasks", tasks_total_);
   r->gauge_max("pool.max_tasks_per_job",
@@ -49,34 +48,8 @@ void ThreadPool::flush_telemetry() const {
   }
 }
 
-void ThreadPool::claim(Job& job, std::size_t worker, WorkerStats& stats) {
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t claimed = 0;
-  for (;;) {
-    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job.tasks) break;
-    ++claimed;
-    if (i == job.inject_task) {
-      // Injected worker death: record the fault without touching the task
-      // body. run() re-dispatches the task inline after the barrier.
-      job.errors[i] = std::make_exception_ptr(InjectedFault(FaultSite::kWorkerFault));
-      continue;
-    }
-    try {
-      (*job.fn)(i);
-    } catch (...) {
-      job.errors[i] = std::current_exception();
-    }
-  }
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - start;
-  stats.busy_seconds += dt.count();
-  stats.tasks += claimed;
-  job.claimed[worker] = static_cast<std::size_t>(claimed);
-}
-
-void ThreadPool::claim_affine(Job& job, std::size_t worker,
-                              WorkerStats& stats) const {
+void ThreadPool::run_task(Job& job, std::size_t worker,
+                          WorkerStats& stats) const {
   // Static map: the caller (logical worker size()-1) owns task tasks-1;
   // pool worker w owns task w when w < tasks-1; everyone else just checks
   // in at the barrier.
@@ -86,10 +59,11 @@ void ThreadPool::claim_affine(Job& job, std::size_t worker,
   } else if (worker < job.tasks - 1) {
     task = worker;
   }
-  job.claimed[worker] = task == kNoInject ? 0 : 1;
   if (task == kNoInject) return;
   const auto start = std::chrono::steady_clock::now();
   if (task == job.inject_task) {
+    // Injected worker death: record the fault without touching the task
+    // body. run_affine() re-dispatches the task inline after the barrier.
     job.errors[task] = std::make_exception_ptr(InjectedFault(FaultSite::kWorkerFault));
   } else {
     try {
@@ -125,11 +99,7 @@ void ThreadPool::worker_loop(std::size_t worker) {
         named_track = true;
       }
     }
-    if (job->affine) {
-      claim_affine(*job, worker, worker_stats_[worker]);
-    } else {
-      claim(*job, worker, worker_stats_[worker]);
-    }
+    run_task(*job, worker, worker_stats_[worker]);
     {
       const std::lock_guard<std::mutex> lk(mu_);
       ++checked_in_;
@@ -152,58 +122,11 @@ bool draw_worker_fault() {
 
 }  // namespace
 
-void ThreadPool::run_job(Job& job, const std::function<void(std::size_t)>& fn) {
-  // Counter track: workers engaged while the job runs (0 between jobs).
-  telemetry::SpanTracer* trace = telemetry::tracer();
-  if (trace != nullptr) {
-    trace->counter("pool.occupancy",
-                   static_cast<double>(std::min(job.tasks, size())));
-  }
-  {
-    const std::lock_guard<std::mutex> lk(mu_);
-    job_ = &job;
-    checked_in_ = 0;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  if (job.affine) {
-    claim_affine(job, size() - 1, worker_stats_[size() - 1]);
-  } else {
-    claim(job, size() - 1, worker_stats_[size() - 1]);
-  }
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [&] { return checked_in_ == threads_.size(); });
-    job_ = nullptr;
-  }
-  if (trace != nullptr) trace->counter("pool.occupancy", 0.0);
-  // Per-job imbalance: spread between the busiest and idlest worker's claim
-  // counts. A healthy pool on even chunks shows 0 or 1. Affine jobs skip it
-  // — their 0/1 assignment is static, so the spread carries no signal.
-  if (!job.affine && telemetry::metrics() != nullptr) {
-    const auto [lo, hi] =
-        std::minmax_element(job.claimed.begin(), job.claimed.end());
-    telemetry::observe("pool.claim_imbalance",
-                       static_cast<std::uint64_t>(*hi - *lo));
-  }
-  // Real failures win over injected ones: rethrow the lowest-index genuine
-  // error (the pre-injection contract). If the only error is the injected
-  // fault, recover by running the sacrificed task inline — it was never
-  // started, so this is its first and only execution.
-  for (std::size_t i = 0; i < job.errors.size(); ++i) {
-    if (job.errors[i] == nullptr || i == job.inject_task) continue;
-    std::rethrow_exception(job.errors[i]);
-  }
-  if (job.inject_task != kNoInject && job.errors[job.inject_task] != nullptr) {
-    job.errors[job.inject_task] = nullptr;
-    fn(job.inject_task);
-    telemetry::count("fault.recovered.worker");
-  }
-}
-
-void ThreadPool::run(std::size_t tasks,
-                     const std::function<void(std::size_t)>& fn) {
+void ThreadPool::run_affine(std::size_t tasks,
+                            const std::function<void(std::size_t)>& fn) {
   if (tasks == 0) return;
+  FOLVEC_REQUIRE(tasks <= size(),
+                 "run_affine needs one worker per task (tasks <= size())");
   const bool inject = draw_worker_fault();
   if (threads_.empty() || tasks == 1) {
     // Inline execution: first exception propagates naturally, which matches
@@ -222,35 +145,40 @@ void ThreadPool::run(std::size_t tasks,
   job.fn = &fn;
   job.tasks = tasks;
   job.errors.resize(tasks);
-  job.claimed.resize(size());
   if (inject) job.inject_task = 0;
-  run_job(job, fn);
-}
 
-void ThreadPool::run_affine(std::size_t tasks,
-                            const std::function<void(std::size_t)>& fn) {
-  if (tasks == 0) return;
-  FOLVEC_REQUIRE(tasks <= size(),
-                 "run_affine needs one worker per task (tasks <= size())");
-  const bool inject = draw_worker_fault();
-  if (threads_.empty() || tasks == 1) {
-    ++inline_jobs_;
-    if (inject) telemetry::count("fault.recovered.worker");
-    for (std::size_t i = 0; i < tasks; ++i) fn(i);
-    return;
+  // Counter track: workers engaged while the job runs (0 between jobs).
+  telemetry::SpanTracer* trace = telemetry::tracer();
+  if (trace != nullptr) {
+    trace->counter("pool.occupancy", static_cast<double>(tasks));
   }
-  ++jobs_;
-  ++affine_jobs_;
-  tasks_total_ += tasks;
-  max_tasks_per_job_ = std::max(max_tasks_per_job_, tasks);
-  Job job;
-  job.fn = &fn;
-  job.tasks = tasks;
-  job.affine = true;
-  job.errors.resize(tasks);
-  job.claimed.resize(size());
-  if (inject) job.inject_task = 0;
-  run_job(job, fn);
+  {
+    const std::lock_guard<std::mutex> lk(mu_);
+    job_ = &job;
+    checked_in_ = 0;
+    ++generation_;
+  }
+  work_cv_.notify_all();
+  run_task(job, size() - 1, worker_stats_[size() - 1]);
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    done_cv_.wait(lk, [&] { return checked_in_ == threads_.size(); });
+    job_ = nullptr;
+  }
+  if (trace != nullptr) trace->counter("pool.occupancy", 0.0);
+  // Real failures win over injected ones: rethrow the lowest-index genuine
+  // error (the pre-injection contract). If the only error is the injected
+  // fault, recover by running the sacrificed task inline — it was never
+  // started, so this is its first and only execution.
+  for (std::size_t i = 0; i < job.errors.size(); ++i) {
+    if (job.errors[i] == nullptr || i == job.inject_task) continue;
+    std::rethrow_exception(job.errors[i]);
+  }
+  if (job.inject_task != kNoInject && job.errors[job.inject_task] != nullptr) {
+    job.errors[job.inject_task] = nullptr;
+    fn(job.inject_task);
+    telemetry::count("fault.recovered.worker");
+  }
 }
 
 }  // namespace folvec::vm

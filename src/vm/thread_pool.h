@@ -3,14 +3,12 @@
 // The pool spawns its threads once and parks them on a condition variable
 // between jobs, so per-instruction dispatch costs a wakeup, not a spawn —
 // the same reason the S-3800's pipes stay powered between vector
-// instructions. run() is a blocking parallel-for over task indices: the
-// calling thread participates as a worker, tasks are claimed from a shared
-// atomic counter (so uneven chunks balance), and run() returns only after
-// every task has completed, which gives callers a full happens-before
-// barrier over everything the tasks wrote.
+// instructions. run_affine() is a blocking parallel-for with a static
+// task→worker map: the calling thread participates as the last worker, and
+// run_affine() returns only after every task has completed, which gives
+// callers a full happens-before barrier over everything the tasks wrote.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -24,8 +22,9 @@ namespace folvec::vm {
 
 class ThreadPool {
  public:
-  /// Spawns `workers - 1` pool threads; the caller of run() is the final
-  /// worker. `workers` must be at least 1 (1 means run() executes inline).
+  /// Spawns `workers - 1` pool threads; the caller of run_affine() is the
+  /// final worker. `workers` must be at least 1 (1 means every job runs
+  /// inline).
   explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
@@ -35,39 +34,27 @@ class ThreadPool {
   /// Total workers, including the calling thread.
   std::size_t size() const { return threads_.size() + 1; }
 
-  /// Invokes fn(i) for every i in [0, tasks), distributed over the pool and
-  /// the calling thread; returns when all invocations have finished. If
+  /// Invokes fn(i) for every i in [0, tasks) and returns when all
+  /// invocations have finished. Requires tasks <= size(). Pool worker i
+  /// always executes task i, and the calling thread (the last logical
+  /// worker) always executes task tasks-1. Because the map is a pure
+  /// function of the task index, consecutive jobs with the same task count
+  /// hand every worker the same task (for the backend: the same lane chunk)
+  /// each time — the chunk-affinity property that keeps per-worker caches
+  /// warm across consecutive instructions on equal-length vectors. If
   /// invocations throw, the exception of the lowest task index is rethrown
   /// (deterministic regardless of scheduling).
-  void run(std::size_t tasks, const std::function<void(std::size_t)>& fn);
-
-  /// Like run(), but with a static task→worker map instead of the shared
-  /// claim counter: pool worker i always executes task i, and the calling
-  /// thread (the last logical worker) always executes task tasks-1.
-  /// Requires tasks <= size(). Because the map is a pure function of the
-  /// task index, consecutive jobs with the same task count hand every worker
-  /// the same task (for the backend: the same lane chunk) each time — the
-  /// chunk-affinity property that keeps per-worker caches warm across
-  /// consecutive instructions on equal-length vectors. Error and injected
-  /// worker-fault semantics match run() exactly.
   void run_affine(std::size_t tasks, const std::function<void(std::size_t)>& fn);
 
  private:
   struct Job {
     const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t tasks = 0;
-    /// Static task→worker map instead of the claim counter (run_affine).
-    bool affine = false;
-    std::atomic<std::size_t> next{0};
     std::vector<std::exception_ptr> errors;
-    /// Tasks claimed per worker, for the per-job imbalance metric. Each
-    /// worker writes only its own slot.
-    std::vector<std::size_t> claimed;
     /// Task index sacrificed to an injected kWorkerFault this job (kNoInject
-    /// when none). The claiming worker records the fault WITHOUT running the
-    /// task body — pass-1 scatter tasks append to routing buckets, so a
-    /// partially-run body must never run twice — and run() re-executes the
-    /// task inline after the barrier, giving exactly-once execution.
+    /// when none). The owning worker records the fault WITHOUT running the
+    /// task body, and run_affine() re-executes the task inline after the
+    /// barrier, giving exactly-once execution.
     std::size_t inject_task = kNoInject;
   };
   static constexpr std::size_t kNoInject = static_cast<std::size_t>(-1);
@@ -84,12 +71,9 @@ class ThreadPool {
   void flush_telemetry() const;
 
   void worker_loop(std::size_t worker);
-  static void claim(Job& job, std::size_t worker, WorkerStats& stats);
-  /// Runs the one statically-assigned task of an affine job (or none, for
+  /// Runs the one statically-assigned task of `worker` (or none, for
   /// workers beyond the job's task count).
-  void claim_affine(Job& job, std::size_t worker, WorkerStats& stats) const;
-  /// Shared dispatch/barrier body of run() and run_affine().
-  void run_job(Job& job, const std::function<void(std::size_t)>& fn);
+  void run_task(Job& job, std::size_t worker, WorkerStats& stats) const;
 
   std::vector<std::thread> threads_;
   std::mutex mu_;
@@ -100,9 +84,8 @@ class ThreadPool {
   std::size_t checked_in_ = 0;    // guarded by mu_
   bool stop_ = false;             // guarded by mu_
   std::vector<WorkerStats> worker_stats_;
-  std::uint64_t jobs_ = 0;        ///< run() calls dispatched to the pool
-  std::uint64_t affine_jobs_ = 0; ///< run_affine() calls dispatched
-  std::uint64_t inline_jobs_ = 0; ///< run() calls executed inline
+  std::uint64_t jobs_ = 0;        ///< jobs dispatched to the pool
+  std::uint64_t inline_jobs_ = 0; ///< jobs executed inline
   std::uint64_t tasks_total_ = 0;
   std::size_t max_tasks_per_job_ = 0;
 };

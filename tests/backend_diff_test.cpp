@@ -49,13 +49,11 @@ VectorMachine make_serial(ScatterOrder order, std::uint64_t seed) {
 }
 
 VectorMachine make_parallel(ScatterOrder order, std::uint64_t seed,
-                            std::size_t threads, std::size_t grain = 8,
-                            MergeStrategy merge = MergeStrategy::kAuto) {
+                            std::size_t threads, std::size_t grain = 8) {
   MachineConfig cfg = diff_config(order, seed);
   cfg.backend = BackendKind::kParallel;
   cfg.backend_threads = threads;
   cfg.backend_grain = grain;
-  cfg.merge_strategy = merge;
   return VectorMachine(cfg);
 }
 
@@ -992,23 +990,29 @@ TEST(SimdMixedLevelTest, AllSupportedLevelsProduceOneDigest) {
   }
 }
 
-// ---- merge-strategy scaling fuzz -------------------------------------------
+// ---- scatter-merge scaling fuzz --------------------------------------------
 //
-// The scatter merge strategy (single-pass claim intervals vs two-pass
-// owner-computes) is a host-side choice: for every ScatterOrder, worker
-// count, and fuse mode, a machine forced onto either merge must be
-// bit-identical — outputs, memory images, and chimes — to the serial
-// reference.
+// A scatter split across workers runs the single-pass claim-interval merge:
+// for every ScatterOrder, worker count, fuse mode, and kernel table (the
+// scalar reference table, or the widest table the host supports), the
+// machine must be bit-identical — outputs, memory images, and chimes — to
+// the serial reference.
 
-using MergeScalingParam =
-    std::tuple<ScatterOrder, std::size_t, MergeStrategy>;
+using MergeScalingParam = std::tuple<ScatterOrder, std::size_t, bool>;
 
 class MergeScalingDiffTest
     : public ::testing::TestWithParam<MergeScalingParam> {
  protected:
   ScatterOrder order() const { return std::get<0>(GetParam()); }
   std::size_t threads() const { return std::get<1>(GetParam()); }
-  MergeStrategy merge() const { return std::get<2>(GetParam()); }
+  bool simd_table() const { return std::get<2>(GetParam()); }
+
+  /// kParallel on the scalar table, or kParallelSimd on the widest table.
+  void use_table(MachineConfig& cfg) const {
+    cfg.backend =
+        simd_table() ? BackendKind::kParallelSimd : BackendKind::kParallel;
+    cfg.simd_level = SimdLevel::kAuto;
+  }
 };
 
 TEST_P(MergeScalingDiffTest, FullScriptBitIdenticalToSerial) {
@@ -1016,7 +1020,9 @@ TEST_P(MergeScalingDiffTest, FullScriptBitIdenticalToSerial) {
     const Inputs in(n, 0x4e46e000 + n);
     VectorMachine serial = make_serial(order(), 99);
     VectorMachine parallel =
-        make_parallel(order(), 99, threads(), /*grain=*/8, merge());
+        simd_table() ? make_parallel_simd(order(), 99, threads(),
+                                          SimdLevel::kAuto, /*grain=*/8)
+                     : make_parallel(order(), 99, threads(), /*grain=*/8);
     const WordVec want = run_script(serial, in);
     const WordVec got = run_script(parallel, in);
     ASSERT_EQ(want, got) << "digest diverged at n=" << n;
@@ -1034,10 +1040,9 @@ TEST_P(MergeScalingDiffTest, FusedScriptBitIdenticalForEitherFuseMode) {
     serial_cfg.fuse = fuse;
     serial_cfg.backend = BackendKind::kSerial;
     MachineConfig par_cfg = serial_cfg;
-    par_cfg.backend = BackendKind::kParallel;
+    use_table(par_cfg);
     par_cfg.backend_threads = threads();
     par_cfg.backend_grain = 8;
-    par_cfg.merge_strategy = merge();
     VectorMachine serial(serial_cfg);
     VectorMachine parallel(par_cfg);
     const WordVec want = run_fused_script(serial, in);
@@ -1051,23 +1056,20 @@ std::string merge_scaling_param_name(
     const ::testing::TestParamInfo<MergeScalingParam>& info) {
   static constexpr const char* kOrderNames[] = {"Forward", "Reverse",
                                                 "Shuffled"};
-  static constexpr const char* kMergeNames[] = {"Auto", "SinglePass",
-                                                "TwoPass"};
   return std::string(
              kOrderNames[static_cast<std::size_t>(std::get<0>(info.param))]) +
          "x" + std::to_string(std::get<1>(info.param)) + "threadsx" +
-         kMergeNames[static_cast<std::size_t>(std::get<2>(info.param))];
+         (std::get<2>(info.param) ? "SimdTable" : "ScalarTable");
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllOrdersWorkersMerges, MergeScalingDiffTest,
+    AllOrdersWorkersTables, MergeScalingDiffTest,
     ::testing::Combine(::testing::Values(ScatterOrder::kForward,
                                          ScatterOrder::kReverse,
                                          ScatterOrder::kShuffled),
                        ::testing::Values(std::size_t{1}, std::size_t{2},
                                          std::size_t{4}, std::size_t{8}),
-                       ::testing::Values(MergeStrategy::kSinglePass,
-                                         MergeStrategy::kTwoPass)),
+                       ::testing::Bool()),
     merge_scaling_param_name);
 
 TEST(FusedDiffEdgeTest, MaskedSgeFaultsLikeCompositionWithScatterApplied) {
@@ -1089,26 +1091,35 @@ TEST(FusedDiffEdgeTest, MaskedSgeFaultsLikeCompositionWithScatterApplied) {
   }
 }
 
+// The pool's one schedule is run_affine: at most one task per worker, so
+// every job here uses task counts <= pool size.
+
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<int> hits(1000, 0);
-  pool.run(hits.size(), [&](std::size_t i) { hits[i] += 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(workers);
+    EXPECT_EQ(pool.size(), workers);
+    for (std::size_t tasks = 0; tasks <= workers; ++tasks) {
+      std::vector<int> hits(tasks, 0);
+      pool.run_affine(tasks, [&](std::size_t i) { hits[i] += 1; });
+      for (int h : hits) EXPECT_EQ(h, 1) << "workers=" << workers;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, RethrowsLowestTaskException) {
-  ThreadPool pool(4);
+  ThreadPool pool(8);
   for (int round = 0; round < 20; ++round) {
-    try {
-      pool.run(64, [&](std::size_t i) {
-        if (i % 2 == 1) {
-          throw std::runtime_error("task " + std::to_string(i));
-        }
-      });
-      FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "task 1");
+    for (const std::size_t tasks : {2u, 5u, 8u}) {
+      try {
+        pool.run_affine(tasks, [&](std::size_t i) {
+          if (i % 2 == 1 || i == tasks - 1) {
+            throw std::runtime_error("task " + std::to_string(i));
+          }
+        });
+        FAIL() << "expected an exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "task 1");
+      }
     }
   }
 }
@@ -1116,12 +1127,17 @@ TEST(ThreadPoolTest, RethrowsLowestTaskException) {
 TEST(ThreadPoolTest, ReusableAcrossJobs) {
   ThreadPool pool(3);
   std::size_t total = 0;
+  std::size_t want = 0;
   for (int job = 0; job < 100; ++job) {
-    std::vector<std::size_t> marks(17, 0);
-    pool.run(marks.size(), [&](std::size_t i) { marks[i] = i; });
-    for (std::size_t i = 0; i < marks.size(); ++i) total += marks[i];
+    const std::size_t tasks = 1 + static_cast<std::size_t>(job) % 3;
+    std::vector<std::size_t> marks(tasks, 0);
+    pool.run_affine(tasks, [&](std::size_t i) { marks[i] = i + 1; });
+    for (std::size_t i = 0; i < tasks; ++i) {
+      total += marks[i];
+      want += i + 1;
+    }
   }
-  EXPECT_EQ(total, 100u * (16u * 17u / 2u));
+  EXPECT_EQ(total, want);
 }
 
 }  // namespace

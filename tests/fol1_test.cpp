@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "fol/invariants.h"
+#include "support/faultsim.h"
 #include "support/prng.h"
 
 namespace folvec::fol {
@@ -116,7 +117,8 @@ TEST(Fol1Test, ElsViolationIsDetectedNotSilent) {
   // Failure injection: the machine stores amalgams on collision. FOL1 must
   // refuse (throw) rather than return a wrong decomposition.
   MachineConfig cfg;
-  cfg.inject_els_violation = true;
+  FaultPlan els(1, "els%1");  // every unmasked scatter violates ELS
+  const ScopedFaultPlan inject(&els);
   VectorMachine m(cfg);
   WordVec work(1, 0);
   const WordVec v{0, 0};

@@ -1,11 +1,12 @@
 // Unit and regression tests for the backend's chunking internals: the chunk
 // planner (overflow + zero-lane-chunk clipping), the early-cut first_oob
-// scan, both lane-exact scatter merges, worker chunk affinity, and the
+// scan, the lane-exact scatter merge, worker chunk affinity, and the
 // multi-op batched dispatch (VectorMachine::OpBatch). The oracle is the
 // one-worker scalar-table backend (and apply_scatter_reference for
 // scatters).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -28,9 +29,8 @@ namespace folvec::vm {
 namespace {
 
 /// A backend on the scalar reference table; one worker is the oracle.
-Backend scalar_backend(std::size_t workers,
-                       MergeStrategy merge = MergeStrategy::kAuto) {
-  return Backend(simd_kernels_scalar(), workers, /*grain=*/1, merge);
+Backend scalar_backend(std::size_t workers) {
+  return Backend(simd_kernels_scalar(), workers, /*grain=*/1);
 }
 
 // ---- chunk planner ---------------------------------------------------------
@@ -162,9 +162,9 @@ TEST(FirstOobTest, MaskedLanesAreExemptAtEveryWorkerCount) {
   }
 }
 
-// ---- scatter merge strategies ----------------------------------------------
+// ---- scatter merge ---------------------------------------------------------
 
-TEST(ScatterMergeTest, BothMergesMatchSerialForEveryTraversalAndWorkerCount) {
+TEST(ScatterMergeTest, SinglePassMatchesSerialForEveryTraversalAndWorkerCount) {
   Xoshiro256 rng(0x5ca77e2);
   for (int round = 0; round < 50; ++round) {
     const auto n = static_cast<std::size_t>(rng.in_range(1, 1200));
@@ -195,26 +195,60 @@ TEST(ScatterMergeTest, BothMergesMatchSerialForEveryTraversalAndWorkerCount) {
                               use_mask ? mask.data() : nullptr, traversal,
                               order);
       for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-        for (const MergeStrategy merge :
-             {MergeStrategy::kAuto, MergeStrategy::kSinglePass,
-              MergeStrategy::kTwoPass}) {
-          Backend parallel = scalar_backend(workers, merge);
-          WordVec got(table_size, -1);
-          parallel.scatter(got, idx, vals,
-                           use_mask ? mask.data() : nullptr, traversal,
-                           order);
-          ASSERT_EQ(want, got)
-              << "n=" << n << " areas=" << table_size
-              << " workers=" << workers << " traversal="
-              << static_cast<int>(traversal)
-              << " merge=" << static_cast<int>(merge);
-        }
+        Backend parallel = scalar_backend(workers);
+        WordVec got(table_size, -1);
+        parallel.scatter(got, idx, vals, use_mask ? mask.data() : nullptr,
+                         traversal, order);
+        ASSERT_EQ(want, got)
+            << "n=" << n << " areas=" << table_size << " workers=" << workers
+            << " traversal=" << static_cast<int>(traversal);
       }
     }
   }
 }
 
-TEST(ScatterMergeTest, AutoSelectsSinglePassForStreamingTraversals) {
+// Explicit (shuffled) traversals of serve-shard length and of bulk length
+// take the same merge; 160/161 straddle the length where an explicit
+// scatter once switched to a second merge.
+TEST(ScatterMergeTest, ExplicitTraversalMatchesReferenceAtEveryLength) {
+  telemetry::MetricsRegistry registry;
+  const telemetry::ScopedMetrics scoped(registry);
+  Xoshiro256 rng(0xe2b1c17);
+  std::uint64_t split = 0;
+  const std::size_t table_size = 63;
+  for (const std::size_t n : {64u, 160u, 161u, 4096u}) {
+    WordVec idx(n);
+    WordVec vals(n);
+    for (auto& x : idx) x = rng.in_range(0, static_cast<Word>(table_size) - 1);
+    for (auto& x : vals) x = rng.in_range(-100000, 100000);
+    std::vector<std::uint8_t> mask(n);
+    for (auto& b : mask) b = static_cast<std::uint8_t>(rng.below(4) != 0);
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    shuffle(order, rng);
+    for (const bool use_mask : {false, true}) {
+      const std::uint8_t* m = use_mask ? mask.data() : nullptr;
+      WordVec want(table_size, -1);
+      apply_scatter_reference(want, idx, vals, m, ScatterTraversal::kExplicit,
+                              order);
+      for (const std::size_t workers : {2u, 4u, 8u}) {
+        Backend parallel = scalar_backend(workers);
+        WordVec got(table_size, -1);
+        parallel.scatter(got, idx, vals, m, ScatterTraversal::kExplicit,
+                         order);
+        ++split;
+        ASSERT_EQ(want, got) << "n=" << n << " workers=" << workers
+                             << " masked=" << use_mask;
+      }
+    }
+  }
+  // Grain 1: every one of these scatters is split across the pool.
+  EXPECT_EQ(registry.snapshot().counters.at("pool.merge.single_pass"), split);
+}
+
+// Forward, reverse and explicit traversals all take the one merge once
+// split: none of them falls back to the inline whole-span path.
+TEST(ScatterMergeTest, EverySplitTraversalTakesTheSinglePassMerge) {
   telemetry::MetricsRegistry registry;
   const telemetry::ScopedMetrics scoped(registry);
   const std::size_t n = 4096;
@@ -226,55 +260,25 @@ TEST(ScatterMergeTest, AutoSelectsSinglePassForStreamingTraversals) {
   }
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = n - 1 - i;
-  {
-    Backend parallel = scalar_backend(4);
-    WordVec table(64, 0);
-    parallel.scatter(table, idx, vals, nullptr, ScatterTraversal::kForward,
-                     {});
-    parallel.scatter(table, idx, vals, nullptr, ScatterTraversal::kReverse,
-                     {});
-    parallel.scatter(table, idx, vals, nullptr, ScatterTraversal::kExplicit,
-                     order);
+  Backend parallel = scalar_backend(4);
+  for (const ScatterTraversal traversal :
+       {ScatterTraversal::kForward, ScatterTraversal::kReverse,
+        ScatterTraversal::kExplicit}) {
+    WordVec want(64, 0);
+    apply_scatter_reference(want, idx, vals, nullptr, traversal, order);
+    WordVec got(64, 0);
+    parallel.scatter(got, idx, vals, nullptr, traversal, order);
+    ASSERT_EQ(want, got) << "traversal=" << static_cast<int>(traversal);
   }
   const telemetry::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.at("pool.merge.single_pass"), 2u);
-  EXPECT_EQ(snap.counters.at("pool.merge.two_pass"), 1u);
+  EXPECT_EQ(snap.counters.at("pool.scatter.parallel"), 3u);
+  EXPECT_EQ(snap.counters.at("pool.merge.single_pass"), 3u);
+  EXPECT_EQ(snap.counters.count("pool.scatter.inline"), 0u);
 }
 
-// Explicit traversals cut over by length: short scatters (the serving
-// layer's shard-local sub-batches) stay on the single pass — two-pass
-// bucket setup costs more than the whole scatter there — while long ones
-// take the route+replay merge. Crossover measured at ~160-192 lanes on
-// 2/4/8 workers.
-TEST(ScatterMergeTest, AutoCutsOverByLengthForExplicitTraversals) {
-  telemetry::MetricsRegistry registry;
-  const telemetry::ScopedMetrics scoped(registry);
-  const auto run_explicit = [](std::size_t n) {
-    WordVec idx(n);
-    WordVec vals(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      idx[i] = static_cast<Word>(i % 63);
-      vals[i] = static_cast<Word>(i);
-    }
-    std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) order[i] = n - 1 - i;
-    Backend parallel = scalar_backend(4);
-    WordVec table(63, 0);
-    parallel.scatter(table, idx, vals, nullptr, ScatterTraversal::kExplicit,
-                     order);
-  };
-  run_explicit(64);    // serve-shard sized: single pass
-  run_explicit(160);   // boundary, inclusive: single pass
-  run_explicit(161);   // first length past the cutover: two-pass
-  run_explicit(4096);  // bulk: two-pass
-  const telemetry::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.at("pool.merge.single_pass"), 2u);
-  EXPECT_EQ(snap.counters.at("pool.merge.two_pass"), 2u);
-}
+// ---- machine-level merge differential --------------------------------------
 
-// ---- machine-level merge strategy differential -----------------------------
-
-TEST(MergeStrategyMachineTest, ForcedStrategiesBitIdenticalToSerial) {
+TEST(ScatterMergeMachineTest, ParallelBitIdenticalToSerialForEveryOrder) {
   for (const ScatterOrder order :
        {ScatterOrder::kForward, ScatterOrder::kReverse,
         ScatterOrder::kShuffled}) {
@@ -292,20 +296,56 @@ TEST(MergeStrategyMachineTest, ForcedStrategiesBitIdenticalToSerial) {
     for (auto& x : vals) x = rng.in_range(-5000, 5000);
     WordVec want(100, 0);
     serial.scatter(want, idx, vals);
-    for (const MergeStrategy merge :
-         {MergeStrategy::kAuto, MergeStrategy::kSinglePass,
-          MergeStrategy::kTwoPass}) {
-      MachineConfig cfg = serial_cfg;
-      cfg.backend = BackendKind::kParallel;
-      cfg.backend_threads = 4;
-      cfg.backend_grain = 8;
-      cfg.merge_strategy = merge;
-      VectorMachine parallel(cfg);
-      WordVec got(100, 0);
-      parallel.scatter(got, idx, vals);
-      ASSERT_EQ(want, got) << "order=" << static_cast<int>(order)
-                           << " merge=" << static_cast<int>(merge);
-    }
+    MachineConfig cfg = serial_cfg;
+    cfg.backend = BackendKind::kParallel;
+    cfg.backend_threads = 4;
+    cfg.backend_grain = 8;
+    VectorMachine parallel(cfg);
+    WordVec got(100, 0);
+    parallel.scatter(got, idx, vals);
+    ASSERT_EQ(want, got) << "order=" << static_cast<int>(order);
+  }
+}
+
+// The scatter half of the fused scatter_gather_eq is the same split merge:
+// one single-pass merge per fused instruction, and the survivor mask and
+// table match the serial machine for every order.
+TEST(ScatterMergeMachineTest, FusedScatterGatherEqTakesTheSinglePassMerge) {
+  for (const ScatterOrder order :
+       {ScatterOrder::kForward, ScatterOrder::kReverse,
+        ScatterOrder::kShuffled}) {
+    MachineConfig serial_cfg;
+    serial_cfg.backend = BackendKind::kSerial;
+    serial_cfg.scatter_order = order;
+    serial_cfg.shuffle_seed = 91;
+    serial_cfg.audit = false;
+    serial_cfg.fuse = true;
+    VectorMachine serial(serial_cfg);
+    const std::size_t n = 3000;
+    Xoshiro256 rng(0xf05e + static_cast<std::uint64_t>(order));
+    WordVec idx(n);
+    for (auto& x : idx) x = rng.in_range(0, 99);
+    // Distinct per-lane values: a lane's readback matches only its own
+    // write, so the mask names exactly one survivor per written address.
+    WordVec vals(n);
+    for (std::size_t i = 0; i < n; ++i) vals[i] = static_cast<Word>(i + 1);
+    WordVec want(100, 0);
+    const Mask want_mask = serial.scatter_gather_eq(want, idx, vals);
+    MachineConfig cfg = serial_cfg;
+    cfg.backend = BackendKind::kParallel;
+    cfg.backend_threads = 4;
+    cfg.backend_grain = 8;
+    VectorMachine parallel(cfg);
+    telemetry::MetricsRegistry registry;
+    const telemetry::ScopedMetrics scoped(registry);
+    WordVec got(100, 0);
+    const Mask got_mask = parallel.scatter_gather_eq(got, idx, vals);
+    ASSERT_EQ(want, got) << "order=" << static_cast<int>(order);
+    ASSERT_TRUE(std::equal(want_mask.begin(), want_mask.end(),
+                           got_mask.begin(), got_mask.end()))
+        << "order=" << static_cast<int>(order);
+    EXPECT_EQ(registry.snapshot().counters.at("pool.merge.single_pass"), 1u)
+        << "order=" << static_cast<int>(order);
   }
 }
 

@@ -459,18 +459,22 @@ TEST(WorkerFault, RealTaskErrorsStillWinOverInjection) {
   vm::ThreadPool pool(4);
   FaultPlan plan(1, "worker=1.0");
   const ScopedFaultPlan install(&plan);
-  // Task 3 genuinely throws; the injected death of task 0 must not mask it.
-  EXPECT_THROW(pool.run(8,
-                        [](std::size_t i) {
-                          if (i == 3) throw std::runtime_error("real failure");
-                        }),
+  // Task 3 (the caller's own task) genuinely throws; the injected death of
+  // task 0 must not mask it.
+  EXPECT_THROW(pool.run_affine(4,
+                               [](std::size_t i) {
+                                 if (i == 3) {
+                                   throw std::runtime_error("real failure");
+                                 }
+                               }),
                std::runtime_error);
   // And with no real error, every injected death recovers.
-  std::vector<int> ran(8, 0);
-  pool.run(8, [&](std::size_t i) { ran[i] += 1; });
-  EXPECT_EQ(std::accumulate(ran.begin(), ran.end(), 0), 8);
+  std::vector<int> ran(4, 0);
+  pool.run_affine(4, [&](std::size_t i) { ran[i] += 1; });
+  EXPECT_EQ(std::accumulate(ran.begin(), ran.end(), 0), 4);
   EXPECT_EQ(*std::max_element(ran.begin(), ran.end()), 1)
       << "re-dispatch must execute the sacrificed task exactly once";
+  EXPECT_EQ(plan.fired(FaultSite::kWorkerFault), 2u);
 }
 
 // ---- 2e. cross-backend bit-identity under one plan --------------------------

@@ -10,6 +10,7 @@
 #include "fol/fol1.h"
 #include "fol/fol_star.h"
 #include "fol/invariants.h"
+#include "support/faultsim.h"
 #include "support/prng.h"
 #include "vm/checker.h"
 
@@ -149,7 +150,8 @@ TEST(ScatterCheckTest, ContiguousLoadOfClobberedWorkIsFlagged) {
 // label, so the auditor must name exactly lanes {0, 1} at address 7.
 TEST(ScatterCheckTest, ElsViolationPinpointsAmalgamatedLanes) {
   MachineConfig cfg = audited();
-  cfg.inject_els_violation = true;
+  FaultPlan els(1, "els%1");  // every unmasked scatter violates ELS
+  const ScopedFaultPlan inject(&els);
   VectorMachine m(cfg);
   WordVec work(8, 0);
   EXPECT_THROW(fol::fol1_decompose(m, WordVec{7, 7, 3}, work), AuditError);
@@ -166,7 +168,8 @@ TEST(ScatterCheckTest, ElsViolationPinpointsAmalgamatedLanes) {
 // broken" keep passing under audit.
 TEST(ScatterCheckTest, AuditErrorIsAnInternalError) {
   MachineConfig cfg = audited();
-  cfg.inject_els_violation = true;
+  FaultPlan els(1, "els%1");  // every unmasked scatter violates ELS
+  const ScopedFaultPlan inject(&els);
   VectorMachine m(cfg);
   WordVec work(8, 0);
   EXPECT_THROW(fol::fol1_decompose(m, WordVec{7, 7, 3}, work), InternalError);
@@ -177,7 +180,8 @@ TEST(ScatterCheckTest, AuditErrorIsAnInternalError) {
 // holds the lane-precise diagnosis.
 TEST(ScatterCheckTest, NonThrowingAuditStillRecords) {
   MachineConfig cfg = audited(ScatterOrder::kForward, /*audit_throw=*/false);
-  cfg.inject_els_violation = true;
+  FaultPlan els(1, "els%1");  // every unmasked scatter violates ELS
+  const ScopedFaultPlan inject(&els);
   VectorMachine m(cfg);
   WordVec work(8, 0);
   EXPECT_THROW(fol::fol1_decompose(m, WordVec{7, 7, 3}, work), InternalError);
@@ -265,7 +269,8 @@ TEST_P(ScatterCheckFuzzTest, AuditorPinpointsInjectedAmalgams) {
     for (auto& v : idx) v = rng.in_range(0, table_size - 1);
     // Labels are the lane numbers (distinct), as in FOL1.
     MachineConfig cfg = audited(GetParam());
-    cfg.inject_els_violation = true;
+    FaultPlan els(1, "els%1");  // every unmasked scatter violates ELS
+    const ScopedFaultPlan inject(&els);
     VectorMachine m(cfg);
     WordVec table(static_cast<std::size_t>(table_size), 0);
     WordVec labels(n);
@@ -320,7 +325,8 @@ TEST_P(ScatterCheckFuzzTest, Fol1InjectionNeverMisdecomposesSilently) {
     for (auto& v : idx) v = rng.in_range(0, span - 1);
 
     MachineConfig cfg = audited(GetParam());
-    cfg.inject_els_violation = true;
+    FaultPlan els(1, "els%1");  // every unmasked scatter violates ELS
+    const ScopedFaultPlan inject(&els);
     VectorMachine m(cfg);
     WordVec work(static_cast<std::size_t>(span), 0);
     try {

@@ -10,6 +10,7 @@
 #include <numeric>
 #include <string>
 
+#include "support/faultsim.h"
 #include "support/prng.h"
 
 namespace folvec::vm {
@@ -209,7 +210,8 @@ TEST_F(MachineTest, ShuffledScatterEventuallyVariesSurvivor) {
 TEST_F(MachineTest, ElsViolationInjectionProducesAmalgam) {
   MachineConfig cfg;
   cfg.audit = false;  // the injected amalgam is the point, not a hazard
-  cfg.inject_els_violation = true;
+  FaultPlan els(1, "els%1");  // every unmasked scatter violates ELS
+  const ScopedFaultPlan inject(&els);
   VectorMachine m(cfg);
   WordVec table(2, 0);
   m.scatter(table, WordVec{0, 0, 1}, WordVec{5, 9, 42});
@@ -313,7 +315,8 @@ TEST_F(MachineTest, ElsViolationInjectionMatchesQuadraticReference) {
   // the brute-force definition (XOR of val+1 over every colliding lane;
   // uncontested lanes store their value unchanged).
   MachineConfig cfg;
-  cfg.inject_els_violation = true;
+  FaultPlan els(1, "els%1");  // every unmasked scatter violates ELS
+  const ScopedFaultPlan inject(&els);
   cfg.audit = false;
   VectorMachine m(cfg);
   Xoshiro256 rng(0x1badb002);
