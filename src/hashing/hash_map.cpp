@@ -18,10 +18,19 @@ using vm::WordVec;
 
 namespace {
 
+/// Capacities climb the ladder 67, 135, 271, ... (each rung about double
+/// the last), every rung rounded up to a prime so that no key-dependent
+/// probe cycle can saturate (the gcd hazard in open_table.h). Returns the
+/// lowest such capacity >= `want`.
 std::size_t round_capacity(std::size_t want) {
-  std::size_t cap = 67;
-  while (cap < want) cap = cap * 2 + 1;
-  return cap;
+  std::size_t rung = 67;
+  while (next_prime(rung) < want) rung = rung * 2 + 1;
+  return next_prime(rung);
+}
+
+/// The capacity one rung above `capacity`: about double it.
+std::size_t next_capacity(std::size_t capacity) {
+  return round_capacity(capacity + 1);
 }
 
 /// Keys -1 and -2 would match the kUnentered and kTombstone slot markers.
@@ -45,19 +54,21 @@ WordVec VectorHashMap::insert_tracking_slots(VectorMachine& m,
       m, slots_, keys, ProbeVariant::kKeyDependent, &stats, &slots);
   if (st.is_ok()) {
     entered_ += keys.size();
+    tombstones_ -= stats.tombstones_reused;
     return slots;
   }
   if (stats.iterations != 0) {
     // The probe loop ran and swept the table without converging (saturated
-    // probe cycles on a composite-sized table): keys that did land stay in
-    // slots_, so reconcile entered_ with the table before surfacing the
-    // error. Without this, a retry whose rehash also fails (and rolls back
-    // to exactly this state) would treat the landed strays as pre-existing
-    // keys forever: size() undercounts and a later erase of those keys
-    // underflows the live count. An injected fault leaves the table as it
-    // was.
-    entered_ = static_cast<std::size_t>(
-        m.count_true(m.ge_scalar(m.load(slots_, 0, slots_.size()), 0)));
+    // probe cycles): keys that did land stay in slots_, possibly in
+    // tombstones, so reconcile entered_ and tombstones_ with the table
+    // before surfacing the error. Without this, a retry whose rehash also
+    // fails (and rolls back to exactly this state) would treat the landed
+    // strays as pre-existing keys forever: size() undercounts and a later
+    // erase of those keys underflows the live count. An injected fault
+    // leaves the table as it was.
+    const WordVec all = m.load(slots_, 0, slots_.size());
+    entered_ = m.count_true(m.ge_scalar(all, 0));
+    tombstones_ = m.count_true(m.eq_scalar(all, kTombstone));
   }
   throw RecoverableError(st.code(), st.message());
 }
@@ -102,7 +113,7 @@ void VectorHashMap::rehash(VectorMachine& m, std::size_t min_capacity) {
 void VectorHashMap::grow(VectorMachine& m, std::size_t need) {
   while (static_cast<double>(entered_ + tombstones_ + need) >
          0.7 * static_cast<double>(slots_.size())) {
-    rehash(m, slots_.size() * 2);
+    rehash(m, next_capacity(slots_.size()));
   }
 }
 
@@ -160,7 +171,7 @@ void VectorHashMap::upsert_batch(VectorMachine& m,
     } catch (const RecoverableError&) {
       if (attempt == kMaxRecoveries) throw;
       try {
-        rehash(m, slots_.size() * 2);
+        rehash(m, next_capacity(slots_.size()));
       } catch (const RecoverableError&) {
         // The recovery was hit too (sustained injection). rehash rolled
         // itself back, so the next attempt retries from a consistent state.

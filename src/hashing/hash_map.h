@@ -14,9 +14,9 @@
 //
 // The map has no probe loop of its own: inserts run the Figure 8 loop of
 // open_table.h with its slot output (each new key's slot, for the value
-// write), and lookups, erases and upserts find slots with the lockstep
-// multi_hash_open_find. The map keeps only its own bookkeeping: the live
-// count, tombstones and growth.
+// write; erased slots are reused), and lookups, erases and upserts find
+// slots with the lockstep multi_hash_open_find. The map keeps only its own
+// bookkeeping: the live count, tombstones and growth.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +30,9 @@ namespace folvec::hashing {
 
 class VectorHashMap {
  public:
-  /// `initial_capacity` is rounded up to a size > 32 (Figure 8's
-  /// requirement for the key-dependent probe step).
+  /// `initial_capacity` is rounded up to a prime > 32 (Figure 8's
+  /// requirement for the key-dependent probe step; a prime size keeps every
+  /// probe cycle covering the whole table).
   explicit VectorHashMap(std::size_t initial_capacity = 64);
 
   /// Batch upsert. Keys must be non-negative; duplicates within the batch
@@ -55,11 +56,13 @@ class VectorHashMap {
 
   /// Batch erase: removes the given keys (absent keys are ignored;
   /// duplicates in the batch are fine). Returns the number of keys
-  /// actually removed. Erased slots become tombstones — probe chains walk
-  /// through them, fresh inserts do not reuse them (reuse would break the
-  /// no-empty-slot-before-a-key invariant that makes upserts safe) — and
-  /// the table rehashes itself once tombstones pass a quarter of the
-  /// capacity.
+  /// actually removed. Erased slots become tombstones: probe chains walk
+  /// through them, and fresh inserts reuse them (an inserted key has been
+  /// confirmed absent, and no chain has an empty slot before a live key,
+  /// so taking the first free-or-tombstone slot keeps every key findable).
+  /// A key erased and re-upserted over and over therefore keeps its chain
+  /// length. The table rehashes itself once tombstones pass a quarter of
+  /// the capacity.
   std::size_t erase_batch(vm::VectorMachine& m,
                           std::span<const vm::Word> keys);
 
@@ -67,7 +70,7 @@ class VectorHashMap {
 
   /// Every live key, compressed out of the slot array with vector ops
   /// (slot order, not insertion order). The serving layer rebuilds its
-  /// per-shard Bloom filters from this after erase batches.
+  /// per-shard Bloom filters from this when they fill up.
   vm::WordVec live_keys(vm::VectorMachine& m) const;
 
   std::size_t size() const { return entered_; }
@@ -84,13 +87,14 @@ class VectorHashMap {
                          std::span<const vm::Word> values);
 
   /// Enters keys (all distinct, none present) through
-  /// try_multi_hash_open_insert and returns their slots. Throws
-  /// folvec::RecoverableError(kProbeCycleSaturated) when the probe loop
-  /// sweeps the table without converging or fault injection forces the
-  /// condition; the table may then hold a partial subset of `keys`, and
-  /// entered_ is reconciled with the live slots before the throw so size()
-  /// stays truthful even when every later recovery attempt fails too (the
-  /// retry path treats the landed strays as existing keys).
+  /// try_multi_hash_open_insert, reusing tombstones, and returns their
+  /// slots. Throws folvec::RecoverableError(kProbeCycleSaturated) when the
+  /// probe loop sweeps the table without converging or fault injection
+  /// forces the condition; the table may then hold a partial subset of
+  /// `keys`, and entered_ and tombstones_ are reconciled with the table
+  /// before the throw so size() stays truthful even when every later
+  /// recovery attempt fails too (the retry path treats the landed strays as
+  /// existing keys).
   vm::WordVec insert_tracking_slots(vm::VectorMachine& m,
                                     std::span<const vm::Word> keys);
 
@@ -106,9 +110,5 @@ class VectorHashMap {
   std::size_t tombstones_ = 0;
   std::size_t rehashes_ = 0;
 };
-
-/// Slot marker for erased entries (distinct from kUnentered: probe chains
-/// must keep walking through it).
-inline constexpr vm::Word kTombstone = -2;
 
 }  // namespace folvec::hashing

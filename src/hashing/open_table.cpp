@@ -2,6 +2,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "hashing/hash_fn.h"
 #include "support/faultsim.h"
@@ -15,6 +16,19 @@ using vm::Mask;
 using vm::VectorMachine;
 using vm::Word;
 using vm::WordVec;
+
+std::size_t next_prime(std::size_t n) {
+  if (n <= 2) return 2;
+  const auto is_prime = [](std::size_t v) {
+    for (std::size_t d = 3; d * d <= v; d += 2) {
+      if (v % d == 0) return false;
+    }
+    return true;
+  };
+  std::size_t candidate = n | 1;  // every prime above 2 is odd
+  while (!is_prime(candidate)) candidate += 2;
+  return candidate;
+}
 
 ScalarOpenTable::ScalarOpenTable(std::size_t table_size, ProbeVariant variant,
                                  vm::CostAccumulator* cost)
@@ -103,19 +117,10 @@ std::size_t ScalarOpenTable::insert(Word key) {
 }
 
 void ScalarOpenTable::grow() {
-  // The next prime above twice the current size: prime sizes make
-  // gcd(step, size) = 1 for every key-dependent step in [1, 32], so every
-  // probe cycle covers the whole table and saturation implies truly full.
-  std::size_t candidate = slots_.size() * 2 + 1;
-  const auto is_prime = [](std::size_t v) {
-    for (std::size_t d = 3; d * d <= v; d += 2) {
-      if (v % d == 0) return false;
-    }
-    return (v & 1) != 0;
-  };
-  while (!is_prime(candidate)) candidate += 2;
+  // The next prime above twice the current size: every probe cycle covers
+  // the whole table, so saturation implies truly full.
   std::vector<Word> old = std::move(slots_);
-  slots_.assign(candidate, kUnentered);
+  slots_.assign(next_prime(old.size() * 2 + 1), kUnentered);
   entered_ = 0;
   ++grows_;
   telemetry::count("hashing.scalar.grows");
@@ -243,10 +248,24 @@ Status try_multi_hash_open_insert(VectorMachine& m, std::span<Word> table,
   WordVec lane;  // key index of each lane; tracked only for slots_out
   if (slots_out != nullptr) lane = m.iota(keys.size());
   WordVec hashed = m.mod_scalar(key_vec, size);
-  {
-    const Mask empty = m.eq_scalar(m.gather(table, hashed), kUnentered);
-    m.scatter_masked(table, hashed, key_vec, empty);
-  }
+  // The slot-tracking insert treats a tombstone (any negative slot) as
+  // free, the listing only kUnentered; either way it is one compare. The
+  // lanes that found a tombstone are noted on the host from the gathered
+  // values, so the check below can count the tombstones actually taken.
+  std::vector<std::size_t> found_tombstone;
+  const auto store_into_free = [&] {
+    const WordVec probed = m.gather(table, hashed);
+    const Mask free = slots_out != nullptr ? m.lt_scalar(probed, 0)
+                                           : m.eq_scalar(probed, kUnentered);
+    if (slots_out != nullptr) {
+      found_tombstone.clear();
+      for (std::size_t i = 0; i < probed.size(); ++i) {
+        if (probed[i] == kTombstone) found_tombstone.push_back(i);
+      }
+    }
+    m.scatter_masked(table, hashed, key_vec, free);
+  };
+  store_into_free();
   stats.max_vector_len = key_vec.size();
 
   // Outer loop: detect which keys made it, pack the rest, re-probe.
@@ -255,6 +274,10 @@ Status try_multi_hash_open_insert(VectorMachine& m, std::span<Word> table,
     const vm::AlgoSpan round_span(m, "retry", iter);
     const Mask entered = m.eq(m.gather(table, hashed), key_vec);
     const std::size_t nrest = key_vec.size() - m.count_true(entered);
+    // Keys are distinct, so an entered lane won its own store this round.
+    for (const std::size_t i : found_tombstone) {
+      if (entered[i]) ++stats.tombstones_reused;
+    }
     // Keys confirmed entered this pass found their slot on probe iter+1.
     telemetry::observe("hashing.probe_count", iter + 1,
                        key_vec.size() - nrest);
@@ -285,8 +308,7 @@ Status try_multi_hash_open_insert(VectorMachine& m, std::span<Word> table,
     }
 
     advance_probe(m, hashed, key_vec, variant, size);
-    const Mask empty = m.eq_scalar(m.gather(table, hashed), kUnentered);
-    m.scatter_masked(table, hashed, key_vec, empty);
+    store_into_free();
   }
   // A full sweep of the table without convergence: every remaining key's
   // probe cycle is saturated (composite size + gcd hazard). The table holds

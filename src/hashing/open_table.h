@@ -21,7 +21,7 @@
 // kProbeCycleSaturated (distinct from kTableFull, where every slot really
 // is occupied), and insert_or_grow() recovers by growing to a prime size,
 // which forces g = 1 for every step in [1, 32] so each probe cycle covers
-// the whole table.
+// the whole table. VectorHashMap sizes its tables prime from the start.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +41,15 @@ enum class ProbeVariant : std::uint8_t {
 
 /// Sentinel marking an unused slot. Keys must be non-negative.
 inline constexpr vm::Word kUnentered = -1;
+
+/// Slot marker for erased entries (VectorHashMap): distinct from
+/// kUnentered, because probe chains must keep walking through it.
+inline constexpr vm::Word kTombstone = -2;
+
+/// The smallest prime >= n. Prime table sizes make gcd(step, size) = 1 for
+/// every key-dependent step in [1, 32], so every probe cycle covers the
+/// whole table.
+std::size_t next_prime(std::size_t n);
 
 /// Scalar open-addressing table, the sequential baseline of Figures 9/10.
 class ScalarOpenTable {
@@ -103,6 +112,8 @@ class ScalarOpenTable {
 struct MultiHashStats {
   std::size_t iterations = 0;      ///< passes of the Figure 8 outer loop
   std::size_t max_vector_len = 0;  ///< length of the first (longest) pass
+  /// kTombstone slots keys landed in (slot-tracking insert only).
+  std::size_t tombstones_reused = 0;
 };
 
 /// Figure 8: enters `keys` (distinct, non-negative) into the open-addressing
@@ -132,8 +143,17 @@ MultiHashStats multi_hash_open_insert(vm::VectorMachine& m,
 /// Asking for slots partitions a lane index vector beside the keys in every
 /// retry round. It also skips the O(size) free-slot precheck: the
 /// slot-tracking caller (VectorHashMap) bounds its own load, and an overfull
-/// table then reports kProbeCycleSaturated after the sweep. Without
-/// `slots_out` the instruction stream is exactly the paper's listing.
+/// table then reports kProbeCycleSaturated after the sweep. The
+/// slot-tracking insert also treats a kTombstone slot as free: its caller
+/// has confirmed every key absent, and a probe chain never has a kUnentered
+/// slot before a live key, so a key entered at the first free-or-tombstone
+/// slot of its chain stays findable and duplicates nothing.
+/// stats_out->tombstones_reused counts the tombstones the landed keys took
+/// (on failure too, since a failed pass may already have consumed some); it
+/// is counted on the host from the slot values the lanes' gathers already
+/// returned, so it adds no vector op. Without `slots_out` only kUnentered
+/// slots are free and the instruction stream is exactly the paper's
+/// listing.
 Status try_multi_hash_open_insert(vm::VectorMachine& m,
                                   std::span<vm::Word> table,
                                   std::span<const vm::Word> keys,
@@ -153,8 +173,8 @@ struct MultiHashLookupStats {
 
 /// Vectorized lookup: probes all keys in lockstep and returns each key's
 /// slot, -1 when absent. A lane retires when it meets its key or a
-/// kUnentered slot; any other slot value (another key, or VectorHashMap's
-/// tombstone) keeps it walking. The walk is bounded by the table size, as
+/// kUnentered slot; any other slot value (another key, or a kTombstone)
+/// keeps it walking. The walk is bounded by the table size, as
 /// for the insert. Read-only, so index-vector duplicates are harmless (the
 /// paper's Figure 2b case) — no FOL pass is needed, and duplicate query
 /// keys are allowed.

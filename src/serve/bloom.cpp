@@ -1,7 +1,7 @@
 #include "serve/bloom.h"
 
 #include <algorithm>
-#include <bit>
+#include <cmath>
 
 namespace folvec::serve {
 
@@ -35,6 +35,7 @@ void BloomFilter::reset(std::size_t expected_keys) {
       static_cast<std::size_t>(static_cast<double>(bits_per_key_) * 0.693),
       1, 8);
   words_.assign((bit_count_ + 63) / 64, 0);
+  set_bits_ = 0;
 }
 
 void BloomFilter::insert(vm::Word key) {
@@ -43,7 +44,10 @@ void BloomFilter::insert(vm::Word key) {
   std::uint64_t h = h1;
   for (std::size_t i = 0; i < hashes_; ++i) {
     const std::size_t bit = static_cast<std::size_t>(h % bit_count_);
-    words_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+    std::uint64_t& word = words_[bit >> 6];
+    const std::uint64_t mask = std::uint64_t{1} << (bit & 63);
+    set_bits_ += (word & mask) == 0 ? 1 : 0;
+    word |= mask;
     h += h2;
   }
 }
@@ -66,12 +70,9 @@ bool BloomFilter::may_contain(vm::Word key) const {
   return true;
 }
 
-double BloomFilter::fill_ratio() const {
-  std::size_t set = 0;
-  for (const std::uint64_t w : words_) {
-    set += static_cast<std::size_t>(std::popcount(w));
-  }
-  return static_cast<double>(set) / static_cast<double>(bit_count_);
+double BloomFilter::design_fill() const {
+  return 1.0 - std::exp(-static_cast<double>(hashes_ * capacity_keys_) /
+                        static_cast<double>(bit_count_));
 }
 
 }  // namespace folvec::serve

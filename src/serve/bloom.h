@@ -10,9 +10,13 @@
 // Contract: FALSE POSITIVES ONLY. may_contain() must return true for every
 // key currently live in the backing map. The ShardedMap maintains that by
 // inserting into the filter only after a successful upsert (inserts are
-// idempotent, so a retried batch cannot corrupt it — see docs/serving.md)
-// and by rebuilding from the map's live keys after erases; erases never
-// clear individual bits (bits are shared between keys).
+// idempotent, so a retried batch cannot corrupt it — see docs/serving.md).
+// Erases never clear bits (bits are shared between keys): an erased key's
+// bits stay behind as false positives. Staleness is bounded by fill, not by
+// erase count: once the set bits pass design_fill(), the fill a filter
+// holding exactly capacity_keys() keys would have, the FP rate is past the
+// design rate and the ShardedMap rebuilds the filter from the map's live
+// keys.
 //
 // The filter is host-side scalar state, like the hash map's duplicate
 // bookkeeping: its job is precisely to AVOID vector work, so it does not
@@ -43,20 +47,27 @@ class BloomFilter {
   bool may_contain(vm::Word key) const;
 
   /// Drops every bit and re-sizes for `expected_keys`; the caller re-seeds
-  /// from the live key set (the erase-rebuild path).
+  /// from the live key set (the fill-rebuild path).
   void reset(std::size_t expected_keys);
 
   std::size_t bit_count() const { return bit_count_; }
   std::size_t hash_count() const { return hashes_; }
   std::size_t capacity_keys() const { return capacity_keys_; }
   /// Fraction of set bits — the observable proxy for the FP rate.
-  double fill_ratio() const;
+  double fill_ratio() const {
+    return static_cast<double>(set_bits_) / static_cast<double>(bit_count_);
+  }
+  /// Expected fill_ratio() of this filter holding exactly capacity_keys()
+  /// distinct keys, 1 - e^(-k*n/m): a fuller filter is past its design FP
+  /// rate.
+  double design_fill() const;
 
  private:
   std::size_t capacity_keys_;
   std::size_t bits_per_key_;
   std::size_t bit_count_;
   std::size_t hashes_;
+  std::size_t set_bits_ = 0;
   std::vector<std::uint64_t> words_;
 };
 

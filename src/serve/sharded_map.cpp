@@ -81,12 +81,15 @@ void ShardedMap::upsert_batch(std::span<const Word> keys,
     Shard& shard = *shards_[s];
     shard.map.upsert_batch(shard.machine, shard_keys[s], vals);
     // Bloom bits go in only after the batch committed: a retried attempt
-    // re-adds the same keys (idempotent), a failed one adds nothing.
+    // re-adds the same keys (idempotent), a failed one adds nothing. A
+    // filter past its design fill (erased keys' stale bits included) or
+    // holding more live keys than it was sized for is rebuilt from the live
+    // set.
     if (bloom_enabled_) {
-      if (shard.map.size() > shard.bloom.capacity_keys()) {
+      shard.bloom.insert_all(shard_keys[s]);
+      if (shard.map.size() > shard.bloom.capacity_keys() ||
+          shard.bloom.fill_ratio() > shard.bloom.design_fill()) {
         rebuild_bloom(shard);
-      } else {
-        shard.bloom.insert_all(shard_keys[s]);
       }
     }
     telemetry::count("serve.shard.upserts", shard_keys[s].size());
@@ -160,11 +163,10 @@ std::size_t ShardedMap::erase_batch(std::span<const Word> keys) {
     if (probe_keys.empty()) continue;
     const std::size_t shard_removed =
         shard.map.erase_batch(shard.machine, probe_keys);
+    // The erased keys' bits stay set: false positives, which the contract
+    // allows. The next upsert that fills the filter past its design fill
+    // rebuilds it.
     removed += shard_removed;
-    // Erases leave stale bits behind (bits are shared); rebuilding from
-    // the live keys restores a tight filter and keeps the
-    // false-positive-only contract trivially true.
-    if (shard_removed > 0 && bloom_enabled_) rebuild_bloom(shard);
     telemetry::count("serve.shard.erases", probe_keys.size());
   }
   telemetry::count("serve.requests.erase", keys.size());

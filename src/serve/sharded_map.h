@@ -13,8 +13,9 @@
 //
 // Each shard carries a Bloom filter (bloom.h) consulted before any vector
 // op is issued: definitely-absent lookups and erases short-circuit on the
-// scalar unit. The filter is maintained insert-after-success and rebuilt
-// from live_keys() after erases, so it can only over-approximate the live
+// scalar unit. The filter is maintained insert-after-success and never
+// loses a bit on erase; an upsert rebuilds it from live_keys() once it
+// fills past its design fill. So it can only over-approximate the live
 // set (false positives, never false negatives) — the differential tests
 // pin ShardedMap bit-identical to a single reference VectorHashMap at
 // every backend / worker-count / shard-count combination.
@@ -59,7 +60,9 @@ class ShardedMap {
   /// Batched upsert: routes, partitions stably, runs each shard's
   /// sub-batch, then (only after the shard's batch succeeded) adds the
   /// keys to the shard's Bloom filter — the retry-safety rule for side
-  /// state layered over upsert_batch's rehash-and-retry loop.
+  /// state layered over upsert_batch's rehash-and-retry loop. A filter
+  /// that now holds more live keys than capacity_keys(), or whose fill
+  /// passed design_fill(), is rebuilt from live_keys().
   void upsert_batch(std::span<const vm::Word> keys,
                     std::span<const vm::Word> values);
 
@@ -67,8 +70,9 @@ class ShardedMap {
   /// never reach the shard machine (counted in serve.bloom.skipped).
   vm::WordVec lookup_batch(std::span<const vm::Word> keys, vm::Word missing);
 
-  /// Batched erase; returns the number of keys removed. Shards that
-  /// removed anything rebuild their Bloom filter from live_keys().
+  /// Batched erase; returns the number of keys removed. Bloom filters are
+  /// left as they are: an erased key's bits become false positives until
+  /// a fill-triggered rebuild drops them.
   std::size_t erase_batch(std::span<const vm::Word> keys);
 
   bool contains(vm::Word key);

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <unordered_map>
+#include <vector>
 
 #include "support/faultsim.h"
 #include "support/prng.h"
@@ -205,14 +207,114 @@ TEST(VectorHashMapEraseTest, HeavyChurnTriggersTombstoneRehash) {
   }
 }
 
+// ---- tombstone reuse ----------------------------------------------------------
+
+TEST(VectorHashMapEraseTest, HotKeyChurnKeepsItsChainLength) {
+  // One key erased and re-upserted over and over: each upsert re-enters
+  // the key into the tombstone its erase left, so neither the probe chain
+  // nor the work per cycle grows, and no tombstone rehash ever fires.
+  VectorMachine m;
+  VectorHashMap map;
+  WordVec base;
+  WordVec base_values;
+  for (Word k = 0; k < 40; ++k) {
+    base.push_back(k);
+    base_values.push_back(k);
+  }
+  map.upsert_batch(m, base, base_values);
+  const std::size_t rehashes = map.rehash_count();
+  const std::size_t capacity = map.capacity();
+  std::uint64_t instructions_at_10 = 0;
+  std::uint64_t instructions_at_10000 = 0;
+  for (int cycle = 1; cycle <= 10000; ++cycle) {
+    const std::uint64_t before = m.cost().total_instructions();
+    ASSERT_EQ(map.erase_batch(m, WordVec{0}), 1u);
+    map.upsert_batch(m, WordVec{0}, WordVec{cycle});
+    const std::uint64_t spent = m.cost().total_instructions() - before;
+    if (cycle == 10) instructions_at_10 = spent;
+    if (cycle == 10000) instructions_at_10000 = spent;
+  }
+  EXPECT_EQ(map.rehash_count(), rehashes);
+  EXPECT_EQ(map.capacity(), capacity);
+  EXPECT_EQ(instructions_at_10000, instructions_at_10);
+  EXPECT_EQ(map.size(), base.size());
+  EXPECT_EQ(map.lookup_batch(m, WordVec{0, 39}, -1), (WordVec{10000, 39}));
+}
+
+TEST(VectorHashMapEraseTest, MixedChurnMatchesUnorderedMap) {
+  // Skewed upserts and erases over a small key range, so inserts keep
+  // landing in tombstones; every lookup must agree with the reference.
+  VectorMachine m;
+  VectorHashMap map;
+  Xoshiro256 rng(23);
+  std::unordered_map<Word, Word> reference;
+  const auto draw_key = [&rng] {
+    // Half the traffic on 8 hot keys, the rest over 300.
+    return rng.unit() < 0.5 ? rng.in_range(0, 7) : rng.in_range(0, 299);
+  };
+  for (int round = 0; round < 200; ++round) {
+    WordVec keys(16);
+    WordVec values(16);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = draw_key();
+      values[i] = rng.in_range(0, 1 << 20);
+      reference[keys[i]] = values[i];
+    }
+    map.upsert_batch(m, keys, values);
+    WordVec dead(12);
+    for (Word& k : dead) k = draw_key();
+    map.erase_batch(m, dead);
+    for (const Word k : dead) reference.erase(k);
+    ASSERT_EQ(map.size(), reference.size()) << "round " << round;
+
+    WordVec queries;
+    for (Word k = 0; k < 300; ++k) queries.push_back(k);
+    const WordVec found = map.lookup_batch(m, queries, -1);
+    for (const Word k : queries) {
+      const auto it = reference.find(k);
+      ASSERT_EQ(found[static_cast<std::size_t>(k)],
+                it == reference.end() ? -1 : it->second)
+          << "key " << k << " round " << round;
+    }
+  }
+}
+
+TEST(VectorHashMapTest, CapacitiesArePrime) {
+  // The doubling ladder 67, 135, 271, 543, ... rounds up to a prime, so no
+  // key-dependent probe cycle (step in [1, 32]) can miss a free slot.
+  const auto is_prime = [](std::size_t v) {
+    for (std::size_t d = 2; d * d <= v; ++d) {
+      if (v % d == 0) return false;
+    }
+    return v > 1;
+  };
+  EXPECT_EQ(VectorHashMap(64).capacity(), 67u);
+  EXPECT_EQ(VectorHashMap(68).capacity(), 137u);
+  EXPECT_EQ(VectorHashMap(500).capacity(), 547u);
+  // Growth climbs one rung per rehash: 67 -> 137 -> 271 -> 547 -> 1087 ->
+  // 2179 -> 4357 for 3000 keys at load <= 0.7, never skipping a rung.
+  VectorMachine m;
+  VectorHashMap map;
+  const auto keys = random_unique_keys(3000, 1 << 30, 29);
+  for (std::size_t off = 0; off < keys.size(); off += 250) {
+    map.upsert_batch(m, std::span(keys).subspan(off, 250),
+                     std::span(keys).subspan(off, 250));
+    ASSERT_TRUE(is_prime(map.capacity())) << map.capacity();
+  }
+  EXPECT_EQ(map.capacity(), 4357u);
+  EXPECT_EQ(map.rehash_count(), 6u);
+}
+
 // ---- retry idempotency around the gcd probe-cycle hazard --------------------
 //
-// Capacity 135 = 27 * 5: a key with (key & 31) == 26 probes with step 27,
-// which cycles through only 5 of the 135 slots. Six such keys sharing one
-// mod-27 slot family saturate that cycle — five land, the sixth sweeps the
-// table, and the insert reports kProbeCycleSaturated with the five left in
-// slots_ as partially-applied strays. These tests pin the retry loop's
-// idempotency around exactly that state.
+// A composite table size 135 = 27 * 5: a key with (key & 31) == 26 probes
+// with step 27, which cycles through only 5 of the 135 slots. Six such keys
+// sharing one mod-27 slot family saturate that cycle — five land, the sixth
+// sweeps the table, and the insert reports kProbeCycleSaturated with the
+// five left in the table as partially-applied strays. VectorHashMap sizes
+// are prime, so the map itself never reaches that state; the first test
+// pins it on a caller-owned table, and the map-level tests drive the same
+// recovery loop with injected probe faults.
 
 WordVec gcd_hazard_keys() {
   // k ≡ 26 (mod 32) fixes probe step 27; k ≡ 26 (mod 27) fixes the slot
@@ -222,14 +324,46 @@ WordVec gcd_hazard_keys() {
   return keys;
 }
 
+TEST(VectorHashMapRecoveryTest, SaturatedCycleLeavesPartialStrays) {
+  VectorMachine m;
+  std::vector<Word> table(135, kUnentered);
+  // Two of the five cycle slots hold tombstones: the slot-tracking insert
+  // takes them, and the failed pass reports them consumed.
+  table[53] = kTombstone;
+  table[107] = kTombstone;
+  const WordVec six = gcd_hazard_keys();
+  MultiHashStats stats;
+  WordVec slots;
+  const Status st = try_multi_hash_open_insert(
+      m, table, six, ProbeVariant::kKeyDependent, &stats, &slots);
+  EXPECT_EQ(st.code(), StatusCode::kProbeCycleSaturated);
+  EXPECT_EQ(stats.iterations, table.size());
+  EXPECT_EQ(stats.tombstones_reused, 2u);
+  EXPECT_EQ(std::count(table.begin(), table.end(), kTombstone), 0);
+  std::size_t present = 0;
+  std::size_t stranded = 0;
+  for (std::size_t i = 0; i < six.size(); ++i) {
+    if (slots[i] == -1) {
+      ++stranded;
+      EXPECT_EQ(std::count(table.begin(), table.end(), six[i]), 0);
+    } else {
+      ++present;
+      EXPECT_EQ(table[static_cast<std::size_t>(slots[i])], six[i]);
+      EXPECT_EQ(slots[i] % 27, 26);
+    }
+  }
+  EXPECT_EQ(present, 5u);
+  EXPECT_EQ(stranded, 1u);
+}
+
 TEST(VectorHashMapRecoveryTest, SaturatedRetryKeepsDuplicateBatchExact) {
   VectorMachine m;
   VectorHashMap map(68);
-  ASSERT_EQ(map.capacity(), 135u);
+  ASSERT_EQ(map.capacity(), 137u);  // 135 on the ladder, rounded to a prime
   const WordVec six = gcd_hazard_keys();
   // Every key appears twice in the one batch; the later occurrence carries
-  // the value that must win even though the batch is interrupted mid-way by
-  // a genuine saturation and re-run after the recovery rehash.
+  // the value that must win even though the batch is interrupted by a
+  // saturation and re-run after the recovery rehash.
   WordVec keys;
   WordVec values;
   for (std::size_t i = 0; i < six.size(); ++i) {
@@ -240,7 +374,12 @@ TEST(VectorHashMapRecoveryTest, SaturatedRetryKeepsDuplicateBatchExact) {
     keys.push_back(six[i]);
     values.push_back(static_cast<Word>(200 + i));
   }
-  map.upsert_batch(m, keys, values);
+  {
+    FaultPlan plan(1, "probe@1");
+    ScopedFaultPlan scoped(&plan);
+    map.upsert_batch(m, keys, values);
+    EXPECT_EQ(plan.fired(FaultSite::kProbeSaturation), 1u);
+  }
   EXPECT_GT(map.rehash_count(), 0u);
   EXPECT_EQ(map.size(), six.size());
   EXPECT_EQ(map.lookup_batch(m, six, -1),
@@ -258,17 +397,18 @@ TEST(VectorHashMapRecoveryTest, ExhaustedRecoveryLeavesCountsConsistent) {
   for (std::size_t i = 0; i < keys.size(); ++i) {
     values.push_back(static_cast<Word>(10 + i));
   }
+  // Five of the six keys are committed before the failing batch.
+  map.upsert_batch(m, std::span(keys).first(5),
+                   std::span<const Word>(values).first(5));
   {
-    // Each genuine saturation is followed by a rehash whose re-entry is the
-    // next probe check: firing on every 2nd check fails exactly the
-    // rehashes, so every recovery rolls back and the batch finally throws.
-    FaultPlan plan(1, "probe%2");
+    // Every probe check fires: the insert and every recovery rehash fail,
+    // each rehash rolls back, and the batch finally throws.
+    FaultPlan plan(1, "probe%1");
     ScopedFaultPlan scoped(&plan);
     EXPECT_THROW(map.upsert_batch(m, keys, values), RecoverableError);
   }
-  // Five of the six keys landed before the first saturation. size() must
-  // agree with what lookups actually see — stray entries that escaped the
-  // count would corrupt every later load-factor and erase computation.
+  // size() must agree with what lookups actually see — entries that escaped
+  // the count would corrupt every later load-factor and erase computation.
   std::size_t present = 0;
   for (const Word k : keys) {
     if (map.contains(m, k)) ++present;

@@ -13,6 +13,7 @@
 #include "hashing/hash_fn.h"
 #include "hashing/open_table.h"
 #include "support/prng.h"
+#include "support/status.h"
 
 namespace folvec::hashing {
 namespace {
@@ -205,6 +206,111 @@ TEST(MultiHashOpenTest, ForcedVectorizationWithoutCheckLosesKeys) {
   std::vector<Word> table2(67, kUnentered);
   multi_hash_open_insert(m, table2, keys, ProbeVariant::kKeyDependent);
   EXPECT_EQ(table_contents(table2).size(), 3u);
+}
+
+// A 521-slot table holding 150 keys, every third of them erased into a
+// tombstone (as VectorHashMap::erase_batch leaves them).
+struct TombstonedTable {
+  std::vector<Word> table = std::vector<Word>(521, kUnentered);
+  std::vector<Word> live;
+  std::size_t tombstones = 0;
+};
+
+TombstonedTable tombstoned_table(VectorMachine& m) {
+  TombstonedTable t;
+  const auto keys = random_unique_keys(150, 1 << 30, 41);
+  multi_hash_open_insert(m, t.table, keys, ProbeVariant::kKeyDependent);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i % 3 != 0) {
+      t.live.push_back(keys[i]);
+      continue;
+    }
+    const auto at = std::find(t.table.begin(), t.table.end(), keys[i]);
+    *at = kTombstone;
+    ++t.tombstones;
+  }
+  return t;
+}
+
+/// Keys from `candidates` that are not in `taken`.
+WordVec fresh_keys(const std::vector<Word>& candidates,
+                   std::span<const Word> taken) {
+  WordVec out;
+  for (const Word k : candidates) {
+    if (std::find(taken.begin(), taken.end(), k) == taken.end()) {
+      out.push_back(k);
+    }
+  }
+  return out;
+}
+
+TEST(MultiHashOpenTest, SlotTrackingInsertReusesTombstones) {
+  VectorMachine m;
+  TombstonedTable t = tombstoned_table(m);
+  const WordVec keys = fresh_keys(random_unique_keys(200, 1 << 30, 43),
+                                  std::vector<Word>(t.table));
+  MultiHashStats stats;
+  WordVec slots;
+  const Status st = try_multi_hash_open_insert(
+      m, t.table, keys, ProbeVariant::kKeyDependent, &stats, &slots);
+  ASSERT_TRUE(st.is_ok()) << st.message();
+  // Every key sits at its reported slot, and the reported reuse count is
+  // exactly the tombstones that disappeared from the table.
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(t.table[static_cast<std::size_t>(slots[i])], keys[i]);
+  }
+  const auto left = static_cast<std::size_t>(
+      std::count(t.table.begin(), t.table.end(), kTombstone));
+  EXPECT_GT(stats.tombstones_reused, 0u);
+  EXPECT_EQ(stats.tombstones_reused, t.tombstones - left);
+  // The old keys and the new ones are all still reachable along their
+  // probe chains.
+  const WordVec found = multi_hash_open_find(m, t.table, t.live,
+                                             ProbeVariant::kKeyDependent);
+  for (std::size_t i = 0; i < t.live.size(); ++i) {
+    ASSERT_EQ(t.table[static_cast<std::size_t>(found[i])], t.live[i]);
+  }
+  EXPECT_EQ(multi_hash_open_find(m, t.table, keys,
+                                 ProbeVariant::kKeyDependent),
+            slots);
+}
+
+TEST(MultiHashOpenTest, ListingInsertNeverOverwritesTombstones) {
+  VectorMachine m;
+  TombstonedTable t = tombstoned_table(m);
+  std::vector<std::size_t> tombstone_slots;
+  for (std::size_t i = 0; i < t.table.size(); ++i) {
+    if (t.table[i] == kTombstone) tombstone_slots.push_back(i);
+  }
+  ASSERT_EQ(tombstone_slots.size(), t.tombstones);
+  const WordVec keys = fresh_keys(random_unique_keys(200, 1 << 30, 43),
+                                  std::vector<Word>(t.table));
+  MultiHashStats stats;
+  ASSERT_TRUE(try_multi_hash_open_insert(m, t.table, keys,
+                                         ProbeVariant::kKeyDependent, &stats)
+                  .is_ok());
+  for (const std::size_t slot : tombstone_slots) {
+    EXPECT_EQ(t.table[slot], kTombstone) << "slot " << slot;
+  }
+  EXPECT_EQ(stats.tombstones_reused, 0u);
+  const WordVec found =
+      multi_hash_open_find(m, t.table, keys, ProbeVariant::kKeyDependent);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(t.table[static_cast<std::size_t>(found[i])], keys[i]);
+  }
+}
+
+TEST(NextPrimeTest, SmallestPrimeAtLeastN) {
+  EXPECT_EQ(next_prime(0), 2u);
+  EXPECT_EQ(next_prime(2), 2u);
+  EXPECT_EQ(next_prime(3), 3u);
+  EXPECT_EQ(next_prime(4), 5u);
+  EXPECT_EQ(next_prime(67), 67u);
+  EXPECT_EQ(next_prime(135), 137u);
+  EXPECT_EQ(next_prime(543), 547u);
+  EXPECT_EQ(next_prime(2175), 2179u);
+  EXPECT_EQ(next_prime(4351), 4357u);
+  EXPECT_EQ(next_prime(4096), 4099u);
 }
 
 TEST(ChainTableTest, ScalarInsertAndCount) {

@@ -7,8 +7,10 @@
 // key-value semantics (including last-lane-wins on duplicates) must not
 // move by a bit.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -244,8 +246,21 @@ TEST(BloomFilterTest, ResetDropsAllBits) {
   EXPECT_GE(bloom.capacity_keys(), 128u);
 }
 
-// The FALSE-POSITIVES-ONLY contract under churn: after erase-triggered
-// rebuilds and upsert retries, every live key must still pass the filter.
+TEST(BloomFilterTest, FillTracksSetBitsAndDesignFill) {
+  BloomFilter bloom(1000, 10);
+  // 1 - e^(-k*n/m) with k = 6, n = 1000, m = 10000.
+  EXPECT_NEAR(bloom.design_fill(), 1.0 - std::exp(-0.6), 1e-12);
+  for (Word k = 0; k < 1000; ++k) bloom.insert(k);
+  // A filter at capacity sits close to its design fill.
+  EXPECT_NEAR(bloom.fill_ratio(), bloom.design_fill(), 0.02);
+  const double fill = bloom.fill_ratio();
+  for (Word k = 0; k < 1000; ++k) bloom.insert(k);  // idempotent
+  EXPECT_EQ(bloom.fill_ratio(), fill);
+}
+
+// The FALSE-POSITIVES-ONLY contract under churn: across erases, fill- and
+// capacity-triggered rebuilds and upsert retries, every live key must still
+// pass the filter.
 TEST(ShardedMapBloomTest, FalsePositiveOnlyInvariantAfterEraseRebuilds) {
   ShardedMapConfig cfg;
   cfg.shards = 4;
@@ -279,6 +294,56 @@ TEST(ShardedMapBloomTest, FalsePositiveOnlyInvariantAfterEraseRebuilds) {
   }
   EXPECT_GT(sharded.bloom_rebuilds(), 0u);
   EXPECT_GT(sharded.bloom_skips(), 0u);  // misses actually short-circuited
+}
+
+TEST(ShardedMapBloomTest, EraseChurnNeverRebuilds) {
+  ShardedMapConfig cfg;
+  cfg.shards = 4;
+  ShardedMap sharded(cfg);
+  WordVec keys;
+  for (Word k = 0; k < 1000; ++k) keys.push_back(k);
+  sharded.upsert_batch(keys, keys);
+  const std::uint64_t rebuilds = sharded.bloom_rebuilds();
+  // Erase every key, 50 per batch: stale bits stay behind, no rebuild.
+  for (std::size_t off = 0; off < keys.size(); off += 50) {
+    EXPECT_EQ(sharded.erase_batch(std::span(keys).subspan(off, 50)), 50u);
+  }
+  EXPECT_EQ(sharded.size(), 0u);
+  EXPECT_EQ(sharded.bloom_rebuilds(), rebuilds);
+  // The stale filter still filters: lookups of a never-written range are
+  // almost all answered by the filter alone.
+  WordVec absent;
+  for (Word k = 0; k < 10000; ++k) absent.push_back(1'000'000 + k);
+  const std::uint64_t skips = sharded.bloom_skips();
+  const WordVec got = sharded.lookup_batch(absent, kAbsent);
+  for (const Word v : got) ASSERT_EQ(v, kAbsent);
+  const auto skipped = static_cast<double>(sharded.bloom_skips() - skips);
+  EXPECT_GE(skipped / static_cast<double>(absent.size()), 0.95);
+}
+
+TEST(ShardedMapBloomTest, UpsertsPastDesignFillRebuild) {
+  // Upsert distinct keys and erase each batch right away: the live count
+  // never exceeds the filter's capacity, so only the fill can trigger a
+  // rebuild, and it must, before stale bits push the fill past design.
+  ShardedMapConfig cfg;
+  cfg.shards = 1;
+  ShardedMap sharded(cfg);
+  const BloomFilter* bloom = sharded.shard_bloom(0);
+  ASSERT_NE(bloom, nullptr);
+  const std::size_t capacity = bloom->capacity_keys();
+  Word next = 0;
+  for (int batch = 0; batch < 64; ++batch) {
+    WordVec keys;
+    for (int i = 0; i < 8; ++i) keys.push_back(next++);
+    sharded.upsert_batch(keys, keys);
+    ASSERT_LE(sharded.size(), bloom->capacity_keys());
+    ASSERT_LE(bloom->fill_ratio(), bloom->design_fill()) << "batch " << batch;
+    for (const Word k : keys) ASSERT_TRUE(bloom->may_contain(k));
+    EXPECT_EQ(sharded.erase_batch(keys), keys.size());
+  }
+  // 512 distinct keys through a filter sized for 64: several rebuilds.
+  EXPECT_GE(sharded.bloom_rebuilds(), 2u);
+  EXPECT_EQ(bloom->capacity_keys(), capacity);
 }
 
 TEST(ShardedMapBloomTest, NegativeLookupsSkipTheShardMachine) {
