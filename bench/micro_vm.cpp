@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "bench_harness/report.h"
 #include "fol/fol1.h"
@@ -385,10 +386,19 @@ BENCHMARK(BM_BstBulkInsert)->Arg(128)->Arg(2048);
 //     slower than the run that actually records (interleaved min-of-k
 //     walls, 25% slack to absorb shared-host noise), which bounds the
 //     disabled hooks at "no costlier than the enabled ones", i.e. one
-//     relaxed atomic load per record site.
+//     relaxed atomic load per record site;
+//   * 1-lane dispatch cost — a 1-lane add_into with nothing installed is
+//     the per-instruction startup every short-vector request pays; its
+//     min-of-k wall must stay within kOneLaneBoundNs (no clock read, no
+//     allocation, one pass through the kernel table).
 //
-// Set FOLVEC_SKIP_OVERHEAD_GUARD=1 to skip the wall check (sanitizer or
+// Set FOLVEC_SKIP_OVERHEAD_GUARD=1 to skip both wall checks (sanitizer or
 // emulated hosts, where timing is meaningless).
+
+bool overhead_guard_skipped() {
+  const auto skip_env = folvec::env_value("FOLVEC_SKIP_OVERHEAD_GUARD");
+  return skip_env && folvec::env_flag(*skip_env);
+}
 
 struct GuardSample {
   std::uint64_t instructions = 0;
@@ -451,8 +461,7 @@ GuardSample run_overhead_guard() {
                  "telemetry must not perturb the modeled instruction stream");
   }
 
-  const auto skip_env = folvec::env_value("FOLVEC_SKIP_OVERHEAD_GUARD");
-  if (!(skip_env && folvec::env_flag(*skip_env))) {
+  if (!overhead_guard_skipped()) {
     FOLVEC_CHECK(off.wall_seconds <= on.wall_seconds * 1.25,
                  "disabled-path telemetry hooks cost more than the enabled "
                  "path: the no-registry fast path has regressed");
@@ -460,6 +469,42 @@ GuardSample run_overhead_guard() {
   off.wall_seconds = on.wall_seconds > 0 ? off.wall_seconds / on.wall_seconds
                                          : 0;  // report the ratio
   return off;
+}
+
+constexpr double kOneLaneBoundNs = 50.0;
+
+/// Min-of-k nanoseconds per 1-lane add_into on a machine with nothing
+/// installed (audit and analysis off: the bound is on dispatch alone).
+double run_one_lane_guard() {
+  constexpr int kReps = 7;
+  constexpr int kIters = 20000;
+  folvec::vm::MachineConfig cfg;
+  cfg.audit = false;
+  cfg.analysis = false;
+  VectorMachine m(cfg);
+  const WordVec a{1};
+  const WordVec b{2};
+  WordVec out;
+  m.add_into(out, a, b);  // warmup: size `out` once
+  double best_ns = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < kReps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kIters; ++i) {
+      m.add_into(out, a, b);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+    const std::chrono::duration<double, std::nano> dt =
+        std::chrono::steady_clock::now() - t0;
+    best_ns = std::min(best_ns, dt.count() / kIters);
+  }
+  FOLVEC_CHECK(out[0] == 3, "1-lane add_into computed the wrong sum");
+  if (!overhead_guard_skipped()) {
+    FOLVEC_CHECK(best_ns <= kOneLaneBoundNs,
+                 "1-lane dispatch with nothing installed exceeds its bound: "
+                 "the untimed instruction path has regressed");
+  }
+  return best_ns;
 }
 
 // ---- fused-kernel chime accounting -----------------------------------------
@@ -512,6 +557,7 @@ FusedCutSample run_fused_cut_probe() {
 
 int main(int argc, char** argv) {
   const GuardSample guard = run_overhead_guard();
+  const double one_lane_ns = run_one_lane_guard();
   const FusedCutSample fused = run_fused_cut_probe();
 
   folvec::bench::BenchReport report("micro_vm");
@@ -522,6 +568,7 @@ int main(int argc, char** argv) {
   report.note("guard_chime_instructions", guard.instructions);
   report.note("guard_chime_elements", guard.elements);
   report.note("guard_disabled_over_enabled_wall", guard.wall_seconds);
+  report.note("guard_one_lane_wall_ns", one_lane_ns);
   report.note("fused_fol1_chime_instructions", fused.fused_instructions);
   report.note("fused_fol1_chime_elements", fused.fused_elements);
   report.note("unfused_fol1_chime_instructions", fused.unfused_instructions);

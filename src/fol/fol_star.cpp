@@ -107,19 +107,14 @@ StarDecomposition fol_star_decompose(VectorMachine& m,
     const vm::AlgoSpan round_span(m, "round", out.sets.size());
     const std::size_t n = positions->size();
 
-    // Step 1: compute every lane's labels (one batched dispatch — each
-    // add_scalar_into reads only `positions`, so the per-lane chain has no
-    // cross-dependency), then scatter them, then re-write the last tuple's
-    // labels with scalar stores, in lane order, so the last tuple survives
-    // any cross-tuple conflict. (The scalar re-stores sit between the
-    // scatters and the readbacks, so the fused scatter_gather_eq kernel
-    // does not apply to this algorithm.)
-    {
-      const vm::VectorMachine::OpBatch batch(m);
-      for (std::size_t k = 0; k < num_lanes; ++k) {
-        m.add_scalar_into(*labels[k], *positions,
-                          static_cast<Word>(k) * static_cast<Word>(n0));
-      }
+    // Step 1: compute every lane's labels, then scatter them, then re-write
+    // the last tuple's labels with scalar stores, in lane order, so the
+    // last tuple survives any cross-tuple conflict. (The scalar re-stores
+    // sit between the scatters and the readbacks, so the fused
+    // scatter_gather_eq kernel does not apply to this algorithm.)
+    for (std::size_t k = 0; k < num_lanes; ++k) {
+      m.add_scalar_into(*labels[k], *positions,
+                        static_cast<Word>(k) * static_cast<Word>(n0));
     }
     for (std::size_t k = 0; k < num_lanes; ++k) {
       m.scatter(work, *remaining[k], *labels[k]);
@@ -129,11 +124,8 @@ StarDecomposition fol_star_decompose(VectorMachine& m,
       m.scalar_store(work, target, lane_label(k, (*positions)[n - 1]));
     }
 
-    // Step 2: a tuple survives only if every lane's label survived. Each
-    // lane's predicate pair — the label compare and its fold into the
-    // running conjunction — queues as one batched dispatch (the gather
-    // between lanes is memory class and flushes eagerly), composed through
-    // named masks per the batch lifetime rule.
+    // Step 2: a tuple survives only if every lane's label survived: each
+    // lane's label compare folds into the running conjunction.
     Mask tuple_ok;
     Mask lane_ok;
     Mask tuple_next;
@@ -142,11 +134,8 @@ StarDecomposition fol_star_decompose(VectorMachine& m,
       if (k == 0) {
         m.eq_into(tuple_ok, *readback, *labels[k]);
       } else {
-        {
-          const vm::VectorMachine::OpBatch batch(m);
-          m.eq_into(lane_ok, *readback, *labels[k]);
-          m.mask_and_into(tuple_next, tuple_ok, lane_ok);
-        }
+        m.eq_into(lane_ok, *readback, *labels[k]);
+        m.mask_and_into(tuple_next, tuple_ok, lane_ok);
         std::swap(tuple_ok, tuple_next);
       }
     }

@@ -173,17 +173,12 @@ namespace {
 
 /// Subscript recalculation: moves every lane one step along its probe
 /// sequence. The key-dependent variant separates keys that collided at the
-/// same slot by giving each its own stride. The chain is elementwise, so it
-/// queues under one OpBatch and crosses the pool boundary once at the next
-/// gather instead of once per op. Queued kernels hold pointers into the
-/// named intermediates until the batch flushes, so they are declared before
-/// (and outlive) the batch.
+/// same slot by giving each its own stride.
 void advance_probe(VectorMachine& m, WordVec& hashed,
                    std::span<const Word> keys, ProbeVariant variant,
                    Word size) {
   WordVec tmp;
   WordVec step;
-  const VectorMachine::OpBatch batch(m);
   switch (variant) {
     case ProbeVariant::kLinear:
       m.add_scalar_into(tmp, hashed, 1);

@@ -118,35 +118,24 @@ AddressCalcStats address_calc_sort_vector(VectorMachine& m,
   vm::PooledVec assigned(pool, n0);  // kept half of the phase-E split; unused
 
   WordVec a = m.copy(data);
-  // A: spreading-function "hash" of every datum at once. The two-op
-  // elementwise chain queues under one OpBatch and crosses the pool
-  // boundary once, composed through named buffers per the batch lifetime
-  // rule.
+  // A: spreading-function "hash" of every datum at once.
   WordVec hv;
-  {
-    const vm::VectorMachine::OpBatch batch(m);
-    m.mul_scalar_into(*scratch, a, 2 * n);
-    m.div_scalar_into(hv, *scratch, vmax);
-  }
+  m.mul_scalar_into(*scratch, a, 2 * n);
+  m.div_scalar_into(hv, *scratch, vmax);
 
   while (!a.empty()) {
     const vm::AlgoSpan pass_span(m, "pass", stats.outer_passes);
     ++stats.outer_passes;
 
     // B: advance lanes whose slot holds a value <= their datum. The loop is
-    // all-vector; each pass moves only the still-colliding lanes. The bump
-    // and the select of each step form one batched dispatch (the gather and
-    // the count are memory/reduce class and flush eagerly either way).
+    // all-vector; each pass moves only the still-colliding lanes.
     for (;;) {
       m.gather_into(*probed, c, hv);
       const Mask uninsertable = m.le(*probed, a);
       if (m.count_true(uninsertable) == 0) break;
       ++stats.probe_steps;
-      {
-        const vm::VectorMachine::OpBatch batch(m);
-        m.add_scalar_into(*scratch, hv, 1);
-        m.select_into(*next_hv, uninsertable, *scratch, hv);
-      }
+      m.add_scalar_into(*scratch, hv, 1);
+      m.select_into(*next_hv, uninsertable, *scratch, hv);
       std::swap(hv, *next_hv);
     }
 
@@ -156,12 +145,8 @@ AddressCalcStats address_calc_sort_vector(VectorMachine& m,
     // claimed slot gets exactly one winner, so the masked data scatter below
     // overwrites every label the round left.
     m.gather_into(*work, c, hv);  // save displaced originals
-    {
-      // Identifier generation is another two-op batchable chain.
-      const vm::VectorMachine::OpBatch batch(m);
-      m.iota_into(*scratch, a.size(), 1);
-      m.negate_into(*ids, *scratch);
-    }
+    m.iota_into(*scratch, a.size(), 1);
+    m.negate_into(*ids, *scratch);
     Mask entered;
     {
       const vm::ConflictWindow window(m, c, vm::WindowKind::kLabelRound,
@@ -173,15 +158,11 @@ AddressCalcStats address_calc_sort_vector(VectorMachine& m,
     // D: ripple displaced values rightward, all chains in lock step. Chains
     // start at distinct slots (winners are unique per slot) and advance by
     // one slot per step, so they never collide; a chain that runs into
-    // another winner's fresh value simply carries it along. The shift mask
-    // (compare + mask-and) is one more batched pair.
+    // another winner's fresh value simply carries it along.
     Mask displaced;
     Mask to_shift;
-    {
-      const vm::VectorMachine::OpBatch batch(m);
-      m.ne_scalar_into(displaced, *work, unentered);
-      m.mask_and_into(to_shift, entered, displaced);
-    }
+    m.ne_scalar_into(displaced, *work, unentered);
+    m.mask_and_into(to_shift, entered, displaced);
     m.compress_into(*shift_vals, *work, to_shift);
     m.compress_into(*scratch, hv, to_shift);
     m.add_scalar_into(*shift_idx, *scratch, 1);

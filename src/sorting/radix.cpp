@@ -96,13 +96,8 @@ RadixStats radix_sort_vector(VectorMachine& m, std::span<Word> data,
                                  static_cast<std::size_t>(p));
     ++stats.digit_passes;
     const int shift = p * bits_per_digit;
-    // Digit extraction is a two-op elementwise chain; queue both under one
-    // OpBatch, composed through named buffers per the batch lifetime rule.
-    {
-      const vm::VectorMachine::OpBatch batch(m);
-      m.shr_scalar_into(shifted, vals, shift);
-      m.and_scalar_into(digits, shifted, mask);
-    }
+    m.shr_scalar_into(shifted, vals, shift);
+    m.and_scalar_into(digits, shifted, mask);
 
     // Stable decomposition: occurrence j of every digit lands in set j.
     const fol::Decomposition dec = fol::fol1_decompose_ordered(m, digits, work);

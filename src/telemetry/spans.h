@@ -21,7 +21,8 @@
 // thread, "worker-<i>" for pool workers (named via set_thread_name).
 // Deterministic spans and op events are still issued from the machine's
 // issuing thread; worker activity appears as per-chunk "chunk" slices
-// linked to the issuing batch flush by flow events, and as counter tracks.
+// linked to the issuing split instruction by flow events, and as counter
+// tracks.
 //
 // Export (write_chrome_trace / size / dropped) takes a registry lock but
 // reads the per-thread buffers unlocked: callers must ensure recording

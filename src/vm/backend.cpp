@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "support/require.h"
 #include "telemetry/metrics.h"
+#include "telemetry/spans.h"
 #include "vm/simd_kernels.h"
 
 namespace folvec::vm {
@@ -87,8 +89,23 @@ void Backend::for_lanes(std::size_t n, RangeFn fn) {
     return;
   }
   const detail::ChunkPlan p = checked_plan(n, c);
-  pool().run_affine(p.count(),
-                    [&](std::size_t i) { fn(p.lo(i), p.hi(i)); });
+  telemetry::SpanTracer* t = telemetry::tracer();
+  if (t == nullptr) {
+    pool().run_affine(p.count(),
+                      [&](std::size_t i) { fn(p.lo(i), p.hi(i)); });
+    return;
+  }
+  // One flow per split instruction: the start binds to the instruction's op
+  // slice on the issuing thread, and every worker chunk records the bound
+  // finish, drawing issue -> chunk arrows in the trace viewer.
+  const std::uint64_t flow = t->next_flow_id();
+  t->flow_begin("vm.lanes.split", flow);
+  pool().run_affine(p.count(), [&](std::size_t i) {
+    const auto start = std::chrono::steady_clock::now();
+    fn(p.lo(i), p.hi(i));
+    t->chunk("vm.lanes.chunk", p.lo(i), p.hi(i), flow, start,
+             std::chrono::steady_clock::now());
+  });
 }
 
 Word Backend::reduce(std::span<const Word> v, Word (*fold)(Word, Word),

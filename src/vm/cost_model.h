@@ -89,7 +89,11 @@ struct CostParams {
 /// wall-clock per class (record_wall, fed by VectorMachine's per-primitive
 /// timers). The chime numbers answer "what would the S-810 have done"; the
 /// wall numbers answer "what does this backend do on this hardware" — the
-/// backend-comparison bench reports both side by side.
+/// backend-comparison bench reports both side by side. The chime ledger is
+/// always filled; the wall ledger fills only while a metrics registry, span
+/// tracer or calibration profiler is installed (every bench main installs
+/// one through its EnvSession), since with none installed the machine reads
+/// no clock.
 class CostAccumulator {
  public:
   void record(OpClass c, std::size_t elements) {

@@ -272,78 +272,9 @@ bool VectorMachine::elide_allowed() const {
          faults() == nullptr;
 }
 
-// ---- multi-op batched dispatch ---------------------------------------------
-
-void VectorMachine::end_batch() {
-  FOLVEC_CHECK(batch_depth_ > 0, "unbalanced OpBatch close");
-  if (--batch_depth_ == 0) flush_batch();
-}
-
-void VectorMachine::flush_batch() {
-  if (batch_.empty()) return;
-  // Detach the queue first so the flush can never re-enter itself.
-  const std::vector<BatchEntry> entries = std::move(batch_);
-  batch_.clear();
-  const std::size_t n = batch_lanes_;
-  batch_lanes_ = 0;
-  telemetry::SpanTracer* t = telemetry::tracer();
-  std::uint64_t flow = 0;
-  if (t != nullptr) {
-    // Counter track: queued ops in flight while the flush executes.
-    t->counter("vm.batch.occupancy", static_cast<double>(entries.size()));
-    flow = t->next_flow_id();
-  }
-  const auto start = std::chrono::steady_clock::now();
-  // The flow start binds to the op slices emitted below over [start, end]
-  // on this (issuing) thread; each worker chunk records the bound finish,
-  // drawing flush -> chunk arrows in the trace viewer.
-  if (t != nullptr) t->flow_begin("vm.batch.flush", flow);
-  // ONE pool crossing for the whole queued round: each worker chunk runs
-  // every kernel in issue order over its own lanes, which preserves the
-  // serial per-lane dataflow because queued kernels are lane-aligned.
-  backend_->for_lanes(n, [&](std::size_t lo, std::size_t hi) {
-    if (t != nullptr) {
-      const auto chunk_start = std::chrono::steady_clock::now();
-      for (const BatchEntry& e : entries) e.kernel(lo, hi);
-      t->chunk("vm.batch.chunk", lo, hi, flow, chunk_start,
-               std::chrono::steady_clock::now());
-    } else {
-      for (const BatchEntry& e : entries) e.kernel(lo, hi);
-    }
-  });
-  const auto end = std::chrono::steady_clock::now();
-  // Chimes were issued at enqueue; the flush's measured wall time is split
-  // evenly across the queued op classes so per-class wall totals stay
-  // populated (the split is host bookkeeping, not modeled cost).
-  const double share = std::chrono::duration<double>(end - start).count() /
-                       static_cast<double>(entries.size());
-  for (const BatchEntry& e : entries) {
-    cost_.record_wall(e.op_class, share);
-    telemetry::profile_op(op_class_name(e.op_class), n, share);
-  }
-  if (t != nullptr) {
-    for (const BatchEntry& e : entries) {
-      t->op(op_class_name(e.op_class), n, start, end);
-    }
-    t->counter("vm.batch.occupancy", 0.0);
-  }
-  if (telemetry::MetricsRegistry* r = telemetry::metrics()) {
-    r->add("pool.dispatch.batched", 1);
-    r->add("pool.dispatch.batched_ops", entries.size());
-  }
-}
-
-void VectorMachine::run_lanes(
-    OpClass c, std::size_t n,
-    std::function<void(std::size_t, std::size_t)> kernel, bool batchable) {
-  if (batchable && batching()) {
-    if (!batch_.empty() && batch_lanes_ != n) flush_batch();
-    batch_lanes_ = n;
-    batch_.push_back(BatchEntry{std::move(kernel), c});
-    return;
-  }
-  if (!batchable) flush_batch();
+void VectorMachine::run_lanes(OpClass c, std::size_t n, RangeFn kernel) {
   const OpTimer timer(cost_, c, n);
+  issue(c, n);
   backend_->for_lanes(n, kernel);
 }
 
@@ -357,27 +288,23 @@ WordVec VectorMachine::iota(std::size_t n, Word start, Word step) {
 
 void VectorMachine::iota_into(WordVec& out, std::size_t n, Word start,
                               Word step) {
-  issue(OpClass::kVectorArith, n);
   out.resize(n);
   Word* o = out.data();
   const auto k = kernels().iota;
-  run_lanes(OpClass::kVectorArith, n,
-            [o, start, step, k](std::size_t lo, std::size_t hi) {
-              k(o, start, step, lo, hi);
-            });
+  run_lanes(OpClass::kVectorArith, n, [&](std::size_t lo, std::size_t hi) {
+    k(o, start, step, lo, hi);
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_gen(analysis::Opcode::kIota, out, start, step);
   }
 }
 
 WordVec VectorMachine::splat(std::size_t n, Word value) {
-  issue(OpClass::kVectorArith, n);
   WordVec out(n);
   Word* o = out.data();
-  run_lanes(OpClass::kVectorArith, n,
-            [o, value](std::size_t lo, std::size_t hi) {
-              std::fill(o + lo, o + hi, value);
-            });
+  run_lanes(OpClass::kVectorArith, n, [&](std::size_t lo, std::size_t hi) {
+    std::fill(o + lo, o + hi, value);
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_gen(analysis::Opcode::kSplat, out, value, 0);
   }
@@ -391,11 +318,10 @@ WordVec VectorMachine::copy(std::span<const Word> v) {
 }
 
 void VectorMachine::copy_into(WordVec& out, std::span<const Word> v) {
-  issue(OpClass::kVectorLoad, v.size());
   out.resize(v.size());
   Word* o = out.data();
   run_lanes(OpClass::kVectorLoad, v.size(),
-            [o, v](std::size_t lo, std::size_t hi) {
+            [&](std::size_t lo, std::size_t hi) {
               std::copy(v.begin() + static_cast<std::ptrdiff_t>(lo),
                         v.begin() + static_cast<std::ptrdiff_t>(hi), o + lo);
             });
@@ -411,15 +337,10 @@ WordVec VectorMachine::reverse(std::span<const Word> v) {
 }
 
 void VectorMachine::reverse_into(WordVec& out, std::span<const Word> v) {
-  // Cross-lane read (lane i reads v[n-1-i]): never batched, and any queued
-  // round must land before it runs.
-  flush_batch();
-  const OpTimer timer(cost_, OpClass::kVectorLoad, v.size());
-  issue(OpClass::kVectorLoad, v.size());
   const std::size_t n = v.size();
   out.resize(n);
   Word* o = out.data();
-  backend_->for_lanes(n, [&](std::size_t lo, std::size_t hi) {
+  run_lanes(OpClass::kVectorLoad, n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) o[i] = v[n - 1 - i];
   });
   if (analyzer_ != nullptr) {
@@ -432,11 +353,10 @@ void VectorMachine::reverse_into(WordVec& out, std::span<const Word> v) {
 void VectorMachine::zip_into(WordVec& out, std::span<const Word> a,
                              std::span<const Word> b, SimdBinFn k) {
   FOLVEC_REQUIRE(a.size() == b.size(), "vector lengths must match");
-  issue(OpClass::kVectorArith, a.size());
   out.resize(a.size());
   Word* o = out.data();
   run_lanes(OpClass::kVectorArith, a.size(),
-            [o, a, b, k](std::size_t lo, std::size_t hi) {
+            [&](std::size_t lo, std::size_t hi) {
               k(o, a.data(), b.data(), lo, hi);
             });
 }
@@ -450,13 +370,10 @@ WordVec VectorMachine::zip(std::span<const Word> a, std::span<const Word> b,
 
 void VectorMachine::map_into(WordVec& out, std::span<const Word> a,
                              SimdMapFn k, Word s) {
-  issue(OpClass::kVectorArith, a.size());
   out.resize(a.size());
   Word* o = out.data();
   run_lanes(OpClass::kVectorArith, a.size(),
-            [o, a, k, s](std::size_t lo, std::size_t hi) {
-              k(o, a.data(), s, lo, hi);
-            });
+            [&](std::size_t lo, std::size_t hi) { k(o, a.data(), s, lo, hi); });
 }
 
 WordVec VectorMachine::map(std::span<const Word> a, SimdMapFn k, Word s) {
@@ -538,14 +455,11 @@ WordVec VectorMachine::div_scalar(std::span<const Word> a, Word s) {
 void VectorMachine::div_scalar_into(WordVec& out, std::span<const Word> a,
                                     Word s) {
   FOLVEC_REQUIRE(s > 0, "div_scalar needs a positive divisor");
-  issue(OpClass::kVectorDiv, a.size());
   out.resize(a.size());
   Word* o = out.data();
   const auto k = kernels().div_s;
   run_lanes(OpClass::kVectorDiv, a.size(),
-            [o, a, s, k](std::size_t lo, std::size_t hi) {
-              k(o, a.data(), s, lo, hi);
-            });
+            [&](std::size_t lo, std::size_t hi) { k(o, a.data(), s, lo, hi); });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kDivScalar, out, a, s);
   }
@@ -560,14 +474,11 @@ WordVec VectorMachine::mod_scalar(std::span<const Word> a, Word s) {
 void VectorMachine::mod_scalar_into(WordVec& out, std::span<const Word> a,
                                     Word s) {
   FOLVEC_REQUIRE(s > 0, "mod_scalar needs a positive modulus");
-  issue(OpClass::kVectorDiv, a.size());
   out.resize(a.size());
   Word* o = out.data();
   const auto k = kernels().mod_s;
   run_lanes(OpClass::kVectorDiv, a.size(),
-            [o, a, s, k](std::size_t lo, std::size_t hi) {
-              k(o, a.data(), s, lo, hi);
-            });
+            [&](std::size_t lo, std::size_t hi) { k(o, a.data(), s, lo, hi); });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kModScalar, out, a, s);
   }
@@ -597,20 +508,16 @@ WordVec VectorMachine::or_scalar(std::span<const Word> a, Word s) {
 
 WordVec VectorMachine::shl_scalar(std::span<const Word> a, int k) {
   FOLVEC_REQUIRE(k >= 0 && k < 64, "shift amount out of range");
-  issue(OpClass::kVectorArith, a.size());
   WordVec out(a.size());
   Word* o = out.data();
-  // The per-lane precondition throws from inside the kernel; deferring it
-  // to a batch flush would break exception parity, so never batch it.
-  run_lanes(
-      OpClass::kVectorArith, a.size(),
-      [o, a, k](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          FOLVEC_REQUIRE(a[i] >= 0, "shl_scalar needs non-negative elements");
-          o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) << k);
-        }
-      },
-      /*batchable=*/false);
+  run_lanes(OpClass::kVectorArith, a.size(),
+            [&](std::size_t lo, std::size_t hi) {
+              for (std::size_t i = lo; i < hi; ++i) {
+                FOLVEC_REQUIRE(a[i] >= 0,
+                               "shl_scalar needs non-negative elements");
+                o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) << k);
+              }
+            });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kShlScalar, out, a, k);
   }
@@ -659,11 +566,10 @@ Mask VectorMachine::cmp(std::span<const Word> a, std::span<const Word> b,
 void VectorMachine::cmp_into(Mask& out, std::span<const Word> a,
                              std::span<const Word> b, SimdCmpFn k) {
   FOLVEC_REQUIRE(a.size() == b.size(), "vector lengths must match");
-  issue(OpClass::kVectorCompare, a.size());
   out.resize(a.size());
   std::uint8_t* o = out.data();
   run_lanes(OpClass::kVectorCompare, a.size(),
-            [o, a, b, k](std::size_t lo, std::size_t hi) {
+            [&](std::size_t lo, std::size_t hi) {
               k(o, a.data(), b.data(), lo, hi);
             });
 }
@@ -677,13 +583,10 @@ Mask VectorMachine::cmp_scalar(std::span<const Word> a, SimdCmpSFn k,
 
 void VectorMachine::cmp_scalar_into(Mask& out, std::span<const Word> a,
                                     SimdCmpSFn k, Word s) {
-  issue(OpClass::kVectorCompare, a.size());
   out.resize(a.size());
   std::uint8_t* o = out.data();
   run_lanes(OpClass::kVectorCompare, a.size(),
-            [o, a, k, s](std::size_t lo, std::size_t hi) {
-              k(o, a.data(), s, lo, hi);
-            });
+            [&](std::size_t lo, std::size_t hi) { k(o, a.data(), s, lo, hi); });
 }
 
 void VectorMachine::rec_cmp(analysis::Opcode op, const Mask& out,
@@ -768,15 +671,12 @@ Mask VectorMachine::mask_and(const Mask& a, const Mask& b) {
 
 void VectorMachine::mask_and_into(Mask& out, const Mask& a, const Mask& b) {
   FOLVEC_REQUIRE(a.size() == b.size(), "mask lengths must match");
-  issue(OpClass::kVectorMask, a.size());
   out.resize(a.size());
   std::uint8_t* o = out.data();
-  const std::span<const std::uint8_t> ab = a.bytes();
-  const std::span<const std::uint8_t> bb = b.bytes();
   const auto k = kernels().mask_and;
   run_lanes(OpClass::kVectorMask, a.size(),
-            [o, ab, bb, k](std::size_t lo, std::size_t hi) {
-              k(o, ab.data(), bb.data(), lo, hi);
+            [&](std::size_t lo, std::size_t hi) {
+              k(o, a.data(), b.data(), lo, hi);
             });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskAnd, out.bytes(), a.bytes(),
@@ -786,15 +686,12 @@ void VectorMachine::mask_and_into(Mask& out, const Mask& a, const Mask& b) {
 
 Mask VectorMachine::mask_or(const Mask& a, const Mask& b) {
   FOLVEC_REQUIRE(a.size() == b.size(), "mask lengths must match");
-  issue(OpClass::kVectorMask, a.size());
   Mask out(a.size());
   std::uint8_t* o = out.data();
-  const std::span<const std::uint8_t> ab = a.bytes();
-  const std::span<const std::uint8_t> bb = b.bytes();
   const auto k = kernels().mask_or;
   run_lanes(OpClass::kVectorMask, a.size(),
-            [o, ab, bb, k](std::size_t lo, std::size_t hi) {
-              k(o, ab.data(), bb.data(), lo, hi);
+            [&](std::size_t lo, std::size_t hi) {
+              k(o, a.data(), b.data(), lo, hi);
             });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskOr, out.bytes(), a.bytes(), b.bytes());
@@ -803,15 +700,11 @@ Mask VectorMachine::mask_or(const Mask& a, const Mask& b) {
 }
 
 Mask VectorMachine::mask_not(const Mask& a) {
-  issue(OpClass::kVectorMask, a.size());
   Mask out(a.size());
   std::uint8_t* o = out.data();
-  const std::span<const std::uint8_t> ab = a.bytes();
   const auto k = kernels().mask_not;
   run_lanes(OpClass::kVectorMask, a.size(),
-            [o, ab, k](std::size_t lo, std::size_t hi) {
-              k(o, ab.data(), lo, hi);
-            });
+            [&](std::size_t lo, std::size_t hi) { k(o, a.data(), lo, hi); });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskNot, out.bytes(), a.bytes(), {});
   }
@@ -819,7 +712,6 @@ Mask VectorMachine::mask_not(const Mask& a) {
 }
 
 std::size_t VectorMachine::count_true(const Mask& m) {
-  flush_batch();
   // count_true always charges its kVectorReduce chime — the modeled machine
   // still runs the instruction — but the host scan is skipped whenever the
   // mask already carries its popcount (and the result is cached for the
@@ -834,7 +726,6 @@ std::size_t VectorMachine::count_true(const Mask& m) {
 // ---- reductions ---------------------------------------------------------------
 
 Word VectorMachine::reduce_sum(std::span<const Word> v) {
-  flush_batch();
   const OpTimer timer(cost_, OpClass::kVectorReduce, v.size());
   issue(OpClass::kVectorReduce, v.size());
   if (analyzer_ != nullptr) {
@@ -844,7 +735,6 @@ Word VectorMachine::reduce_sum(std::span<const Word> v) {
 }
 
 Word VectorMachine::reduce_min(std::span<const Word> v) {
-  flush_batch();
   FOLVEC_REQUIRE(!v.empty(), "reduce_min needs a nonempty vector");
   const OpTimer timer(cost_, OpClass::kVectorReduce, v.size());
   issue(OpClass::kVectorReduce, v.size());
@@ -855,7 +745,6 @@ Word VectorMachine::reduce_min(std::span<const Word> v) {
 }
 
 Word VectorMachine::reduce_max(std::span<const Word> v) {
-  flush_batch();
   FOLVEC_REQUIRE(!v.empty(), "reduce_max needs a nonempty vector");
   const OpTimer timer(cost_, OpClass::kVectorReduce, v.size());
   issue(OpClass::kVectorReduce, v.size());
@@ -875,7 +764,6 @@ WordVec VectorMachine::compress(std::span<const Word> v, const Mask& m) {
 
 std::size_t VectorMachine::compress_into(WordVec& out, std::span<const Word> v,
                                          const Mask& m) {
-  flush_batch();
   FOLVEC_REQUIRE(v.size() == m.size(), "value/mask lengths must match");
   const OpTimer timer(cost_, OpClass::kVectorCompress, v.size());
   issue(OpClass::kVectorCompress, v.size());
@@ -898,28 +786,22 @@ void VectorMachine::select_into(WordVec& out, const Mask& m,
                                 std::span<const Word> b) {
   FOLVEC_REQUIRE(a.size() == b.size() && a.size() == m.size(),
                  "select operand lengths must match");
-  issue(OpClass::kVectorArith, a.size());
   out.resize(a.size());
   Word* o = out.data();
-  const std::span<const std::uint8_t> mb = m.bytes();
   const auto k = kernels().select;
   run_lanes(OpClass::kVectorArith, a.size(),
-            [o, mb, a, b, k](std::size_t lo, std::size_t hi) {
-              k(o, mb.data(), a.data(), b.data(), lo, hi);
+            [&](std::size_t lo, std::size_t hi) {
+              k(o, m.data(), a.data(), b.data(), lo, hi);
             });
   if (analyzer_ != nullptr) analyzer_->rec_select(out, m.bytes(), a, b);
 }
 
 WordVec VectorMachine::from_mask(const Mask& m) {
-  issue(OpClass::kVectorArith, m.size());
   WordVec out(m.size());
   Word* o = out.data();
-  const std::span<const std::uint8_t> mb = m.bytes();
   const auto k = kernels().from_mask;
   run_lanes(OpClass::kVectorArith, m.size(),
-            [o, mb, k](std::size_t lo, std::size_t hi) {
-              k(o, mb.data(), lo, hi);
-            });
+            [&](std::size_t lo, std::size_t hi) { k(o, m.data(), lo, hi); });
   if (analyzer_ != nullptr) analyzer_->rec_from_mask(out, m.bytes());
   return out;
 }
@@ -928,33 +810,29 @@ WordVec VectorMachine::from_mask(const Mask& m) {
 
 void VectorMachine::store(std::span<Word> table, std::size_t offset,
                           std::span<const Word> v) {
-  flush_batch();
   // Subtraction form: `offset + v.size() <= table.size()` wraps for huge
   // offsets and would wave the store through.
   FOLVEC_REQUIRE(offset <= table.size() && v.size() <= table.size() - offset,
                  "contiguous store out of bounds");
   if (checker_ != nullptr) checker_->on_overwrite(table.data() + offset, v.size());
-  const OpTimer timer(cost_, OpClass::kVectorStore, v.size());
-  issue(OpClass::kVectorStore, v.size());
   Word* dst = table.data() + offset;
-  backend_->for_lanes(v.size(), [&](std::size_t lo, std::size_t hi) {
-    std::copy(v.begin() + static_cast<std::ptrdiff_t>(lo),
-              v.begin() + static_cast<std::ptrdiff_t>(hi), dst + lo);
-  });
+  run_lanes(OpClass::kVectorStore, v.size(),
+            [&](std::size_t lo, std::size_t hi) {
+              std::copy(v.begin() + static_cast<std::ptrdiff_t>(lo),
+                        v.begin() + static_cast<std::ptrdiff_t>(hi), dst + lo);
+            });
   if (analyzer_ != nullptr) {
     analyzer_->rec_store(analysis::Opcode::kStore, table, dst, v.size(), 1);
   }
 }
 
 void VectorMachine::fill(std::span<Word> table, Word value) {
-  flush_batch();
   if (checker_ != nullptr) checker_->on_overwrite(table.data(), table.size());
-  const OpTimer timer(cost_, OpClass::kVectorStore, table.size());
-  issue(OpClass::kVectorStore, table.size());
   Word* dst = table.data();
-  backend_->for_lanes(table.size(), [&](std::size_t lo, std::size_t hi) {
-    std::fill(dst + lo, dst + hi, value);
-  });
+  run_lanes(OpClass::kVectorStore, table.size(),
+            [&](std::size_t lo, std::size_t hi) {
+              std::fill(dst + lo, dst + hi, value);
+            });
   if (analyzer_ != nullptr) {
     analyzer_->rec_store(analysis::Opcode::kFill, table, dst, table.size(), 1);
   }
@@ -962,16 +840,13 @@ void VectorMachine::fill(std::span<Word> table, Word value) {
 
 WordVec VectorMachine::load(std::span<const Word> table, std::size_t offset,
                             std::size_t n) {
-  flush_batch();
   FOLVEC_REQUIRE(offset <= table.size() && n <= table.size() - offset,
                  "contiguous load out of bounds");
   if (checker_ != nullptr) checker_->on_contiguous_read(table, offset, n);
-  const OpTimer timer(cost_, OpClass::kVectorLoad, n);
-  issue(OpClass::kVectorLoad, n);
   WordVec out(n);
   Word* o = out.data();
   const Word* src = table.data() + offset;
-  backend_->for_lanes(n, [&](std::size_t lo, std::size_t hi) {
+  run_lanes(OpClass::kVectorLoad, n, [&](std::size_t lo, std::size_t hi) {
     std::copy(src + lo, src + hi, o + lo);
   });
   if (analyzer_ != nullptr) {
@@ -983,18 +858,15 @@ WordVec VectorMachine::load(std::span<const Word> table, std::size_t offset,
 WordVec VectorMachine::load_strided(std::span<const Word> table,
                                     std::size_t offset, std::size_t stride,
                                     std::size_t n) {
-  flush_batch();
   FOLVEC_REQUIRE(stride > 0, "stride must be positive");
   // Division form: `offset + (n-1)*stride` wraps for huge offsets/strides.
   FOLVEC_REQUIRE(n == 0 || (offset < table.size() &&
                             (table.size() - 1 - offset) / stride >= n - 1),
                  "strided load out of bounds");
-  const OpTimer timer(cost_, OpClass::kVectorLoad, n);
-  issue(OpClass::kVectorLoad, n);
   WordVec out(n);
   Word* o = out.data();
   const auto k = kernels().load_strided;
-  backend_->for_lanes(n, [&](std::size_t lo, std::size_t hi) {
+  run_lanes(OpClass::kVectorLoad, n, [&](std::size_t lo, std::size_t hi) {
     k(o, table.data(), offset, stride, lo, hi);
   });
   if (analyzer_ != nullptr) {
@@ -1006,7 +878,6 @@ WordVec VectorMachine::load_strided(std::span<const Word> table,
 void VectorMachine::store_strided(std::span<Word> table, std::size_t offset,
                                   std::size_t stride,
                                   std::span<const Word> v) {
-  flush_batch();
   FOLVEC_REQUIRE(stride > 0, "stride must be positive");
   FOLVEC_REQUIRE(
       v.empty() || (offset < table.size() &&
@@ -1015,11 +886,12 @@ void VectorMachine::store_strided(std::span<Word> table, std::size_t offset,
   if (checker_ != nullptr) {
     checker_->on_overwrite(table.data() + offset, v.size(), stride);
   }
-  const OpTimer timer(cost_, OpClass::kVectorStore, v.size());
-  issue(OpClass::kVectorStore, v.size());
-  backend_->for_lanes(v.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) table[offset + i * stride] = v[i];
-  });
+  run_lanes(OpClass::kVectorStore, v.size(),
+            [&](std::size_t lo, std::size_t hi) {
+              for (std::size_t i = lo; i < hi; ++i) {
+                table[offset + i * stride] = v[i];
+              }
+            });
   if (analyzer_ != nullptr) {
     analyzer_->rec_store(analysis::Opcode::kStoreStrided, table,
                          table.data() + offset, v.size(), stride);
@@ -1044,7 +916,6 @@ WordVec VectorMachine::gather(std::span<const Word> table,
 
 void VectorMachine::gather_into(WordVec& out, std::span<const Word> table,
                                 std::span<const Word> idx) {
-  flush_batch();
   analysis::OpVerdicts sv;
   bool elide = false;
   if (analyzer_ != nullptr) {
@@ -1069,21 +940,19 @@ void VectorMachine::gather_into(WordVec& out, std::span<const Word> table,
     }
   }
   check_indices(idx, table.size());
-  const OpTimer timer(cost_, OpClass::kVectorGather, idx.size());
-  issue(OpClass::kVectorGather, idx.size());
   out.resize(idx.size());
   Word* o = out.data();
   const auto k = kernels().gather;
-  backend_->for_lanes(idx.size(), [&](std::size_t lo, std::size_t hi) {
-    k(o, table.data(), idx.data(), lo, hi);
-  });
+  run_lanes(OpClass::kVectorGather, idx.size(),
+            [&](std::size_t lo, std::size_t hi) {
+              k(o, table.data(), idx.data(), lo, hi);
+            });
   if (analyzer_ != nullptr) analyzer_->rec_gather(out, table, idx, {}, sv, elide);
 }
 
 WordVec VectorMachine::gather_masked(std::span<const Word> table,
                                      std::span<const Word> idx, const Mask& m,
                                      Word fill) {
-  flush_batch();
   analysis::OpVerdicts sv;
   bool elide = false;
   if (analyzer_ != nullptr) {
@@ -1100,14 +969,13 @@ WordVec VectorMachine::gather_masked(std::span<const Word> table,
   }
   FOLVEC_REQUIRE(idx.size() == m.size(), "index/mask lengths must match");
   check_indices(idx, table.size(), &m);
-  const OpTimer timer(cost_, OpClass::kVectorGather, idx.size());
-  issue(OpClass::kVectorGather, idx.size());
   WordVec out(idx.size(), fill);
   Word* o = out.data();
   const auto k = kernels().gather_masked;
-  backend_->for_lanes(idx.size(), [&](std::size_t lo, std::size_t hi) {
-    k(o, table.data(), idx.data(), m.data(), lo, hi);
-  });
+  run_lanes(OpClass::kVectorGather, idx.size(),
+            [&](std::size_t lo, std::size_t hi) {
+              k(o, table.data(), idx.data(), m.data(), lo, hi);
+            });
   if (analyzer_ != nullptr) analyzer_->rec_gather(out, table, idx, m.bytes(), sv, elide);
   return out;
 }
@@ -1193,7 +1061,6 @@ bool VectorMachine::try_elide_scatter(std::span<const Word> table,
 
 void VectorMachine::scatter(std::span<Word> table, std::span<const Word> idx,
                             std::span<const Word> vals) {
-  flush_batch();
   analysis::OpVerdicts sv;
   bool elide = false;
   if (analyzer_ != nullptr) {
@@ -1239,7 +1106,6 @@ void VectorMachine::scatter(std::span<Word> table, std::span<const Word> idx,
 void VectorMachine::scatter_masked(std::span<Word> table,
                                    std::span<const Word> idx,
                                    std::span<const Word> vals, const Mask& m) {
-  flush_batch();
   analysis::OpVerdicts sv;
   bool elide = false;
   if (analyzer_ != nullptr) {
@@ -1271,7 +1137,6 @@ void VectorMachine::scatter_masked(std::span<Word> table,
 void VectorMachine::scatter_ordered(std::span<Word> table,
                                     std::span<const Word> idx,
                                     std::span<const Word> vals) {
-  flush_batch();
   analysis::OpVerdicts sv;
   bool elide = false;
   if (analyzer_ != nullptr) {
@@ -1307,7 +1172,6 @@ void VectorMachine::scatter_ordered(std::span<Word> table,
 
 void VectorMachine::scalar_store(std::span<Word> table, std::size_t pos,
                                  Word value) {
-  flush_batch();
   FOLVEC_REQUIRE(pos < table.size(), "scalar store out of bounds");
   if (checker_ != nullptr) checker_->on_scalar_store(table, pos, value);
   issue(OpClass::kScalarMem, 1);
@@ -1389,7 +1253,6 @@ Mask VectorMachine::scatter_gather_eq(std::span<Word> table,
 void VectorMachine::scatter_gather_eq_into(Mask& out, std::span<Word> table,
                                            std::span<const Word> idx,
                                            std::span<const Word> vals) {
-  flush_batch();
   if (!config_.fuse) {
     scatter(table, idx, vals);
     const WordVec readback = gather(table, idx);
@@ -1457,7 +1320,6 @@ Mask VectorMachine::scatter_gather_eq_masked(std::span<Word> table,
                                              std::span<const Word> idx,
                                              std::span<const Word> vals,
                                              const Mask& active) {
-  flush_batch();
   if (!config_.fuse) {
     scatter_masked(table, idx, vals, active);
     const WordVec readback = gather(table, idx);
@@ -1498,7 +1360,6 @@ Mask VectorMachine::scatter_gather_eq_masked(std::span<Word> table,
 
 std::pair<WordVec, WordVec> VectorMachine::partition(std::span<const Word> v,
                                                      const Mask& m) {
-  flush_batch();
   FOLVEC_REQUIRE(v.size() == m.size(), "value/mask lengths must match");
   if (!config_.fuse) {
     WordVec kept = compress(v, m);
@@ -1523,7 +1384,6 @@ std::pair<WordVec, WordVec> VectorMachine::partition(std::span<const Word> v,
 std::size_t VectorMachine::partition_into(WordVec& kept, WordVec& rejected,
                                           std::span<const Word> v,
                                           const Mask& m) {
-  flush_batch();
   FOLVEC_REQUIRE(v.size() == m.size(), "value/mask lengths must match");
   if (!config_.fuse) {
     const std::size_t nt = compress_into(kept, v, m);

@@ -33,7 +33,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -203,6 +202,7 @@ struct MachineConfig {
 class ScatterChecker;
 class Backend;
 class BufferPool;
+class RangeFn;  // full declaration in backend.h
 struct SimdKernels;  // full declaration in simd_kernels.h
 enum class ScatterTraversal : std::uint8_t;  // full declaration in backend.h
 
@@ -266,39 +266,6 @@ class VectorMachine {
   /// Steady-state round loops acquire their working vectors here and feed
   /// them to the *_into primitives so repeated rounds allocate nothing.
   BufferPool& pool() { return *pool_; }
-
-  // ---- multi-op batched dispatch ------------------------------------------
-
-  /// RAII dispatch batch: while one is alive (and neither audit nor
-  /// analysis is attached), lane-aligned register ops — generation,
-  /// elementwise arithmetic, compares, mask algebra, select — queue their
-  /// lane kernels instead of dispatching each to the backend; the queued
-  /// round then crosses the pool boundary ONCE, each worker running every
-  /// queued kernel over its lane chunk in issue order. Chimes and the
-  /// instruction trace are recorded eagerly at issue (the modeled stream is
-  /// unchanged); wall time is measured at the flush and split evenly over
-  /// the queued op classes.
-  ///
-  /// A batch flushes at the outermost scope exit, whenever a non-batchable
-  /// primitive (memory, reduction, compress/partition, reverse, shl_scalar)
-  /// is issued, and whenever the queued lane count changes. Per-chunk
-  /// in-order execution of lane-aligned kernels reproduces serial dataflow
-  /// exactly, so results are bit-identical to unbatched execution — but
-  /// they are UNOBSERVABLE until the flush. Lifetime rules for callers:
-  /// every buffer an enqueued kernel reads or writes must stay alive and
-  /// unresized until the flush — compose chains through named (pooled)
-  /// buffers via the *_into primitives, never through nested temporaries,
-  /// and do not release pooled buffers mid-batch. See docs/backends.md.
-  class OpBatch {
-   public:
-    explicit OpBatch(VectorMachine& m) : m_(m) { m_.begin_batch(); }
-    ~OpBatch() { m_.end_batch(); }
-    OpBatch(const OpBatch&) = delete;
-    OpBatch& operator=(const OpBatch&) = delete;
-
-   private:
-    VectorMachine& m_;
-  };
 
   // ---- vector generation -------------------------------------------------
 
@@ -501,20 +468,28 @@ class VectorMachine {
  private:
   void issue(OpClass c, std::size_t n) { cost_.record(c, n); }
 
-  /// RAII wall-clock probe: charges the enclosing scope's elapsed host time
-  /// to one op class, next to the chime counts the same scope issues. When a
-  /// span tracer is installed the instruction also becomes a leaf "op" event
-  /// in the Chrome trace (op_class_name returns static storage, so the event
-  /// allocates nothing); when a calibration profiler is installed the
-  /// (elements, wall) pair feeds the per-op-class wall~chime fit.
+  /// RAII wall-clock probe, the one place an instruction's host time is
+  /// taken: charges the enclosing scope's elapsed time to one op class,
+  /// next to the chime counts the same scope issues. When a span tracer is
+  /// installed the instruction also becomes a leaf "op" event in the Chrome
+  /// trace (op_class_name returns static storage, so the event allocates
+  /// nothing); when a calibration profiler is installed the (elements, wall)
+  /// pair feeds the per-op-class wall~chime fit. With no metrics registry,
+  /// tracer or profiler installed nothing reads the time, so the clock is
+  /// never read and the wall ledger stays untouched.
   class OpTimer {
    public:
     OpTimer(CostAccumulator& cost, OpClass c, std::size_t elements)
         : cost_(cost),
           c_(c),
           elements_(elements),
-          start_(std::chrono::steady_clock::now()) {}
+          timed_(telemetry::metrics() != nullptr ||
+                 telemetry::tracer() != nullptr ||
+                 telemetry::profiler() != nullptr) {
+      if (timed_) start_ = std::chrono::steady_clock::now();
+    }
     ~OpTimer() {
+      if (!timed_) return;
       const auto end = std::chrono::steady_clock::now();
       const std::chrono::duration<double> dt = end - start_;
       cost_.record_wall(c_, dt.count());
@@ -530,6 +505,7 @@ class VectorMachine {
     CostAccumulator& cost_;
     OpClass c_;
     std::size_t elements_;
+    bool timed_;
     std::chrono::steady_clock::time_point start_;
   };
 
@@ -552,34 +528,10 @@ class VectorMachine {
   /// counts one dispatch.
   const SimdKernels& kernels();
 
-  // ---- batched dispatch internals -----------------------------------------
-
-  /// One queued lane kernel of an open OpBatch. Kernels capture their
-  /// operand pointers/spans by value (taken AFTER the destination resize)
-  /// and touch only lanes [lo, hi), so running every queued kernel in issue
-  /// order per chunk reproduces the serial dataflow exactly.
-  struct BatchEntry {
-    std::function<void(std::size_t, std::size_t)> kernel;
-    OpClass op_class;
-  };
-
-  void begin_batch() { ++batch_depth_; }
-  void end_batch();
-  /// Dispatches the queued kernels as one pool crossing; a no-op when the
-  /// queue is empty. Every non-batchable primitive calls this first, so
-  /// machine state is always current when it executes.
-  void flush_batch();
-  /// True while eligible primitives must queue instead of dispatch. Audit
-  /// and analysis observe results eagerly, so either disables batching.
-  bool batching() const {
-    return batch_depth_ > 0 && checker_ == nullptr && analyzer_ == nullptr;
-  }
-  /// Runs one lane-aligned kernel: queued when batching, else dispatched
-  /// immediately under an OpTimer (`batchable` false forces immediate —
-  /// used by kernels that may throw per lane, which must not defer).
-  void run_lanes(OpClass c, std::size_t n,
-                 std::function<void(std::size_t, std::size_t)> kernel,
-                 bool batchable = true);
+  /// Issues one class-`c` instruction over n lanes and runs its lane-aligned
+  /// kernel over [0, n) through the backend, under the instruction's
+  /// OpTimer.
+  void run_lanes(OpClass c, std::size_t n, RangeFn kernel);
 
   /// Shared fused-kernel body for the scatter_gather_eq variants: issues the
   /// single kVectorScatterGatherEq instruction and runs the backend's fused
@@ -660,11 +612,6 @@ class VectorMachine {
   /// Lane-kernel table dispatches (counted on SIMD kinds only).
   std::size_t simd_dispatches_ = 0;
   std::unique_ptr<BufferPool> pool_;
-  /// Open OpBatch nesting depth and the queued round (see OpBatch).
-  std::size_t batch_depth_ = 0;
-  /// Lane count shared by every queued entry; a mismatching issue flushes.
-  std::size_t batch_lanes_ = 0;
-  std::vector<BatchEntry> batch_;
 };
 
 /// RAII algorithm span: a chime-carrying telemetry span scoped to one

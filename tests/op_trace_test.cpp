@@ -2,7 +2,8 @@
 // instruction the machine issues becomes one leaf event carrying its class
 // mnemonic and vector length. Pins the exact instruction mix FOL1 issues
 // for a duplicate-free input on every backend kind — a regression guard
-// against accidental extra passes.
+// against accidental extra passes — and pins pay-for-use timing: an
+// instruction is timed, once, only while a consumer of the time is installed.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -15,6 +16,8 @@
 
 #include "fol/fol1.h"
 #include "support/json.h"
+#include "telemetry/metrics.h"
+#include "telemetry/profile.h"
 #include "telemetry/spans.h"
 #include "vm/machine.h"
 
@@ -126,8 +129,8 @@ TEST(MachineOpTraceTest, ScalarUnitTicksAreChimeOnly) {
 
 TEST(MachineOpTraceTest, OpEventsMatchCostAccumulatorPerVectorClass) {
   // Every vector instruction the chime model counts is one op event of the
-  // same class and length — duplicated FOL1 rounds and a batched round
-  // (whose events are emitted at flush) included.
+  // same class and length — duplicated FOL1 rounds and an elementwise chain
+  // included.
   MachineConfig cfg;
   cfg.audit = false;
   VectorMachine m(cfg);
@@ -140,12 +143,9 @@ TEST(MachineOpTraceTest, OpEventsMatchCostAccumulatorPerVectorClass) {
     const WordVec a = m.iota(16);
     WordVec r1;
     WordVec r2;
-    {
-      const VectorMachine::OpBatch batch(m);
-      m.add_into(r1, a, a);
-      m.add_scalar_into(r2, r1, 5);
-      m.mod_scalar_into(r1, r2, 7);
-    }
+    m.add_into(r1, a, a);
+    m.add_scalar_into(r2, r1, 5);
+    m.mod_scalar_into(r1, r2, 7);
     m.gather(r1, m.iota(4, 2));
   }
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> seen;
@@ -165,6 +165,94 @@ TEST(MachineOpTraceTest, OpEventsMatchCostAccumulatorPerVectorClass) {
     EXPECT_EQ(elements, m.cost().elements(c)) << op_class_name(c);
   }
   EXPECT_GT(m.cost().instructions(OpClass::kVectorGather), 0u);
+}
+
+/// A run issuing every vector op class: FOL1 over duplicates plus the
+/// remaining primitive families, each class at least twice, on vectors long
+/// enough that every timed instruction spans a measurable interval.
+void every_class_workload(VectorMachine& m) {
+  const WordVec v{3, 1, 3, 0, 2, 1, 3, 4};
+  WordVec work(5, 0);
+  folvec::fol::fol1_decompose(m, v, work);
+  constexpr std::size_t kLanes = 4096;
+  WordVec table(kLanes, 0);
+  for (int rep = 0; rep < 2; ++rep) {
+    const WordVec a = m.iota(kLanes);
+    const WordVec q = m.div_scalar(a, 3);
+    const Mask odd = m.ne_scalar(m.and_scalar(a, 1), 0);
+    const Mask low_odd = m.mask_and(odd, m.lt_scalar(a, 1000));
+    m.store(table, 0, a);
+    const WordVec l = m.load(table, 0, kLanes / 2);
+    m.scatter(table, q, a);
+    m.scatter_ordered(table, q, a);
+    m.gather(table, q);
+    m.compress(a, low_odd);
+    m.partition(a, low_odd);
+    m.scatter_gather_eq(table, q, a);
+    m.reduce_sum(l);
+  }
+}
+
+TEST(MachineOpTimingTest, NoConsumerInstalledReadsNoClock) {
+  MachineConfig cfg;
+  cfg.audit = false;
+  {
+    // Nothing installed: nothing reads the time, so no clock is read and
+    // the wall ledger stays empty.
+    ASSERT_EQ(telemetry::metrics(), nullptr);
+    ASSERT_EQ(telemetry::tracer(), nullptr);
+    ASSERT_EQ(telemetry::profiler(), nullptr);
+    VectorMachine m(cfg);
+    every_class_workload(m);
+    EXPECT_GT(m.cost().total_instructions(), 0u);
+    EXPECT_EQ(m.cost().total_wall_seconds(), 0.0);
+    // Nothing was deferred either: a tracer installed afterwards sees only
+    // the instructions issued while it is installed.
+    SpanTracer tracer;
+    {
+      const ScopedTracer scoped(tracer);
+      m.iota(4);
+    }
+    EXPECT_EQ(op_events(tracer), (std::vector<OpEvent>{{"v.arith", 4}}));
+  }
+}
+
+TEST(MachineOpTimingTest, MetricsConsumerTimesEveryVectorClass) {
+  MachineConfig cfg;
+  cfg.audit = false;
+  {
+    telemetry::MetricsRegistry registry;
+    const telemetry::ScopedMetrics scoped(registry);
+    VectorMachine m(cfg);
+    every_class_workload(m);
+    for (std::size_t i = 0; i < kOpClassCount; ++i) {
+      const auto c = static_cast<OpClass>(i);
+      if (is_scalar_class(c) || m.cost().instructions(c) == 0) continue;
+      EXPECT_GT(m.cost().wall_seconds(c), 0.0) << op_class_name(c);
+    }
+  }
+}
+
+TEST(MachineOpTimingTest, ProfilerTakesOneSamplePerInstruction) {
+  MachineConfig cfg;
+  cfg.audit = false;
+  {
+    // One timing site per instruction: each vector class contributes
+    // exactly one calibration sample per instruction; scalar-unit ticks run
+    // no lane loop and are never timed.
+    telemetry::Profiler profiler;
+    const telemetry::ScopedProfiler scoped(profiler);
+    VectorMachine m(cfg);
+    every_class_workload(m);
+    const auto series = profiler.snapshot();
+    for (std::size_t i = 0; i < kOpClassCount; ++i) {
+      const auto c = static_cast<OpClass>(i);
+      const auto it = series.find(op_class_name(c));
+      const std::uint64_t samples = it == series.end() ? 0 : it->second.samples;
+      EXPECT_EQ(samples, is_scalar_class(c) ? 0 : m.cost().instructions(c))
+          << op_class_name(c);
+    }
+  }
 }
 
 class Fol1InstructionMixTest : public ::testing::TestWithParam<BackendKind> {

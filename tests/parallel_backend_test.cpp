@@ -1,16 +1,17 @@
 // Unit and regression tests for the backend's chunking internals: the chunk
 // planner (overflow + zero-lane-chunk clipping), the early-cut first_oob
 // scan, the lane-exact scatter merge, worker chunk affinity, and the
-// multi-op batched dispatch (VectorMachine::OpBatch). The oracle is the
-// one-worker scalar-table backend (and apply_scatter_reference for
+// algorithm digests and elementwise chains across backends. The oracle is
+// the one-worker scalar-table backend (and apply_scatter_reference for
 // scatters).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -398,9 +399,18 @@ TEST(RunAffineTest, RethrowsLowestTaskException) {
   }
 }
 
-// ---- multi-op batched dispatch (OpBatch) -----------------------------------
+// ---- algorithm digests across backends ------------------------------------
+//
+// Address-calculation sort, radix sort and FOL* compose elementwise chains
+// (spreading-function hash, probe bump+select, identifier generation,
+// shift-mask pair, radix digit extraction, tuple-survival predicate)
+// between their memory ops. Running each algorithm under audit yields the
+// reference digest (ScatterCheck cross-checks every scatter along the way);
+// serial must reproduce it, every other backend must reproduce serial
+// bit-for-bit, and all backends must agree with serial on the chime
+// (per-class instruction/element counts).
 
-VectorMachine batch_machine(BackendKind kind, std::size_t threads) {
+VectorMachine backend_machine(BackendKind kind, std::size_t threads) {
   MachineConfig cfg;
   cfg.audit = false;
   cfg.backend = kind;
@@ -408,117 +418,6 @@ VectorMachine batch_machine(BackendKind kind, std::size_t threads) {
   cfg.backend_grain = 8;
   return VectorMachine(cfg);
 }
-
-/// An elementwise round composed through named pre-declared buffers — the
-/// documented OpBatch pattern. `batched` toggles the OpBatch scope; results
-/// must be bit-identical either way.
-WordVec batch_script(VectorMachine& m, const WordVec& a, const WordVec& b,
-                     bool batched) {
-  WordVec r1;
-  WordVec r2;
-  WordVec sel;
-  Mask lt(0);
-  WordVec digest;
-  // Declared BEFORE the batch scope: a buffer declared inside it would be
-  // destroyed before the OpBatch flushes (the documented lifetime rule).
-  const WordVec head(a.begin(),
-                     a.begin() + static_cast<std::ptrdiff_t>(a.size() / 2));
-  {
-    std::optional<VectorMachine::OpBatch> batch;
-    if (batched) batch.emplace(m);
-    m.add_into(r1, a, b);
-    m.add_scalar_into(r2, r1, 5);
-    lt = m.lt(r2, b);
-    sel = m.select(lt, r1, r2);
-    m.mod_scalar_into(r1, sel, 97);
-    // Lane-count change mid-batch: flushes the queue, then re-batches.
-    m.add_scalar_into(r2, head, 3);
-  }
-  digest.insert(digest.end(), r1.begin(), r1.end());
-  digest.insert(digest.end(), r2.begin(), r2.end());
-  digest.insert(digest.end(), sel.begin(), sel.end());
-  for (const auto bit : lt) digest.push_back(bit);
-  return digest;
-}
-
-TEST(OpBatchTest, BatchedResultsAndChimesIdenticalToUnbatched) {
-  Xoshiro256 rng(0xba7c4);
-  for (const BackendKind kind : {BackendKind::kSerial, BackendKind::kParallel}) {
-    for (const std::size_t n : {2u, 64u, 1000u, 4099u}) {
-      WordVec a(n);
-      WordVec b(n);
-      for (auto& x : a) x = rng.in_range(-100000, 100000);
-      for (auto& x : b) x = rng.in_range(-100000, 100000);
-      VectorMachine plain = batch_machine(kind, 4);
-      VectorMachine batched = batch_machine(kind, 4);
-      const WordVec want = batch_script(plain, a, b, /*batched=*/false);
-      const WordVec got = batch_script(batched, a, b, /*batched=*/true);
-      ASSERT_EQ(want, got) << "n=" << n;
-      for (std::size_t i = 0; i < kOpClassCount; ++i) {
-        const auto c = static_cast<OpClass>(i);
-        EXPECT_EQ(plain.cost().instructions(c),
-                  batched.cost().instructions(c))
-            << op_class_name(c);
-        EXPECT_EQ(plain.cost().elements(c), batched.cost().elements(c))
-            << op_class_name(c);
-      }
-    }
-  }
-}
-
-TEST(OpBatchTest, EagerOpMidBatchObservesAllQueuedResults) {
-  VectorMachine m = batch_machine(BackendKind::kParallel, 4);
-  const WordVec a = m.iota(1000, 0, 1);
-  WordVec r1;
-  Word sum = 0;
-  {
-    const VectorMachine::OpBatch batch(m);
-    m.add_scalar_into(r1, a, 1);
-    // reduce_sum is not batchable: it must flush the queue first and see
-    // the materialized r1.
-    sum = m.reduce_sum(r1);
-  }
-  EXPECT_EQ(sum, static_cast<Word>(1000) * 999 / 2 + 1000);
-}
-
-TEST(OpBatchTest, NestedBatchesFlushOnlyAtOutermostClose) {
-  telemetry::MetricsRegistry registry;
-  const telemetry::ScopedMetrics scoped(registry);
-  {
-    VectorMachine m = batch_machine(BackendKind::kParallel, 4);
-    const WordVec a = m.iota(512, 0, 1);
-    WordVec r1;
-    WordVec r2;
-    WordVec r3;
-    {
-      const VectorMachine::OpBatch outer(m);
-      m.add_scalar_into(r1, a, 1);
-      {
-        const VectorMachine::OpBatch inner(m);
-        m.add_scalar_into(r2, r1, 1);
-      }
-      // The inner close must NOT have flushed: all entries flush together.
-      m.add_into(r3, r1, r2);
-    }
-    EXPECT_EQ(r2[511], 513);
-    EXPECT_EQ(r3[511], 1025);
-  }
-  const telemetry::MetricsSnapshot snap = registry.snapshot();
-  ASSERT_TRUE(snap.counters.contains("pool.dispatch.batched"));
-  EXPECT_EQ(snap.counters.at("pool.dispatch.batched"), 1u);
-  EXPECT_EQ(snap.counters.at("pool.dispatch.batched_ops"), 3u);
-}
-
-// ---- widened batch call sites (digest equivalence) -------------------------
-//
-// The sorting and FOL* call sites compose multi-op elementwise chains under
-// OpBatch (spreading-function hash, probe bump+select, identifier
-// generation, shift-mask pair, radix digit extraction, tuple-survival
-// predicate). An audit machine disables batching entirely, so running each
-// algorithm under audit yields the unbatched reference; every batched
-// backend must reproduce its digest bit-for-bit, and the batched backends
-// must agree with serial on the chime (per-class instruction/element
-// counts).
 
 WordVec address_calc_algo(VectorMachine& m) {
   Xoshiro256 rng(0xadca1c);
@@ -566,7 +465,7 @@ void expect_same_chime(const VectorMachine& a, const VectorMachine& b) {
   }
 }
 
-TEST(OpBatchTest, WidenedCallSitesMatchUnbatchedAuditDigest) {
+TEST(AlgorithmDigestTest, AuditReferenceMatchesEveryBackend) {
   const struct {
     const char* name;
     WordVec (*fn)(VectorMachine&);
@@ -576,20 +475,19 @@ TEST(OpBatchTest, WidenedCallSitesMatchUnbatchedAuditDigest) {
       {"fol_star", fol_star_algo},
   };
   for (const auto& algo : algos) {
-    // Unbatched reference: audit gates batching off (and cross-checks every
-    // scatter along the way).
+    // Reference: the audited machine cross-checks every scatter.
     MachineConfig audit_cfg;
     audit_cfg.audit = true;
     VectorMachine audit_m(audit_cfg);
     const WordVec want = algo.fn(audit_m);
 
-    VectorMachine serial = batch_machine(BackendKind::kSerial, 1);
+    VectorMachine serial = backend_machine(BackendKind::kSerial, 1);
     const WordVec serial_got = algo.fn(serial);
     EXPECT_EQ(want, serial_got) << algo.name;
 
     for (const BackendKind kind : {BackendKind::kParallel, BackendKind::kSimd,
                                    BackendKind::kParallelSimd}) {
-      VectorMachine m = batch_machine(kind, 4);
+      VectorMachine m = backend_machine(kind, 4);
       const WordVec got = algo.fn(m);
       EXPECT_EQ(serial_got, got)
           << algo.name << " kind=" << static_cast<int>(kind);
@@ -598,26 +496,103 @@ TEST(OpBatchTest, WidenedCallSitesMatchUnbatchedAuditDigest) {
   }
 }
 
-TEST(OpBatchTest, BatchingDisabledUnderAudit) {
-  // Audit machines interleave checker probes with ops, so batching is
-  // gated off: results must still be correct and the batched-dispatch
-  // counter untouched.
+// ---- elementwise chains through reused buffers -----------------------------
+//
+// Every instruction dispatches when it is called. A chain of *_into calls
+// through named reused buffers must therefore read each earlier result,
+// agree bit-for-bit (and on the chime) across backends, worker counts and
+// audit, and leave no deferred-dispatch ledger behind.
+
+/// An elementwise round through reused buffers, ending with a lane-count
+/// change; returns every buffer's final contents.
+WordVec chain_script(VectorMachine& m, const WordVec& a, const WordVec& b) {
+  WordVec r1;
+  WordVec r2;
+  const WordVec head(a.begin(),
+                     a.begin() + static_cast<std::ptrdiff_t>(a.size() / 2));
+  m.add_into(r1, a, b);
+  m.add_scalar_into(r2, r1, 5);
+  const Mask lt = m.lt(r2, b);
+  const WordVec sel = m.select(lt, r1, r2);
+  m.mod_scalar_into(r1, sel, 97);
+  m.add_scalar_into(r2, head, 3);
+  WordVec digest;
+  digest.insert(digest.end(), r1.begin(), r1.end());
+  digest.insert(digest.end(), r2.begin(), r2.end());
+  digest.insert(digest.end(), sel.begin(), sel.end());
+  for (const auto bit : lt) digest.push_back(bit);
+  return digest;
+}
+
+TEST(ElementwiseChainTest, ResultsAndChimesIdenticalAcrossBackends) {
+  Xoshiro256 rng(0xba7c4);
+  for (const std::size_t n : {2u, 64u, 1000u, 4099u}) {
+    WordVec a(n);
+    WordVec b(n);
+    for (auto& x : a) x = rng.in_range(-100000, 100000);
+    for (auto& x : b) x = rng.in_range(-100000, 100000);
+    VectorMachine serial = backend_machine(BackendKind::kSerial, 1);
+    const WordVec want = chain_script(serial, a, b);
+    for (const BackendKind kind : {BackendKind::kParallel, BackendKind::kSimd,
+                                   BackendKind::kParallelSimd}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        VectorMachine m = backend_machine(kind, threads);
+        ASSERT_EQ(want, chain_script(m, a, b))
+            << "n=" << n << " kind=" << static_cast<int>(kind)
+            << " threads=" << threads;
+        expect_same_chime(serial, m);
+      }
+    }
+  }
+}
+
+TEST(ElementwiseChainTest, ReductionReadsThePrecedingResult) {
+  VectorMachine m = backend_machine(BackendKind::kParallel, 4);
+  const WordVec a = m.iota(1000, 0, 1);
+  WordVec r1;
+  m.add_scalar_into(r1, a, 1);
+  EXPECT_EQ(m.reduce_sum(r1), static_cast<Word>(1000) * 999 / 2 + 1000);
+}
+
+TEST(ElementwiseChainTest, EachResultIsReadableBeforeTheNextInstruction) {
   telemetry::MetricsRegistry registry;
   const telemetry::ScopedMetrics scoped(registry);
   {
-    MachineConfig cfg;
-    cfg.audit = true;
-    VectorMachine m(cfg);
-    const WordVec a = m.iota(256, 0, 1);
+    VectorMachine m = backend_machine(BackendKind::kParallel, 4);
+    const WordVec a = m.iota(512, 0, 1);
     WordVec r1;
-    {
-      const VectorMachine::OpBatch batch(m);
-      m.add_scalar_into(r1, a, 10);
-    }
-    EXPECT_EQ(r1[255], 265);
+    WordVec r2;
+    WordVec r3;
+    m.add_scalar_into(r1, a, 1);
+    EXPECT_EQ(r1[511], 512);
+    m.add_scalar_into(r2, r1, 1);
+    EXPECT_EQ(r2[511], 513);
+    m.add_into(r3, r1, r2);
+    EXPECT_EQ(r3[511], 1025);
   }
+  // One arithmetic instruction per call (iota included), and no counter of
+  // deferred or batched dispatch.
   const telemetry::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_FALSE(snap.counters.contains("pool.dispatch.batched"));
+  ASSERT_TRUE(snap.counters.contains("vm.op.v.arith.instructions"));
+  EXPECT_EQ(snap.counters.at("vm.op.v.arith.instructions"), 4u);
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_EQ(name.find("batch"), std::string::npos) << name << "=" << value;
+  }
+}
+
+TEST(ElementwiseChainTest, AuditMachineMatchesSerialChain) {
+  Xoshiro256 rng(0xa0d17);
+  const std::size_t n = 256;
+  WordVec a(n);
+  WordVec b(n);
+  for (auto& x : a) x = rng.in_range(-1000, 1000);
+  for (auto& x : b) x = rng.in_range(-1000, 1000);
+  MachineConfig audit_cfg;
+  audit_cfg.audit = true;
+  VectorMachine audit_m(audit_cfg);
+  VectorMachine serial = backend_machine(BackendKind::kSerial, 1);
+  EXPECT_EQ(chain_script(audit_m, a, b), chain_script(serial, a, b));
+  expect_same_chime(audit_m, serial);
 }
 
 }  // namespace

@@ -572,8 +572,8 @@ TEST(SpanTracerTest, FlowEventsLinkIssueToChunks) {
   const auto t0 = SpanTracer::Clock::now();
   const std::uint64_t flow = tracer.next_flow_id();
   ASSERT_NE(flow, 0u);
-  tracer.flow_begin("vm.batch.flush", flow);
-  tracer.chunk("vm.batch.chunk", 32, 64, flow, t0,
+  tracer.flow_begin("vm.lanes.split", flow);
+  tracer.chunk("vm.lanes.chunk", 32, 64, flow, t0,
                t0 + std::chrono::microseconds(3));
 
   const JsonValue doc = parse_trace(tracer);
