@@ -47,12 +47,7 @@ int main() {
         accel_sum += r.acceleration();
       }
       const double accel = accel_sum / 3.0;
-      // GCC 12 falsely flags the never-engaged string alternative of the
-      // Cell variant as maybe-uninitialized when push_back is inlined here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
       cells.push_back(Cell(accel, 2));
-#pragma GCC diagnostic pop
       if (ni == 2048) {
         largest_tree_max_accel = std::max(largest_tree_max_accel, accel);
       }

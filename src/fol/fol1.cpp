@@ -1,14 +1,12 @@
 #include "fol/fol1.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <utility>
 
 #include "fol/invariants.h"
+#include "fol/rounds.h"
 #include "support/faultsim.h"
 #include "support/require.h"
 #include "telemetry/metrics.h"
-#include "vm/buffer_pool.h"
 #include "vm/checker.h"
 
 namespace folvec::fol {
@@ -28,132 +26,47 @@ Decomposition fol1_decompose(VectorMachine& m,
   telemetry::count("fol1.calls");
   telemetry::count("fol1.lanes", index_vector.size());
 
-  // One host-side scan gives the analyzer a tight interval fact for the
-  // index vector; the partition in step 3 preserves it, so every round's
-  // scatter bounds stay proven and the per-lane audit pass can be elided.
-  m.observe_range(index_vector);
-
-  // The label rounds below deliberately scatter colliding labels; declare
-  // the sanctioned conflict window so ScatterCheck can verify the readbacks
-  // against the ELS contract instead of flagging the duplicates.
-  const vm::ConflictWindow window(m, work, vm::WindowKind::kLabelRound,
-                                  "FOL1 label round");
-
-  // Step 0 (preprocessing): labels are the lane positions, the "most easily
-  // computable" unique labels per the paper's footnote 6. Positions stay
-  // attached to their lanes across rounds so the final sets report original
-  // lane numbers. All round-loop working vectors come from the machine's
-  // buffer pool: after the first round the loop is allocation-free.
-  vm::BufferPool& pool = m.pool();
-  const std::size_t n0 = index_vector.size();
-  vm::PooledVec remaining_idx(pool, n0);
-  vm::PooledVec remaining_pos(pool, n0);
-  vm::PooledVec next_idx(pool, n0);
-  vm::PooledVec next_pos(pool, n0);
-  vm::PooledVec winners(pool, n0);
-  vm::PooledVec assigned_idx(pool, n0);  // kept half of the idx split; unused
-  m.copy_into(*remaining_idx, index_vector);
-  m.iota_into(*remaining_pos, index_vector.size());
-
-  // The subset collection grows by one push_back per round; reserve a
-  // round-count guess up front to skip the early reallocation ladder.
-  out.sets.reserve(std::min<std::size_t>(index_vector.size(), 32));
-
-  const std::size_t max_rounds = index_vector.size();
-  while (!remaining_idx->empty()) {
-    FOLVEC_CHECK(out.sets.size() < max_rounds,
-                 "FOL1 failed to terminate within N rounds; the scatter "
-                 "substrate violates the ELS condition");
-    const vm::AlgoSpan round_span(m, "round", out.sets.size());
-    const std::size_t n_remaining = remaining_idx->size();
-
-    // Steps 1+2 (writing labels, detection of overwriting) as one fused
-    // instruction: scatter the globally unique lane positions, read back
-    // through the same indices, and keep the lanes whose label survived.
-    // count_true charges its reduce either way, but the fused kernel's
-    // cached popcount lets it skip the host-side scan.
-    Mask survived(0);
-    m.scatter_gather_eq_into(survived, work, *remaining_idx, *remaining_pos);
+  // The label round as one fused instruction: scatter the globally unique
+  // lane positions, read back through the same indices, and keep the lanes
+  // whose label survived. count_true charges its reduce either way, but the
+  // fused kernel's cached popcount lets it skip the host-side scan.
+  const auto label_round = [&](const detail::Remaining& rest, Mask& survived) {
+    m.scatter_gather_eq_into(survived, work, *rest.idx[0], rest.pos);
     std::size_t n_survived = m.count_true(survived);
-    if (n_survived == 0) {
-      // An empty round means a contested work word holds none of the
-      // written labels — transient on hardware that occasionally drops the
-      // ELS guarantee (and under injected kElsViolation faults), permanent
-      // on a substrate that never provides it. Re-issuing the label round
-      // is always safe: no lane was assigned, so the retry recomputes the
-      // identical survivors from the identical inputs.
-      constexpr std::size_t kMaxElsRetries = 2;
-      std::size_t retries = 0;
-      while (n_survived == 0 && retries < kMaxElsRetries) {
-        ++retries;
-        m.scatter_gather_eq_into(survived, work, *remaining_idx,
-                                 *remaining_pos);
-        n_survived = m.count_true(survived);
-      }
-      telemetry::count("fol1.els_round_retries", retries);
-      if (n_survived > 0 && faults() != nullptr) {
-        telemetry::count("fault.recovered.els");
-      }
-      FOLVEC_CHECK(n_survived > 0,
-                   "FOL1 round produced an empty set: a contested work word "
-                   "holds none of the written labels (ELS violation)");
+    if (n_survived > 0) return n_survived;
+    // An empty round means a contested work word holds none of the written
+    // labels — transient on hardware that occasionally drops the ELS
+    // guarantee (and under injected kElsViolation faults), permanent on a
+    // substrate that never provides it. Re-issuing the label round is always
+    // safe: no lane was assigned, so the retry recomputes the identical
+    // survivors from the identical inputs.
+    constexpr std::size_t kMaxElsRetries = 2;
+    std::size_t retries = 0;
+    while (n_survived == 0 && retries < kMaxElsRetries) {
+      ++retries;
+      m.scatter_gather_eq_into(survived, work, *rest.idx[0], rest.pos);
+      n_survived = m.count_true(survived);
     }
-
-    telemetry::observe("fol1.set_size", n_survived);
-    telemetry::count("fol1.contested_lanes", n_remaining - n_survived);
-
-    // Step 3 (updating control variables): one partition per control vector
-    // replaces the old compress / mask_not / compress / compress chain. The
-    // kept half of the position split is this round's output set; the kept
-    // half of the index split is dead (those lanes are assigned).
-    m.partition_into(*winners, *next_pos, *remaining_pos, survived);
-    m.partition_into(*assigned_idx, *next_idx, *remaining_idx, survived);
-
-    std::vector<std::size_t> set;
-    set.reserve(winners->size());
-    for (Word w : *winners) set.push_back(static_cast<std::size_t>(w));
-    out.sets.push_back(std::move(set));
-
-    std::swap(*remaining_idx, *next_idx);
-    std::swap(*remaining_pos, *next_pos);
-
-    // Adaptive degradation (Theorems 5-6): rounds equal the maximum address
-    // multiplicity, so a collapsing surviving fraction on a large remainder
-    // signals the quadratic tail — e.g. every lane addressing one area runs
-    // N rounds of N-lane scatters. Drain that tail in one scalar pass: the
-    // j-th remaining occurrence of an address joins set base+j. Occurrences
-    // are counted lane-order, so the sets stay disjoint, cover the rest,
-    // have non-increasing sizes, and the total round count still equals the
-    // maximum multiplicity — the drained decomposition satisfies every
-    // theorem the pure one does, and is identical for every backend.
-    const vm::MachineConfig& cfg = m.config();
-    if (cfg.adaptive && remaining_idx->size() >= cfg.adaptive_min_remaining &&
-        n_survived * cfg.adaptive_collapse_den < n_remaining) {
-      const std::size_t base = out.sets.size();
-      const WordVec& idx = *remaining_idx;
-      const WordVec& pos = *remaining_pos;
-      std::unordered_map<Word, std::size_t> occurrence;
-      occurrence.reserve(idx.size());
-      for (std::size_t i = 0; i < idx.size(); ++i) {
-        const std::size_t j = occurrence[idx[i]]++;
-        if (base + j == out.sets.size()) out.sets.emplace_back();
-        out.sets[base + j].push_back(static_cast<std::size_t>(pos[i]));
-      }
-      out.drained_lanes = idx.size();
-      // Scalar chime: one pass over the k drained lanes (ALU per lane for
-      // the occurrence bump, a load+store pair per distinct address for the
-      // counter, one branch for the loop) — O(k) against the vector path's
-      // O(k * max multiplicity).
-      m.scalar_alu(idx.size());
-      m.scalar_mem(2 * occurrence.size());
-      m.scalar_branch(1);
-      telemetry::count("fol1.adaptive_drains");
-      telemetry::count("fol1.adaptive_drained_lanes", idx.size());
-      break;
+    telemetry::count("fol1.els_round_retries", retries);
+    if (n_survived > 0 && faults() != nullptr) {
+      telemetry::count("fault.recovered.els");
     }
-  }
-  telemetry::count("fol1.rounds", out.sets.size());
-  telemetry::observe("fol1.rounds_per_call", out.sets.size());
+    return n_survived;
+  };
+  const std::span<const Word> lanes[] = {index_vector};
+  const detail::RoundSpec spec{
+      .window = "FOL1 label round",
+      .set_size = "fol1.set_size",
+      .contested = "fol1.contested_lanes",
+      .drains = "fol1.adaptive_drains",
+      .drained = "fol1.adaptive_drained_lanes",
+      .rounds = "fol1.rounds",
+      .rounds_per_call = "fol1.rounds_per_call",
+  };
+  out.drained_lanes = detail::decompose_rounds(m, lanes, work, spec, out.sets,
+                                               label_round,
+                                               &detail::drain_by_occurrence)
+                          .drained;
   if (m.audit_enabled() && !satisfies_all_theorems(out, index_vector)) {
     m.checker()->audit_theorem_violation(
         "FOL1", "decomposition fails satisfies_all_theorems (Theorems 1-6)");

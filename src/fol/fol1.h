@@ -37,8 +37,9 @@ struct Decomposition {
   std::vector<std::vector<std::size_t>> sets;
 
   /// Lanes assigned by the adaptive scalar drain rather than by vector
-  /// rounds (see MachineConfig::adaptive). 0 when the decomposition ran
-  /// entirely on the vector unit. The drained assignment satisfies exactly
+  /// rounds (MachineConfig::adaptive; the trigger's thresholds are the
+  /// constants of fol/rounds.h). 0 when the decomposition ran entirely on
+  /// the vector unit. The drained assignment satisfies exactly
   /// the same theorems; this field only reports how it was computed.
   std::size_t drained_lanes = 0;
 

@@ -38,9 +38,10 @@ struct StarDecomposition {
   std::size_t forced_singletons = 0;
   /// Tuples left unassigned because `max_rounds` cut the decomposition off.
   std::size_t unassigned = 0;
-  /// Tuples assigned by the adaptive scalar drain (MachineConfig::adaptive)
-  /// instead of by vector rounds. Only full decompositions (max_rounds == 0)
-  /// drain; bounded ones keep their round/unassigned semantics.
+  /// Tuples assigned by the adaptive scalar drain (MachineConfig::adaptive;
+  /// thresholds in fol/rounds.h) instead of by vector rounds. Only full
+  /// decompositions (max_rounds == 0) drain; bounded ones keep their
+  /// round/unassigned semantics.
   std::size_t drained_tuples = 0;
 
   std::size_t rounds() const { return sets.size(); }

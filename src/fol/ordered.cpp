@@ -1,20 +1,15 @@
 #include "fol/ordered.h"
 
-#include <algorithm>
-#include <unordered_map>
-#include <utility>
-
+#include "fol/rounds.h"
 #include "support/require.h"
 #include "telemetry/metrics.h"
 #include "vm/buffer_pool.h"
-#include "vm/checker.h"
 
 namespace folvec::fol {
 
 using vm::Mask;
 using vm::VectorMachine;
 using vm::Word;
-using vm::WordVec;
 
 Decomposition fol1_decompose_ordered(VectorMachine& m,
                                      std::span<const Word> index_vector,
@@ -26,103 +21,44 @@ Decomposition fol1_decompose_ordered(VectorMachine& m,
   telemetry::count("fol1_ordered.calls");
   telemetry::count("fol1_ordered.lanes", index_vector.size());
 
-  // Tight interval fact for the analyzer; reverse_into and partition_into
-  // both preserve it, so every round's scatter bounds stay proven.
-  m.observe_range(index_vector);
-
-  // Ordered scatters define their survivor, but the labels left in `work`
-  // are still transient: the window marks them for use-after-round checks.
-  const vm::ConflictWindow window(m, work, vm::WindowKind::kLabelRound,
-                                  "ordered FOL1 label round");
-
-  // Round-loop working vectors come from the machine's buffer pool and are
-  // reused via the *_into primitives: steady-state rounds allocate nothing.
-  // (Fused scatter_gather_eq does not apply here — the ordered VSTX scatter
-  // has its own survivor rule — but the partition split does.)
-  vm::BufferPool& pool = m.pool();
+  // Ordered (VSTX) scatter of the labels in reverse lane order: the last
+  // store wins deterministically, so each contested work word ends up
+  // holding its earliest remaining occurrence's label. (Fused
+  // scatter_gather_eq does not apply — the ordered scatter has its own
+  // survivor rule.) The scratch vectors are pooled like the control vectors.
   const std::size_t n0 = index_vector.size();
-  vm::PooledVec remaining_idx(pool, n0);
-  vm::PooledVec remaining_pos(pool, n0);
-  vm::PooledVec next_idx(pool, n0);
-  vm::PooledVec next_pos(pool, n0);
-  vm::PooledVec rev_idx(pool, n0);
-  vm::PooledVec rev_labels(pool, n0);
-  vm::PooledVec readback(pool, n0);
-  vm::PooledVec winners(pool, n0);
-  vm::PooledVec assigned_idx(pool, n0);  // kept half of the idx split; unused
-  m.copy_into(*remaining_idx, index_vector);
-  m.iota_into(*remaining_pos, index_vector.size());
-
-  // The subset collection grows by one push_back per round; reserve a
-  // round-count guess up front to skip the early reallocation ladder.
-  out.sets.reserve(std::min<std::size_t>(index_vector.size(), 32));
-
-  const std::size_t max_rounds = index_vector.size();
-  while (!remaining_idx->empty()) {
-    FOLVEC_CHECK(out.sets.size() < max_rounds,
-                 "ordered FOL1 failed to terminate within N rounds");
-    const vm::AlgoSpan round_span(m, "round", out.sets.size());
-    const std::size_t n_remaining = remaining_idx->size();
-
-    // Ordered (VSTX) scatter of the labels in reverse lane order: the last
-    // store wins deterministically, so each contested work word ends up
-    // holding its earliest remaining occurrence's label.
-    m.reverse_into(*rev_idx, *remaining_idx);
-    m.reverse_into(*rev_labels, *remaining_pos);
+  vm::PooledVec rev_idx(m.pool(), n0);
+  vm::PooledVec rev_labels(m.pool(), n0);
+  vm::PooledVec readback(m.pool(), n0);
+  const auto label_round = [&](const detail::Remaining& rest, Mask& survived) {
+    const vm::WordVec& idx = *rest.idx[0];
+    m.reverse_into(*rev_idx, idx);
+    m.reverse_into(*rev_labels, rest.pos);
     m.scatter_ordered(work, *rev_idx, *rev_labels);
-
-    m.gather_into(*readback, work, *remaining_idx);
-    const Mask survived = m.eq(*readback, *remaining_pos);
-    const std::size_t n_survived = m.count_true(survived);
-    FOLVEC_CHECK(n_survived > 0,
-                 "ordered FOL1 round produced an empty set");
-    telemetry::observe("fol1_ordered.set_size", n_survived);
-
-    // One partition per control vector replaces the old compress / mask_not
-    // / compress / compress chain; the kept half of the position split is
-    // this round's output set.
-    m.partition_into(*winners, *next_pos, *remaining_pos, survived);
-    m.partition_into(*assigned_idx, *next_idx, *remaining_idx, survived);
-
-    std::vector<std::size_t> set;
-    set.reserve(winners->size());
-    for (Word w : *winners) set.push_back(static_cast<std::size_t>(w));
-    out.sets.push_back(std::move(set));
-
-    std::swap(*remaining_idx, *next_idx);
-    std::swap(*remaining_pos, *next_pos);
-
-    // Adaptive degradation. The ordered survivor rule makes the drain an
-    // exact replay of what the remaining vector rounds would compute: each
-    // round keeps precisely the earliest remaining occurrence of every
-    // address, i.e. the j-th remaining occurrence (in lane order) joins set
-    // base+j — which is the drain's assignment, lane for lane. So ordered
-    // FOL1 with the drain returns the bit-identical decomposition, just in
-    // O(k) scalar work instead of O(k * max multiplicity) vector work.
-    const vm::MachineConfig& cfg = m.config();
-    if (cfg.adaptive && remaining_idx->size() >= cfg.adaptive_min_remaining &&
-        n_survived * cfg.adaptive_collapse_den < n_remaining) {
-      const std::size_t base = out.sets.size();
-      const WordVec& idx = *remaining_idx;
-      const WordVec& pos = *remaining_pos;
-      std::unordered_map<Word, std::size_t> occurrence;
-      occurrence.reserve(idx.size());
-      for (std::size_t i = 0; i < idx.size(); ++i) {
-        const std::size_t j = occurrence[idx[i]]++;
-        if (base + j == out.sets.size()) out.sets.emplace_back();
-        out.sets[base + j].push_back(static_cast<std::size_t>(pos[i]));
-      }
-      out.drained_lanes = idx.size();
-      m.scalar_alu(idx.size());
-      m.scalar_mem(2 * occurrence.size());
-      m.scalar_branch(1);
-      telemetry::count("fol1_ordered.adaptive_drains");
-      telemetry::count("fol1_ordered.adaptive_drained_lanes", idx.size());
-      break;
-    }
-  }
-  telemetry::count("fol1_ordered.rounds", out.sets.size());
-  telemetry::observe("fol1_ordered.rounds_per_call", out.sets.size());
+    m.gather_into(*readback, work, idx);
+    m.eq_into(survived, *readback, rest.pos);
+    return m.count_true(survived);
+  };
+  // The ordered survivor rule makes the occurrence drain an exact replay of
+  // what the remaining vector rounds would compute: each round keeps
+  // precisely the earliest remaining occurrence of every address, i.e. the
+  // j-th remaining occurrence (in lane order) joins set base+j — the drain's
+  // assignment, lane for lane. So the drained decomposition is bit-identical
+  // to the pure one, just O(k) scalar work instead of O(k * multiplicity).
+  const std::span<const Word> lanes[] = {index_vector};
+  const detail::RoundSpec spec{
+      .window = "ordered FOL1 label round",
+      .set_size = "fol1_ordered.set_size",
+      .contested = "fol1_ordered.contested_lanes",
+      .drains = "fol1_ordered.adaptive_drains",
+      .drained = "fol1_ordered.adaptive_drained_lanes",
+      .rounds = "fol1_ordered.rounds",
+      .rounds_per_call = "fol1_ordered.rounds_per_call",
+  };
+  out.drained_lanes = detail::decompose_rounds(m, lanes, work, spec, out.sets,
+                                               label_round,
+                                               &detail::drain_by_occurrence)
+                          .drained;
   return out;
 }
 

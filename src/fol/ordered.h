@@ -26,7 +26,8 @@ namespace folvec::fol {
 /// occurrences are assigned to sets in increasing lane order (the j-th
 /// remaining occurrence joins set S_j). Works on any machine config —
 /// correctness does not depend on the ELS survivor choice because only the
-/// ordered scatter is used for labels.
+/// ordered scatter is used for labels. The adaptive drain (thresholds in
+/// fol/rounds.h) returns the bit-identical decomposition.
 Decomposition fol1_decompose_ordered(vm::VectorMachine& m,
                                      std::span<const vm::Word> index_vector,
                                      std::span<vm::Word> work);

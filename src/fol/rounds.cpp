@@ -1,0 +1,136 @@
+#include "fol/rounds.h"
+
+#include <algorithm>
+#include <unordered_map>
+#include <utility>
+
+#include "support/require.h"
+#include "telemetry/metrics.h"
+#include "vm/checker.h"
+
+namespace folvec::fol::detail {
+
+using vm::Mask;
+using vm::VectorMachine;
+using vm::Word;
+
+RoundsResult decompose_rounds(VectorMachine& m,
+                              std::span<const std::span<const Word>>
+                                  index_vectors,
+                              std::span<Word> work, const RoundSpec& spec,
+                              Sets& sets, LabelRound label_round, Drain drain) {
+  RoundsResult res;
+  const std::size_t num_lanes = index_vectors.size();
+  const std::size_t n0 = index_vectors.front().size();
+
+  // One host-side scan per index vector gives the analyzer a tight interval
+  // fact; copy_into and partition_into preserve it, so every round's scatter
+  // bounds stay proven and the per-lane audit pass can be elided.
+  for (const auto& v : index_vectors) m.observe_range(v);
+
+  // The label rounds deliberately scatter colliding labels; declare the
+  // sanctioned conflict window so ScatterCheck verifies the readbacks
+  // against the ELS contract instead of flagging the duplicates.
+  const vm::ConflictWindow window(m, work, vm::WindowKind::kLabelRound,
+                                  spec.window);
+
+  // Step 0 (preprocessing): labels derive from the tuple positions, the
+  // "most easily computable" unique labels per the paper's footnote 6.
+  // Positions stay attached to their tuples across rounds so the sets report
+  // original tuple numbers. Every control vector comes from the machine's
+  // buffer pool: after the first round the loop is allocation-free.
+  vm::BufferPool& pool = m.pool();
+  std::vector<vm::PooledVec> idx;
+  std::vector<vm::PooledVec> next_idx;
+  idx.reserve(num_lanes);
+  next_idx.reserve(num_lanes);
+  for (std::size_t k = 0; k < num_lanes; ++k) {
+    idx.emplace_back(pool, n0);
+    next_idx.emplace_back(pool, n0);
+    m.copy_into(*idx[k], index_vectors[k]);
+  }
+  vm::PooledVec pos(pool, n0);
+  vm::PooledVec next_pos(pool, n0);
+  vm::PooledVec winners(pool, n0);
+  vm::PooledVec assigned(pool, n0);  // kept half of the idx splits; unused
+  m.iota_into(*pos, n0);
+
+  // The set collection grows by one push_back per round; reserve a
+  // round-count guess up front to skip the early reallocation ladder.
+  sets.reserve(spec.max_rounds != 0 ? spec.max_rounds
+                                    : std::min<std::size_t>(n0, 32));
+
+  Mask survived(0);
+  while (!pos->empty()) {
+    if (spec.max_rounds != 0 && sets.size() == spec.max_rounds) {
+      res.unassigned = pos->size();
+      break;
+    }
+    FOLVEC_CHECK(sets.size() < n0,
+                 "FOL failed to terminate within N rounds; the scatter "
+                 "substrate violates the ELS condition");
+    const vm::AlgoSpan round_span(m, "round", sets.size());
+    const std::size_t n = pos->size();
+
+    // Steps 1+2 (writing labels, detection of overwriting).
+    const std::size_t n_survived = label_round(Remaining{idx, *pos}, survived);
+    FOLVEC_CHECK(n_survived > 0,
+                 "FOL round produced an empty set: a contested work word "
+                 "holds none of the written labels (ELS violation)");
+    telemetry::observe(spec.set_size, n_survived);
+    telemetry::count(spec.contested, n - n_survived);
+
+    // Step 3 (updating control variables): one partition per control
+    // vector. The kept half of the position split is this round's set; the
+    // kept halves of the index splits are dead (those tuples are assigned).
+    m.partition_into(*winners, *next_pos, *pos, survived);
+    std::vector<std::size_t>& set = sets.emplace_back();
+    set.reserve(winners->size());
+    for (Word w : *winners) set.push_back(static_cast<std::size_t>(w));
+    for (std::size_t k = 0; k < num_lanes; ++k) {
+      m.partition_into(*assigned, *next_idx[k], *idx[k], survived);
+      std::swap(*idx[k], *next_idx[k]);
+    }
+    std::swap(*pos, *next_pos);
+
+    // Adaptive degradation (Theorems 5-6): a collapsing surviving fraction
+    // on a large remainder signals the quadratic tail — e.g. every lane
+    // addressing one area runs N rounds of N-lane scatters. The drain
+    // assigns that tail in one O(k) scalar pass instead.
+    if (m.config().adaptive && spec.max_rounds == 0 &&
+        pos->size() >= kDrainMinRemaining &&
+        n_survived * kDrainCollapseDen < n) {
+      const std::size_t k = pos->size();
+      const std::size_t distinct = drain(Remaining{idx, *pos}, sets);
+      // Scalar chime: one pass over the k drained tuples (an ALU op per
+      // address for the bookkeeping, a load+store pair per distinct address,
+      // one branch for the loop) — O(k) against the vector path's
+      // O(k * max multiplicity).
+      m.scalar_alu(k * num_lanes);
+      m.scalar_mem(2 * distinct);
+      m.scalar_branch(1);
+      telemetry::count(spec.drains);
+      telemetry::count(spec.drained, k);
+      res.drained = k;
+      break;
+    }
+  }
+  telemetry::count(spec.rounds, sets.size());
+  telemetry::observe(spec.rounds_per_call, sets.size());
+  return res;
+}
+
+std::size_t drain_by_occurrence(const Remaining& rest, Sets& sets) {
+  const std::size_t base = sets.size();
+  const vm::WordVec& idx = *rest.idx.front();
+  std::unordered_map<Word, std::size_t> occurrence;
+  occurrence.reserve(idx.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    const std::size_t j = occurrence[idx[i]]++;
+    if (base + j == sets.size()) sets.emplace_back();
+    sets[base + j].push_back(static_cast<std::size_t>(rest.pos[i]));
+  }
+  return occurrence.size();
+}
+
+}  // namespace folvec::fol::detail

@@ -8,7 +8,7 @@
 //   fol/       The paper's contribution: fol1_decompose (FOL1),
 //              fol_star_decompose (FOL*, L index vectors),
 //              fol1_decompose_ordered (footnote 7, order-preserving),
-//              overwrite_and_check, and the Theorem 1-6 checkers.
+//              and the Theorem 1-6 checkers.
 //   list/      SIVP substrate: cons arenas, lockstep traversals, and the
 //              FOL-repaired destructive update for shared tails.
 //   hashing/   Figure 7/8: chaining + open-addressing multiple hashing,
@@ -44,7 +44,6 @@
 #include "fol/fol_star.h"     // IWYU pragma: export
 #include "fol/invariants.h"   // IWYU pragma: export
 #include "fol/ordered.h"      // IWYU pragma: export
-#include "fol/overwrite_check.h"  // IWYU pragma: export
 #include "gc/heap.h"          // IWYU pragma: export
 #include "hashing/chain_table.h"  // IWYU pragma: export
 #include "hashing/hash_fn.h"  // IWYU pragma: export

@@ -9,17 +9,10 @@
 
 namespace folvec {
 
-std::string Cell::render() const {
+Cell::Cell(double v, int precision) {
   std::ostringstream os;
-  if (const auto* s = std::get_if<std::string>(&value_)) {
-    os << *s;
-  } else if (const auto* i = std::get_if<long long>(&value_)) {
-    os << *i;
-  } else {
-    os << std::fixed << std::setprecision(precision_)
-       << std::get<double>(value_);
-  }
-  return os.str();
+  os << std::fixed << std::setprecision(precision) << v;
+  text_ = os.str();
 }
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)

@@ -8,28 +8,27 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
-#include <variant>
+#include <utility>
 #include <vector>
 
 namespace folvec {
 
-/// One table cell: text, an integer, or a floating value with precision.
+/// One table cell: text, an integer, or a floating value with precision,
+/// rendered to its text when constructed.
 class Cell {
  public:
-  Cell(std::string text) : value_(std::move(text)) {}        // NOLINT
-  Cell(const char* text) : value_(std::string(text)) {}      // NOLINT
-  Cell(long long v) : value_(v) {}                           // NOLINT
-  Cell(unsigned long long v) : value_(static_cast<long long>(v)) {}  // NOLINT
-  Cell(int v) : value_(static_cast<long long>(v)) {}         // NOLINT
-  Cell(std::size_t v) : value_(static_cast<long long>(v)) {} // NOLINT
-  Cell(double v, int precision = 2)                          // NOLINT
-      : value_(v), precision_(precision) {}
+  Cell(std::string text) : text_(std::move(text)) {}         // NOLINT
+  Cell(const char* text) : text_(text) {}                    // NOLINT
+  Cell(long long v) : text_(std::to_string(v)) {}            // NOLINT
+  Cell(unsigned long long v) : Cell(static_cast<long long>(v)) {}  // NOLINT
+  Cell(int v) : Cell(static_cast<long long>(v)) {}           // NOLINT
+  Cell(std::size_t v) : Cell(static_cast<long long>(v)) {}   // NOLINT
+  Cell(double v, int precision = 2);                         // NOLINT
 
-  std::string render() const;
+  const std::string& render() const { return text_; }
 
  private:
-  std::variant<std::string, long long, double> value_;
-  int precision_ = 2;
+  std::string text_;
 };
 
 /// Collects rows and prints them as an aligned text table and/or CSV.

@@ -6,10 +6,10 @@
 // scatters inside FOL-sanctioned rounds. Nothing in the machine enforces
 // either — a broken substrate or an undisciplined algorithm silently
 // mis-decomposes. ScatterCheck is the race detector for this world: with
-// MachineConfig::audit set (or FOLVEC_AUDIT=1 in the environment, or the
-// -DFOLVEC_AUDIT=ON build), every gather / scatter / masked store is
-// instrumented with per-lane checks and violations surface as structured
-// Hazards (see hazard.h) at the offending instruction.
+// MachineConfig::audit set (or FOLVEC_AUDIT=1 in the environment), every
+// gather / scatter / masked store is instrumented with per-lane checks and
+// violations surface as structured Hazards (see hazard.h) at the offending
+// instruction.
 //
 // The rules:
 //

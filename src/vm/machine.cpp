@@ -74,31 +74,7 @@ const char* backend_kind_name(BackendKind k) {
 
 bool MachineConfig::audit_default() {
   if (const auto env = env_value("FOLVEC_AUDIT")) return env_flag(*env);
-#ifdef FOLVEC_AUDIT_DEFAULT
-  return true;
-#else
   return false;
-#endif
-}
-
-bool MachineConfig::fuse_default() {
-  if (const auto env = env_value("FOLVEC_FUSE")) return env_flag(*env);
-  return true;
-}
-
-bool MachineConfig::adaptive_default() {
-  if (const auto env = env_value("FOLVEC_ADAPTIVE")) return env_flag(*env);
-  return true;
-}
-
-bool MachineConfig::analysis_default() {
-  if (const auto env = env_value("FOLVEC_ANALYSIS")) return env_flag(*env);
-  return false;
-}
-
-bool MachineConfig::audit_elide_default() {
-  if (const auto env = env_value("FOLVEC_AUDIT_ELIDE")) return env_flag(*env);
-  return true;
 }
 
 BackendKind MachineConfig::backend_default() {
@@ -112,11 +88,7 @@ BackendKind MachineConfig::backend_default() {
     }
     return env_flag(v) ? BackendKind::kParallel : BackendKind::kSerial;
   }
-#ifdef FOLVEC_PARALLEL_DEFAULT
-  return BackendKind::kParallel;
-#else
   return BackendKind::kSerial;
-#endif
 }
 
 SimdLevel MachineConfig::simd_level_default() {

@@ -106,13 +106,13 @@ struct MachineConfig {
 
   /// Default audit setting: from the FOLVEC_AUDIT environment variable when
   /// set (off spellings, case-insensitive: 0/false/off/no — see
-  /// support/env.h), else true iff built with -DFOLVEC_AUDIT=ON.
+  /// support/env.h), else false.
   static bool audit_default();
 
   /// Default backend: from the FOLVEC_BACKEND environment variable when set
   /// ("serial"/"parallel"/"simd"/"parallel+simd" (or "simd+parallel"), or
   /// the boolean spellings of support/env.h where truthy means parallel),
-  /// else parallel iff built with -DFOLVEC_PARALLEL=ON.
+  /// else serial.
   static BackendKind backend_default();
 
   /// Execution backend. Audit mode pins the instruction stream to the
@@ -140,35 +140,21 @@ struct MachineConfig {
   /// vectors; benches keep the default so tiny ops skip dispatch.
   std::size_t backend_grain = 4096;
 
-  /// Default fusion setting: from the FOLVEC_FUSE environment variable when
-  /// set (boolean spellings of support/env.h), else true.
-  static bool fuse_default();
-
   /// Execute scatter_gather_eq / partition as single fused instructions
   /// (chained pipes, one vector startup). With false they run as their
   /// unfused primitive compositions — bit-identical outputs, the original
   /// chime stream — which is the differential-testing reference.
-  bool fuse = fuse_default();
-
-  /// Default adaptive-degradation setting: from the FOLVEC_ADAPTIVE
-  /// environment variable when set (boolean spellings of support/env.h),
-  /// else true.
-  static bool adaptive_default();
+  bool fuse = true;
 
   /// Adaptive degradation for pathological sharing (Theorems 5-6): when a
-  /// FOL round's surviving fraction collapses below 1/adaptive_collapse_den
-  /// with at least adaptive_min_remaining lanes still unassigned, the FOL
-  /// drivers drain the remaining high-multiplicity tail through the scalar
+  /// FOL round's surviving fraction collapses below 1/8 with at least 2048
+  /// lanes still unassigned (the constants of fol/rounds.h), the FOL round
+  /// loop drains the remaining high-multiplicity tail through the scalar
   /// unit in one O(k) pass instead of running O(max multiplicity) further
   /// vector rounds — bounding the Theorem 6 worst case at O(N) vector work
   /// plus O(k) scalar work. The drained assignment preserves every
   /// decomposition theorem and is identical across backends and fuse modes.
-  bool adaptive = adaptive_default();
-  /// Minimum unassigned lanes before the drain may trigger; small tails
-  /// finish faster as vector rounds than as a scalar pass.
-  std::size_t adaptive_min_remaining = 2048;
-  /// Collapse denominator: drain when survivors * den < remaining.
-  std::size_t adaptive_collapse_den = 8;
+  bool adaptive = true;
 
   /// Enable the ScatterCheck hazard auditor (see checker.h) on this machine.
   bool audit = audit_default();
@@ -178,25 +164,17 @@ struct MachineConfig {
   /// throw PreconditionError regardless.
   bool audit_throw = true;
 
-  /// Default static-analysis setting: from the FOLVEC_ANALYSIS environment
-  /// variable when set (boolean spellings of support/env.h), else false.
-  static bool analysis_default();
-
   /// Attach the static hazard analyzer (see analysis/analyzer.h): every
   /// primitive transfers abstract lane facts and list-vector memory ops are
   /// classified per hazard class before they execute.
-  bool analysis = analysis_default();
-
-  /// Default audit-elision setting: from the FOLVEC_AUDIT_ELIDE environment
-  /// variable when set (boolean spellings of support/env.h), else true.
-  static bool audit_elide_default();
+  bool analysis = false;
 
   /// With both audit and analysis on, skip ScatterCheck's per-lane pass for
   /// instructions the analyzer proves safe in every hazard class (the
   /// machine's hard bounds check always runs). Never elides under fault
   /// injection, so injected hazards stay detectable. See docs/analysis.md
   /// for the exact detection coverage traded away.
-  bool audit_elide = audit_elide_default();
+  bool audit_elide = true;
 };
 
 class ScatterChecker;
@@ -393,7 +371,7 @@ class VectorMachine {
   // Each fused op is semantically identical to a fixed composition of the
   // primitives above, but issues as ONE instruction charged the chained cost
   // (one vector startup, overlapped pipes — see cost_model.h). With
-  // MachineConfig::fuse == false (FOLVEC_FUSE=0) the op literally executes
+  // MachineConfig::fuse == false the op literally executes
   // its composition instead: bit-identical outputs and memory effects, the
   // original unfused chime stream. ScatterCheck observes the fused scatter
   // through the same on_scatter/on_gather hooks as the composition.

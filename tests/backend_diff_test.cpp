@@ -543,11 +543,11 @@ TEST(TelemetryDeterminismTest, ParallelTraceHasWorkerTracksFlowsAndCounters) {
 // semantics change: for every ScatterOrder, every backend, every worker
 // count, and audit on or off, a machine with config.fuse=true must produce
 // bit-identical outputs and memory images to the same machine running the
-// unfused reference composition (FOLVEC_FUSE=0). Chimes are NOT compared
+// unfused reference composition (fuse=false). Chimes are NOT compared
 // across fuse modes — charging fused ops less is the point — but they must
 // be identical across backends and audit settings for a fixed fuse mode.
 
-/// Machine whose fuse flag is forced rather than inherited from the env.
+/// Machine whose fuse flag is forced rather than left at its default.
 VectorMachine make_fused_machine(ScatterOrder order, std::size_t threads,
                                  bool audit, bool fuse) {
   MachineConfig cfg;

@@ -427,12 +427,5 @@ TEST(FusedChimeTest, FusedCostsUndercutTheChainedComposition) {
   EXPECT_LT(fused_round, 0.75 * unfused_round);
 }
 
-TEST(FusedChimeTest, FuseDefaultReadsEnvironment) {
-  // In-process we only check the static default is wired; the env override
-  // itself is exercised by the CI fuzz running with FOLVEC_FUSE=0.
-  MachineConfig cfg;
-  EXPECT_EQ(cfg.fuse, MachineConfig::fuse_default());
-}
-
 }  // namespace
 }  // namespace folvec::vm

@@ -1,11 +1,13 @@
 // Tests for the theorem-checker helpers themselves (negative cases: each
-// checker must reject hand-broken decompositions) and for the standalone
-// overwrite-and-check primitive.
+// checker must reject hand-broken decompositions) and for overwrite-and-
+// check, the simplified FOL of paper Section 3.2's closing remark: unique
+// values serve as their own labels, so one fused scatter_gather_eq inside a
+// data-race conflict window stores them and reports which stores survived.
 #include "fol/invariants.h"
 
 #include <gtest/gtest.h>
 
-#include "fol/overwrite_check.h"
+#include "vm/checker.h"
 #include "vm/machine.h"
 
 namespace folvec::fol {
@@ -75,8 +77,10 @@ TEST(InvariantsTest, MaxMultiplicityCounts) {
 TEST(OverwriteCheckTest, UniqueValuesAllSurvive) {
   VectorMachine m;
   std::vector<Word> table(4, -1);
+  const vm::ConflictWindow window(m, table, vm::WindowKind::kDataRace,
+                                  "overwrite-and-check");
   const Mask ok =
-      overwrite_and_check(m, table, WordVec{0, 1, 3}, WordVec{10, 11, 13});
+      m.scatter_gather_eq(table, WordVec{0, 1, 3}, WordVec{10, 11, 13});
   EXPECT_EQ(ok, (Mask{1, 1, 1}));
   EXPECT_EQ(table, (std::vector<Word>{10, 11, -1, 13}));
 }
@@ -84,7 +88,9 @@ TEST(OverwriteCheckTest, UniqueValuesAllSurvive) {
 TEST(OverwriteCheckTest, ExactlyOneSurvivorPerContestedSlot) {
   VectorMachine m;
   std::vector<Word> table(2, -1);
-  const Mask ok = overwrite_and_check(m, table, WordVec{0, 0, 0, 1},
+  const vm::ConflictWindow window(m, table, vm::WindowKind::kDataRace,
+                                  "overwrite-and-check");
+  const Mask ok = m.scatter_gather_eq(table, WordVec{0, 0, 0, 1},
                                       WordVec{10, 11, 12, 99});
   EXPECT_EQ(m.count_true(ok), 2u);  // one winner at slot 0, plus lane 3
   EXPECT_EQ(ok[3], 1);
@@ -94,8 +100,10 @@ TEST(OverwriteCheckTest, ExactlyOneSurvivorPerContestedSlot) {
 TEST(OverwriteCheckTest, MaskedVariantSkipsInactiveLanes) {
   VectorMachine m;
   std::vector<Word> table(2, -1);
-  const Mask ok = overwrite_and_check_masked(
-      m, table, WordVec{0, 0, 1}, WordVec{10, 11, 12}, Mask{1, 0, 1});
+  const vm::ConflictWindow window(m, table, vm::WindowKind::kDataRace,
+                                  "overwrite-and-check");
+  const Mask ok = m.scatter_gather_eq_masked(
+      table, WordVec{0, 0, 1}, WordVec{10, 11, 12}, Mask{1, 0, 1});
   EXPECT_EQ(ok, (Mask{1, 0, 1}));  // lane 1 inactive: no store, no claim
   EXPECT_EQ(table[0], 10);
   EXPECT_EQ(table[1], 12);
@@ -106,8 +114,9 @@ TEST(OverwriteCheckTest, DuplicateValuesBothAppearToSurvive) {
   // same value to the same slot both pass the check.
   VectorMachine m;
   std::vector<Word> table(1, -1);
-  const Mask ok =
-      overwrite_and_check(m, table, WordVec{0, 0}, WordVec{7, 7});
+  const vm::ConflictWindow window(m, table, vm::WindowKind::kDataRace,
+                                  "overwrite-and-check");
+  const Mask ok = m.scatter_gather_eq(table, WordVec{0, 0}, WordVec{7, 7});
   EXPECT_EQ(m.count_true(ok), 2u);
 }
 

@@ -279,7 +279,7 @@ class Fol1InstructionMixTest : public ::testing::TestWithParam<BackendKind> {
 TEST_P(Fol1InstructionMixTest, DuplicateFreeFused) {
   // A duplicate-free fused FOL1 run is one round: copy + iota +
   // scatter_gather_eq + count + 2 partition (positions and indices).
-  // Fusion is forced on so a FOLVEC_FUSE=0 environment can't flip the mix.
+  // Fusion is forced on so the mix doesn't depend on the config default.
   const auto t = run(/*fuse=*/true);
   EXPECT_EQ(count_of(t, OpClass::kVectorScatterGatherEq), 1u);
   EXPECT_EQ(count_of(t, OpClass::kVectorReduce), 1u);

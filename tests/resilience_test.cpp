@@ -26,6 +26,7 @@
 #include "fol/fol_star.h"
 #include "fol/invariants.h"
 #include "fol/ordered.h"
+#include "fol/rounds.h"
 #include "hashing/hash_map.h"
 #include "hashing/open_table.h"
 #include "support/faultsim.h"
@@ -579,6 +580,58 @@ TEST(AdaptiveFallback, BelowThresholdsStaysOnVectorPath) {
   EXPECT_EQ(dec.rounds(), 512u);
   EXPECT_EQ(dec.drained_lanes, 0u);
   EXPECT_EQ(counter(reg, "fol1.adaptive_drains"), 0u);
+}
+
+// The drain trigger every FOL flavour shares: a single-address input of n
+// lanes keeps one survivor per round, so round 1 leaves n - 1 unassigned.
+// With exactly kDrainMinRemaining left the tail drains; one lane fewer and
+// it finishes on the vector path.
+constexpr std::size_t kDrainBoundary = fol::detail::kDrainMinRemaining;
+
+TEST(AdaptiveFallback, Fol1DrainTriggersAtTheMinRemainingBoundary) {
+  for (const std::size_t n : {kDrainBoundary + 1, kDrainBoundary}) {
+    const bool drains = n > kDrainBoundary;
+    telemetry::MetricsRegistry reg;
+    const telemetry::ScopedMetrics scoped(reg);
+    const WordVec targets(n, 5);
+    std::vector<Word> work(8, 0);
+    VectorMachine m;
+    const fol::Decomposition dec = fol::fol1_decompose(m, targets, work);
+    EXPECT_EQ(dec.rounds(), n);
+    EXPECT_EQ(dec.drained_lanes, drains ? n - 1 : 0u) << "n = " << n;
+    EXPECT_EQ(counter(reg, "fol1.adaptive_drains"), drains ? 1u : 0u);
+  }
+}
+
+TEST(AdaptiveFallback, OrderedDrainTriggersAtTheMinRemainingBoundary) {
+  for (const std::size_t n : {kDrainBoundary + 1, kDrainBoundary}) {
+    const bool drains = n > kDrainBoundary;
+    telemetry::MetricsRegistry reg;
+    const telemetry::ScopedMetrics scoped(reg);
+    const WordVec targets(n, 5);
+    std::vector<Word> work(8, 0);
+    VectorMachine m;
+    const fol::Decomposition dec =
+        fol::fol1_decompose_ordered(m, targets, work);
+    EXPECT_EQ(dec.rounds(), n);
+    EXPECT_EQ(dec.drained_lanes, drains ? n - 1 : 0u) << "n = " << n;
+    EXPECT_EQ(counter(reg, "fol1_ordered.adaptive_drains"), drains ? 1u : 0u);
+  }
+}
+
+TEST(AdaptiveFallback, FolStarDrainTriggersAtTheMinRemainingBoundary) {
+  for (const std::size_t n : {kDrainBoundary + 1, kDrainBoundary}) {
+    const bool drains = n > kDrainBoundary;
+    telemetry::MetricsRegistry reg;
+    const telemetry::ScopedMetrics scoped(reg);
+    const std::vector<WordVec> lanes{WordVec(n, 5)};
+    std::vector<Word> work(8, 0);
+    VectorMachine m;
+    const fol::StarDecomposition dec = fol::fol_star_decompose(m, lanes, work);
+    EXPECT_EQ(dec.rounds(), n);
+    EXPECT_EQ(dec.drained_tuples, drains ? n - 1 : 0u) << "n = " << n;
+    EXPECT_EQ(counter(reg, "fol_star.adaptive_drains"), drains ? 1u : 0u);
+  }
 }
 
 TEST(AdaptiveFallback, ConfigKnobsDisableTheDrain) {
