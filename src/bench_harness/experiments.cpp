@@ -7,6 +7,7 @@
 #include "fol/fol1.h"
 #include "fol/invariants.h"
 #include "gc/heap.h"
+#include "hashing/chain_table.h"
 #include "routing/maze.h"
 #include "rewrite/assoc_rewrite.h"
 #include "rewrite/term.h"
@@ -219,6 +220,35 @@ RunResult run_fol1_decompose(std::size_t n, std::size_t distinct,
                "FOL1 theorems violated");
   FOLVEC_CHECK(m.hazards().empty(),
                "FOL1 benchmark recorded ScatterCheck hazards");
+  return result;
+}
+
+RunResult run_chain_insert(std::size_t table_size, std::size_t n,
+                           std::size_t distinct, std::uint64_t seed,
+                           const CostParams& params) {
+  FOLVEC_REQUIRE(distinct > 0 && distinct <= n,
+                 "distinct must be in [1, n]");
+  RunResult result;
+  std::vector<Word> keys(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = static_cast<Word>(i % distinct);
+  Xoshiro256 rng(seed);
+  shuffle(keys, rng);
+
+  CostAccumulator scalar_acc;
+  hashing::ChainTable scalar_table(table_size, n, &scalar_acc);
+  for (Word k : keys) scalar_table.insert_scalar(k);
+  result.scalar_us = scalar_acc.microseconds(params);
+
+  VectorMachine m;
+  hashing::ChainTable table(table_size, n);
+  hashing::multi_hash_chain_insert(m, table, keys);
+  result.vector_us = m.cost().microseconds(params);
+
+  for (std::size_t h = 0; h < table_size; ++h) {
+    FOLVEC_CHECK(sorted_copy(table.chain(h)) ==
+                     sorted_copy(scalar_table.chain(h)),
+                 "vectorized chain insert lost or duplicated keys");
+  }
   return result;
 }
 

@@ -63,6 +63,14 @@ RunResult run_fol1_decompose(std::size_t n, std::size_t distinct,
                              std::uint64_t seed, const vm::CostParams& params,
                              bool adaptive = true);
 
+/// Figure 7 in isolation: enter `n` keys over `distinct` distinct values
+/// (distinct == n means duplicate-free) into an empty `table_size`-entry
+/// chaining table, scalar push-front vs multi_hash_chain_insert with the
+/// adaptive drain on.
+RunResult run_chain_insert(std::size_t table_size, std::size_t n,
+                           std::size_t distinct, std::uint64_t seed,
+                           const vm::CostParams& params);
+
 /// Section 5 substrate: semispace GC over a random heap of `cells` cons
 /// cells with `live_fraction` of them reachable, scalar vs vectorized
 /// Cheney; the duplicate-evacuation claims are the implicit FOL.

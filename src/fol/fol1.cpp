@@ -63,13 +63,21 @@ Decomposition fol1_decompose(VectorMachine& m,
       .rounds = "fol1.rounds",
       .rounds_per_call = "fol1.rounds_per_call",
   };
+  const auto drain = [&](const detail::Remaining& rest, std::span<Word> w) {
+    return detail::drain_by_occurrence(rest, w, out);
+  };
   out.drained_lanes = detail::decompose_rounds(m, lanes, work, spec, out.sets,
-                                               label_round,
-                                               &detail::drain_by_occurrence)
+                                               label_round, drain)
                           .drained;
-  if (m.audit_enabled() && !satisfies_all_theorems(out, index_vector)) {
-    m.checker()->audit_theorem_violation(
-        "FOL1", "decomposition fails satisfies_all_theorems (Theorems 1-6)");
+  if (m.audit_enabled()) {
+    if (!satisfies_all_theorems(out, index_vector)) {
+      m.checker()->audit_theorem_violation(
+          "FOL1", "decomposition fails satisfies_all_theorems (Theorems 1-6)");
+    }
+    if (!drained_tail_consistent(out, index_vector)) {
+      m.checker()->audit_theorem_violation(
+          "FOL1", "drained sets fail drained_tail_consistent");
+    }
   }
   return out;
 }

@@ -43,6 +43,18 @@ struct Decomposition {
   /// the same theorems; this field only reports how it was computed.
   std::size_t drained_lanes = 0;
 
+  /// How the drained sets chain together, for consumers that process them
+  /// in one pass instead of one set at a time. All three stay empty (0) when
+  /// nothing drained. The drained sets are sets[drained_from..]; number
+  /// their lanes 0..drained_lanes-1 flat, in set order.
+  std::size_t drained_from = 0;
+  /// Per flat drained lane: the flat index of the lane in the previous set
+  /// that addresses the same area, or -1 in the first drained set.
+  std::vector<vm::Word> drained_pred;
+  /// One flat index per distinct drained address: that address's lane in
+  /// the last set it occurs in (ordered as the first drained set).
+  std::vector<vm::Word> drained_last;
+
   std::size_t rounds() const { return sets.size(); }
 
   /// Total lanes across all sets.

@@ -163,8 +163,8 @@ StarDecomposition fol_star_decompose(VectorMachine& m,
     }
     return n_ok;
   };
-  const auto drain = [&](const detail::Remaining& rest, detail::Sets& sets) {
-    return drain_greedy(rest, sets, out.forced_singletons);
+  const auto drain = [&](const detail::Remaining& rest, std::span<Word>) {
+    return drain_greedy(rest, out.sets, out.forced_singletons);
   };
 
   const std::vector<std::span<const Word>> lanes(index_vectors.begin(),

@@ -1,5 +1,6 @@
 #include "fol/invariants.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -59,6 +60,49 @@ bool satisfies_all_theorems(const Decomposition& d,
   return is_disjoint_cover(d, index_vector.size()) &&
          sets_are_conflict_free(d, index_vector) && sizes_non_increasing(d) &&
          is_minimal(d, index_vector);
+}
+
+bool drained_tail_consistent(const Decomposition& d,
+                             std::span<const vm::Word> index_vector) {
+  if (d.drained_lanes == 0) {
+    return d.drained_from == 0 && d.drained_pred.empty() &&
+           d.drained_last.empty();
+  }
+  if (d.drained_from >= d.sets.size()) return false;
+  // Flat drained lanes: their addresses and the set each one sits in.
+  std::vector<vm::Word> addr;
+  std::vector<std::size_t> set_of;
+  for (std::size_t j = d.drained_from; j < d.sets.size(); ++j) {
+    for (std::size_t lane : d.sets[j]) {
+      if (lane >= index_vector.size()) return false;
+      addr.push_back(index_vector[lane]);
+      set_of.push_back(j - d.drained_from);
+    }
+  }
+  const std::size_t k = addr.size();
+  if (k != d.drained_lanes || d.drained_pred.size() != k) return false;
+  for (std::size_t f = 0; f < k; ++f) {
+    const vm::Word p = d.drained_pred[f];
+    if (set_of[f] == 0) {
+      if (p != -1) return false;
+      continue;
+    }
+    if (p < 0 || static_cast<std::size_t>(p) >= k) return false;
+    const auto pf = static_cast<std::size_t>(p);
+    if (set_of[pf] + 1 != set_of[f] || addr[pf] != addr[f]) return false;
+  }
+  // Each address's last set, then one drained_last entry per address there.
+  std::unordered_map<vm::Word, std::size_t> last_set;
+  for (std::size_t f = 0; f < k; ++f) last_set[addr[f]] = set_of[f];
+  if (d.drained_last.size() != last_set.size()) return false;
+  std::unordered_set<vm::Word> named;
+  for (vm::Word l : d.drained_last) {
+    if (l < 0 || static_cast<std::size_t>(l) >= k) return false;
+    const auto lf = static_cast<std::size_t>(l);
+    if (last_set.at(addr[lf]) != set_of[lf]) return false;
+    if (!named.insert(addr[lf]).second) return false;
+  }
+  return true;
 }
 
 }  // namespace folvec::fol

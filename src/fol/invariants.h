@@ -37,4 +37,13 @@ bool is_minimal(const Decomposition& d,
 bool satisfies_all_theorems(const Decomposition& d,
                             std::span<const vm::Word> index_vector);
 
+/// The drained sets' links (Decomposition::drained_pred, drained_last):
+/// every drained lane's pred is -1 in the first drained set and otherwise
+/// names the lane of the previous set at the same address, and drained_last
+/// names every drained address exactly once, at its lane in the last set
+/// the address occurs in. All three link fields are empty when nothing
+/// drained.
+bool drained_tail_consistent(const Decomposition& d,
+                             std::span<const vm::Word> index_vector);
+
 }  // namespace folvec::fol

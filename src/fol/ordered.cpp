@@ -55,9 +55,11 @@ Decomposition fol1_decompose_ordered(VectorMachine& m,
       .rounds = "fol1_ordered.rounds",
       .rounds_per_call = "fol1_ordered.rounds_per_call",
   };
+  const auto drain = [&](const detail::Remaining& rest, std::span<Word> w) {
+    return detail::drain_by_occurrence(rest, w, out);
+  };
   out.drained_lanes = detail::decompose_rounds(m, lanes, work, spec, out.sets,
-                                               label_round,
-                                               &detail::drain_by_occurrence)
+                                               label_round, drain)
                           .drained;
   return out;
 }

@@ -1,7 +1,8 @@
 #include "fol/rounds.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "support/require.h"
@@ -101,11 +102,15 @@ RoundsResult decompose_rounds(VectorMachine& m,
         pos->size() >= kDrainMinRemaining &&
         n_survived * kDrainCollapseDen < n) {
       const std::size_t k = pos->size();
-      const std::size_t distinct = drain(Remaining{idx, *pos}, sets);
+      const std::size_t distinct = drain(Remaining{idx, *pos}, work);
       // Scalar chime: one pass over the k drained tuples (an ALU op per
       // address for the bookkeeping, a load+store pair per distinct address,
       // one branch for the loop) — O(k) against the vector path's
-      // O(k * max multiplicity).
+      // O(k * max multiplicity). The FOL1 drain's set links (drained_pred,
+      // drained_last) add no charge: it derives each lane's occurrence
+      // ordinal from its predecessor's (ordinal = predecessor's + 1), so
+      // the predecessor and each address's last occurrence are the per-lane
+      // bookkeeping this ALU op already pays for.
       m.scalar_alu(k * num_lanes);
       m.scalar_mem(2 * distinct);
       m.scalar_branch(1);
@@ -120,17 +125,57 @@ RoundsResult decompose_rounds(VectorMachine& m,
   return res;
 }
 
-std::size_t drain_by_occurrence(const Remaining& rest, Sets& sets) {
+std::size_t drain_by_occurrence(const Remaining& rest, std::span<Word> work,
+                                Decomposition& out) {
+  Sets& sets = out.sets;
   const std::size_t base = sets.size();
   const vm::WordVec& idx = *rest.idx.front();
-  std::unordered_map<Word, std::size_t> occurrence;
-  occurrence.reserve(idx.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    const std::size_t j = occurrence[idx[i]]++;
+  const std::size_t k = idx.size();
+  // Each drained address's work word holds its latest occurrence so far as
+  // (set ordinal << 32 | slot within the set), or -1 before the first;
+  // `at` keeps every lane's own pair, `prev_slot` its predecessor's slot.
+  FOLVEC_CHECK(k <= std::numeric_limits<std::uint32_t>::max(),
+               "drain: too many lanes to pack a (set, slot) pair per word");
+  constexpr Word kSlotMask = 0xffffffff;
+  std::vector<Word> at(k);
+  std::vector<Word> prev_slot(k);
+  for (Word a : idx) work[static_cast<std::size_t>(a)] = -1;
+  for (std::size_t i = 0; i < k; ++i) {
+    Word& latest = work[static_cast<std::size_t>(idx[i])];
+    const std::size_t j =
+        latest < 0 ? 0 : static_cast<std::size_t>(latest >> 32) + 1;
     if (base + j == sets.size()) sets.emplace_back();
-    sets[base + j].push_back(static_cast<std::size_t>(rest.pos[i]));
+    std::vector<std::size_t>& set = sets[base + j];
+    prev_slot[i] = latest & kSlotMask;
+    latest = static_cast<Word>(j << 32 | set.size());
+    at[i] = latest;
+    set.push_back(static_cast<std::size_t>(rest.pos[i]));
   }
-  return occurrence.size();
+
+  // Number the drained lanes flat, in set order, and link each lane to its
+  // predecessor's flat index and each address to its last occurrence.
+  std::vector<Word> offset(sets.size() - base, 0);
+  for (std::size_t j = 1; j < offset.size(); ++j) {
+    offset[j] = offset[j - 1] + static_cast<Word>(sets[base + j - 1].size());
+  }
+  const auto flat = [&](Word pair) {
+    return offset[static_cast<std::size_t>(pair >> 32)] + (pair & kSlotMask);
+  };
+  out.drained_from = base;
+  out.drained_pred.assign(k, -1);
+  out.drained_last.resize(sets[base].size());
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto j = static_cast<std::size_t>(at[i] >> 32);
+    const Word slot = at[i] & kSlotMask;
+    if (j == 0) {
+      out.drained_last[static_cast<std::size_t>(slot)] =
+          flat(work[static_cast<std::size_t>(idx[i])]);
+    } else {
+      out.drained_pred[static_cast<std::size_t>(offset[j] + slot)] =
+          offset[j - 1] + prev_slot[i];
+    }
+  }
+  return out.drained_last.size();
 }
 
 }  // namespace folvec::fol::detail

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "fol/fol1.h"
 #include "vm/buffer_pool.h"
 #include "vm/machine.h"
 
@@ -67,10 +68,12 @@ struct Remaining {
 /// returns their count (0 only on an ELS violation).
 using LabelRound = FnRef<std::size_t(const Remaining&, vm::Mask&)>;
 
-/// Appends every remaining tuple to the sets in one scalar pass and returns
-/// the number of distinct addresses it tracked (the driver charges the
-/// scalar chime from it).
-using Drain = FnRef<std::size_t(const Remaining&, Sets&)>;
+/// Appends every remaining tuple to the flavour's sets in one scalar pass
+/// and returns the number of distinct addresses it tracked
+/// (decompose_rounds charges the scalar chime from it). The second argument
+/// is the work area: its labels are dead once the rounds stop, so the drain
+/// may use the words of the remaining addresses as per-address scratch.
+using Drain = FnRef<std::size_t(const Remaining&, std::span<vm::Word>)>;
 
 /// What differs between the flavours besides the two callables.
 struct RoundSpec {
@@ -101,9 +104,13 @@ RoundsResult decompose_rounds(vm::VectorMachine& m,
                               Sets& sets, LabelRound label_round, Drain drain);
 
 /// The FOL1 drain (L = 1): the j-th remaining occurrence of an address, in
-/// lane order, joins the j-th new set. The sets stay disjoint, cover the
-/// rest, have non-increasing sizes, and their count is the maximum
-/// remaining multiplicity — every theorem of the pure rounds holds.
-std::size_t drain_by_occurrence(const Remaining& rest, Sets& sets);
+/// lane order, joins the j-th new set of `out.sets`. The sets stay disjoint,
+/// cover the rest, have non-increasing sizes, and their count is the maximum
+/// remaining multiplicity — every theorem of the pure rounds holds. Also
+/// records how the new sets chain together (Decomposition::drained_from,
+/// drained_pred, drained_last). Tracks each address's latest occurrence in
+/// its `work` word.
+std::size_t drain_by_occurrence(const Remaining& rest, std::span<vm::Word> work,
+                                Decomposition& out);
 
 }  // namespace folvec::fol::detail

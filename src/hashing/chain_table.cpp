@@ -91,8 +91,12 @@ void multi_hash_chain_insert(VectorMachine& m, ChainTable& t,
   const fol::Decomposition dec = fol::fol1_decompose(m, hashed, work);
 
   // Main processing, one parallel-processable set at a time: allocate the
-  // set's nodes contiguously, link them in front of their chains.
-  for (const auto& set : dec.sets) {
+  // set's nodes contiguously, link them in front of their chains. The
+  // drained tail, if any, is linked afterwards in one pass.
+  const std::size_t vector_sets =
+      dec.drained_lanes > 0 ? dec.drained_from : dec.sets.size();
+  for (std::size_t j = 0; j < vector_sets; ++j) {
+    const std::vector<std::size_t>& set = dec.sets[j];
     const std::size_t k = set.size();
     // Pack this set's keys and table entries (compress under the set mask
     // costs the same as building the mask + compressing; we charge the two
@@ -113,6 +117,42 @@ void multi_hash_chain_insert(VectorMachine& m, ChainTable& t,
     m.store(t.node_next_, t.alloc_, old_heads);
     // head[h] := node        (conflict-free within the set by Lemma 2)
     m.scatter(t.head_, set_entries, nodes);
+    t.alloc_ += k;
+  }
+  if (dec.drained_lanes > 0) {
+    // The per-set loop would give drained lane f (flat, in set order) node
+    // base + f, link it to the node its address got in the previous set (or
+    // to the old head, in the first drained set), and leave each chain's head
+    // at its address's node in its last set. drained_pred and drained_last
+    // name exactly those nodes, so every drained set links in one fixed
+    // sequence of vector instructions with the same result.
+    const std::size_t k = dec.drained_lanes;
+    const std::size_t first = dec.sets[dec.drained_from].size();
+    const auto base = static_cast<Word>(t.alloc_);
+    WordVec tail_keys;
+    WordVec tail_entries;
+    tail_keys.reserve(k);
+    tail_entries.reserve(k);
+    for (std::size_t j = dec.drained_from; j < dec.sets.size(); ++j) {
+      for (std::size_t lane : dec.sets[j]) {
+        tail_keys.push_back(key_vec[lane]);
+        tail_entries.push_back(hashed[lane]);
+      }
+    }
+    // node.key := key
+    m.store(t.node_key_, t.alloc_, tail_keys);
+    // First drained set: node.next := head[h]   (distinct entries, Lemma 2)
+    const WordVec old_heads =
+        m.gather(t.head_, std::span<const Word>(tail_entries).first(first));
+    m.store(t.node_next_, t.alloc_, old_heads);
+    // Later sets: node.next := base + pred   (the node one set earlier; the
+    // drain trigger leaves at least one later set)
+    const WordVec pred = m.load(dec.drained_pred, first, k - first);
+    m.store(t.node_next_, t.alloc_ + first, m.add_scalar(pred, base));
+    // head[h] := base + last   (one lane per distinct entry: conflict-free)
+    const WordVec last = m.load(dec.drained_last, 0, first);
+    const WordVec last_entries = m.gather(tail_entries, last);
+    m.scatter(t.head_, last_entries, m.add_scalar(last, base));
     t.alloc_ += k;
   }
   m.retire_work(work);

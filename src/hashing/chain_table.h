@@ -45,6 +45,9 @@ class ChainTable {
   std::span<const vm::Word> node_keys() const {
     return {node_key_.data(), alloc_};
   }
+  std::span<const vm::Word> node_links() const {
+    return {node_next_.data(), alloc_};
+  }
 
   /// Vectorized frequency query: walks all query keys' chains in lockstep
   /// (one gather per chain level) and returns the per-key occurrence
@@ -69,7 +72,12 @@ class ChainTable {
 /// sets and (2) pushing each set's nodes in front of their chains with pure
 /// vector operations. Set j+1 re-gathers the heads written by set j, so
 /// colliding keys stack up on the same chain exactly as sequential inserts
-/// would.
+/// would. The sets FOL1's adaptive drain assigned are linked together in one
+/// fixed sequence of ten vector instructions, whatever their number:
+/// the drain records each lane's same-entry node in the previous set and
+/// each entry's node in its last set, which is all that set-by-set linking
+/// would compute. Nodes are numbered as set-by-set linking numbers them, so
+/// the table is bit-identical either way.
 void multi_hash_chain_insert(vm::VectorMachine& m, ChainTable& t,
                              std::span<const vm::Word> keys);
 

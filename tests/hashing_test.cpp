@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "fol/fol1.h"
 #include "hashing/chain_table.h"
 #include "hashing/hash_fn.h"
 #include "hashing/open_table.h"
@@ -369,6 +372,165 @@ TEST(MultiHashChainTest, EmptyBatchIsNoop) {
   ChainTable t(7, 8);
   multi_hash_chain_insert(m, t, WordVec{});
   EXPECT_EQ(t.entered(), 0u);
+}
+
+// ---- drained chain insert ---------------------------------------------------
+//
+// Batches of 2048+ lanes whose first FOL1 round collapses hand the rest to
+// the adaptive drain, whose sets multi_hash_chain_insert links in one pass.
+
+enum class Sharing { kOneKey, kTwoKeys, kNOver64Keys, kZipf };
+
+/// `n` keys sharing as `sharing` says: drawn uniformly from 1, 2 or n/64
+/// distinct random keys, or Zipf(1.1) ranks over n ids.
+std::vector<Word> shared_keys(std::size_t n, Sharing sharing,
+                              std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<Word> keys(n);
+  if (sharing != Sharing::kZipf) {
+    const std::size_t distinct = sharing == Sharing::kOneKey    ? 1
+                                 : sharing == Sharing::kTwoKeys ? 2
+                                                                : n / 64;
+    const auto vocab = random_unique_keys(distinct, Word{1} << 40, seed + 1);
+    for (Word& k : keys) k = vocab[rng.below(distinct)];
+    return keys;
+  }
+  std::vector<double> cdf(n);
+  double sum = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i + 1), 1.1);
+    cdf[i] = sum;
+  }
+  for (Word& k : keys) {
+    const double u = rng.unit() * sum;
+    const auto rank = static_cast<Word>(
+        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    k = rank * 2654435761 % (Word{1} << 40);
+  }
+  return keys;
+}
+
+/// The per-set oracle: a chaining table's raw arrays, linked on the host
+/// one FOL1 set at a time.
+struct OracleChains {
+  std::vector<Word> head;
+  std::vector<Word> key;
+  std::vector<Word> next;
+
+  explicit OracleChains(ChainTable& t)
+      : head(t.heads().begin(), t.heads().end()),
+        key(t.node_keys().begin(), t.node_keys().end()),
+        next(t.node_links().begin(), t.node_links().end()) {}
+
+  void link(const fol::Decomposition& dec, std::span<const Word> keys) {
+    const auto size = static_cast<Word>(head.size());
+    for (const auto& set : dec.sets) {
+      for (std::size_t lane : set) {
+        const auto h = static_cast<std::size_t>(mod_hash(keys[lane], size));
+        key.push_back(keys[lane]);
+        next.push_back(head[h]);
+        head[h] = static_cast<Word>(key.size() - 1);
+      }
+    }
+  }
+};
+
+// (N, key sharing, scatter order, pre-filled table)
+using DrainSweep = std::tuple<std::size_t, Sharing, ScatterOrder, bool>;
+
+class DrainedChainInsertTest : public ::testing::TestWithParam<DrainSweep> {};
+
+TEST_P(DrainedChainInsertTest, MatchesPerSetLinkingBitForBit) {
+  const auto [n, sharing, order, prefill] = GetParam();
+  constexpr std::size_t kTableSize = 4099;
+  const auto keys =
+      shared_keys(n, sharing, n + static_cast<std::size_t>(sharing));
+  ChainTable t(kTableSize, n + 300);
+  if (prefill) {
+    for (Word k : random_keys(300, 1 << 20, 5)) t.insert_scalar(k);
+  }
+  OracleChains oracle(t);
+
+  MachineConfig cfg;
+  cfg.scatter_order = order;
+  VectorMachine m(cfg);
+  multi_hash_chain_insert(m, t, keys);
+
+  // A second, identically configured machine yields the same sets.
+  VectorMachine m_oracle(cfg);
+  WordVec hashed(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    hashed[i] = mod_hash(keys[i], static_cast<Word>(kTableSize));
+  }
+  WordVec work(kTableSize, 0);
+  const fol::Decomposition dec = fol::fol1_decompose(m_oracle, hashed, work);
+  if (sharing != Sharing::kZipf) {
+    EXPECT_GT(dec.drained_lanes, 0u);
+  }
+  oracle.link(dec, keys);
+
+  ASSERT_EQ(t.entered(), oracle.key.size());
+  EXPECT_TRUE(std::equal(t.heads().begin(), t.heads().end(),
+                         oracle.head.begin()));
+  EXPECT_TRUE(std::equal(t.node_keys().begin(), t.node_keys().end(),
+                         oracle.key.begin()));
+  EXPECT_TRUE(std::equal(t.node_links().begin(), t.node_links().end(),
+                         oracle.next.begin()));
+}
+
+std::string drain_sweep_name(const ::testing::TestParamInfo<DrainSweep>& p) {
+  const auto [n, sharing, order, prefill] = p.param;
+  const char* sharings[] = {"OneKey", "TwoKeys", "NOver64Keys", "Zipf"};
+  const char* orders[] = {"Forward", "Reverse", "Shuffled"};
+  return "N" + std::to_string(n) + "_" + sharings[static_cast<int>(sharing)] +
+         "_" + orders[static_cast<int>(order)] +
+         (prefill ? "_Prefilled" : "_Empty");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SharingSweep, DrainedChainInsertTest,
+    ::testing::Combine(::testing::Values<std::size_t>(4096, 1 << 16),
+                       ::testing::Values(Sharing::kOneKey, Sharing::kTwoKeys,
+                                         Sharing::kNOver64Keys,
+                                         Sharing::kZipf),
+                       ::testing::Values(ScatterOrder::kForward,
+                                         ScatterOrder::kReverse,
+                                         ScatterOrder::kShuffled),
+                       ::testing::Bool()),
+    drain_sweep_name);
+
+TEST(DrainedChainInsertTest, DrainThresholdBatchesMatchScalarMultiset) {
+  // One address: 2048 lanes leave 2047 after round one (below the drain
+  // trigger), 2049 lanes leave 2048 (drained).
+  for (const std::size_t n : {std::size_t{2048}, std::size_t{2049}}) {
+    const std::vector<Word> keys(n, 12345);
+    ChainTable scalar_t(31, n);
+    for (Word k : keys) scalar_t.insert_scalar(k);
+    VectorMachine m;
+    ChainTable vec_t(31, n);
+    multi_hash_chain_insert(m, vec_t, keys);
+    EXPECT_EQ(vec_t.entered(), n);
+    EXPECT_EQ(vec_t.count(12345), n) << "n = " << n;
+    for (std::size_t h = 0; h < 31; ++h) {
+      EXPECT_EQ(vec_t.chain(h), scalar_t.chain(h)) << "n = " << n;
+    }
+  }
+}
+
+TEST(DrainedChainInsertTest, InstructionCountIndependentOfDrainedSets) {
+  // distinct = 1 drains 4095 singleton sets, distinct = 8 about 512 sets of
+  // 8; the tail link issues the same instructions for both.
+  const auto instructions = [](std::size_t distinct) {
+    VectorMachine m;
+    ChainTable t(4099, 4096);
+    std::vector<Word> keys(4096);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = static_cast<Word>(i % distinct);
+    }
+    multi_hash_chain_insert(m, t, keys);
+    return m.cost().total_instructions();
+  };
+  EXPECT_EQ(instructions(1), instructions(8));
 }
 
 // ---- property sweep ---------------------------------------------------------

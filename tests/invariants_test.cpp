@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fol/fol1.h"
 #include "vm/checker.h"
 #include "vm/machine.h"
 
@@ -72,6 +73,67 @@ TEST(InvariantsTest, MaxMultiplicityCounts) {
   EXPECT_EQ(max_multiplicity(WordVec{}), 0u);
   EXPECT_EQ(max_multiplicity(WordVec{4}), 1u);
   EXPECT_EQ(max_multiplicity(WordVec{4, 4, 2, 4, 2}), 3u);
+}
+
+/// 3000 lanes over 4 addresses: round one keeps 4, the drain takes the
+/// remaining 2996 in 749 sets.
+Decomposition drained_decomposition(WordVec& v) {
+  v.resize(3000);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<Word>(i % 4);
+  VectorMachine m;
+  WordVec work(4, 0);
+  return fol1_decompose(m, v, work);
+}
+
+TEST(InvariantsTest, DrainedTailOfARealDrainIsConsistent) {
+  WordVec v;
+  const Decomposition d = drained_decomposition(v);
+  ASSERT_EQ(d.drained_lanes, 2996u);
+  EXPECT_EQ(d.drained_from, 1u);
+  EXPECT_EQ(d.drained_last.size(), 4u);
+  EXPECT_TRUE(drained_tail_consistent(d, v));
+}
+
+TEST(InvariantsTest, AcceptsAnUndrainedDecompositionWithNoLinks) {
+  const WordVec v{5, 5, 9};
+  Decomposition d = make({{0, 2}, {1}});
+  EXPECT_TRUE(drained_tail_consistent(d, v));
+  d.drained_pred = {-1};  // links without a drain
+  EXPECT_FALSE(drained_tail_consistent(d, v));
+}
+
+TEST(InvariantsTest, DetectsCorruptedDrainedPred) {
+  WordVec v;
+  const Decomposition good = drained_decomposition(v);
+  // The first drained set's lanes have no predecessor.
+  Decomposition d = good;
+  d.drained_pred[0] = 1;
+  EXPECT_FALSE(drained_tail_consistent(d, v));
+  // A later lane pointing at the previous set, but at another address.
+  d = good;
+  d.drained_pred[4] = d.drained_pred[5];
+  EXPECT_FALSE(drained_tail_consistent(d, v));
+  // A later lane pointing two sets back, at the same address.
+  d = good;
+  d.drained_pred[8] = d.drained_pred[4];
+  EXPECT_FALSE(drained_tail_consistent(d, v));
+}
+
+TEST(InvariantsTest, DetectsCorruptedDrainedLast) {
+  WordVec v;
+  const Decomposition good = drained_decomposition(v);
+  // An address named twice, another not at all.
+  Decomposition d = good;
+  d.drained_last[1] = d.drained_last[0];
+  EXPECT_FALSE(drained_tail_consistent(d, v));
+  // An address named at a lane before its last set.
+  d = good;
+  d.drained_last[0] -= 4;
+  EXPECT_FALSE(drained_tail_consistent(d, v));
+  // An address missing.
+  d = good;
+  d.drained_last.pop_back();
+  EXPECT_FALSE(drained_tail_consistent(d, v));
 }
 
 TEST(OverwriteCheckTest, UniqueValuesAllSurvive) {
