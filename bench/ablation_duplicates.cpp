@@ -6,11 +6,17 @@
 // is rare; Theorem 6 says it degrades to O(N^2) when every lane hits one
 // area. This bench sweeps D from N down to 1 and reports modeled time and
 // rounds, demonstrating the transition, plus the N-scaling at fixed
-// duplication to exhibit O(N) behaviour.
+// duplication to exhibit O(N) behaviour. A last table prices in-batch
+// duplicates in a VectorHashMap upsert, which Figure 8 absorbs: copies of a
+// new key share the slot the insert gives them.
 #include <iostream>
+#include <numeric>
+#include <unordered_map>
 
 #include "bench_harness/experiments.h"
 #include "bench_harness/report.h"
+#include "hashing/hash_map.h"
+#include "support/prng.h"
 #include "support/require.h"
 #include "support/table_printer.h"
 
@@ -142,6 +148,78 @@ int main() {
                      table);
     std::cout << "\nper-lane cost is flat: FOL1 is O(N) when sharing is "
                  "rare\n";
+  }
+
+  {
+    // A 2^16-lane upsert of new keys into a presized VectorHashMap (no
+    // rehash), one lane in eight repeating an earlier lane's key, priced
+    // per lane against the bare slot-tracking Figure 8 insert of 2^16
+    // distinct keys into a table of the same size. The upsert adds its
+    // lookup, the value write and one label round that counts distinct
+    // slots, all vector work; a per-lane scalar dedup of the new keys would
+    // add its scalar cycles to every lane on top.
+    using vm::Word;
+    constexpr std::size_t kLanes = std::size_t{1} << 16;
+    const auto pool = random_unique_keys(kLanes, Word{1} << 40, 91);
+    Xoshiro256 rng(97);
+    vm::WordVec repeated(pool.begin(), pool.end());
+    for (std::size_t i = 7; i < kLanes; i += 8) {
+      repeated[i] = repeated[static_cast<std::size_t>(
+          rng.in_range(0, static_cast<Word>(i) - 1))];
+    }
+    const std::size_t capacity = hashing::VectorHashMap(2 * kLanes).capacity();
+    vm::VectorMachine insert_m;
+    std::vector<Word> table(capacity, hashing::kUnentered);
+    vm::WordVec slots;
+    const Status st = hashing::try_multi_hash_open_insert(
+        insert_m, table, pool, hashing::ProbeVariant::kKeyDependent, nullptr,
+        &slots);
+    FOLVEC_CHECK(st.is_ok(), "the presized Figure 8 insert must succeed");
+    const double insert_per_lane =
+        insert_m.cost().cycles(params) / static_cast<double>(kLanes);
+
+    TablePrinter table_out({"batch", "lanes", "distinct", "cycles_per_lane"});
+    table_out.add_row({Cell("Figure 8 insert, distinct"),
+                       Cell(static_cast<long long>(kLanes)),
+                       Cell(static_cast<long long>(kLanes)),
+                       Cell(insert_per_lane, 2)});
+    vm::WordVec values(kLanes);
+    std::iota(values.begin(), values.end(), Word{0});
+    double repeats_per_lane = 0;
+    for (const bool with_repeats : {false, true}) {
+      const vm::WordVec& keys = with_repeats ? repeated : pool;
+      std::unordered_map<Word, Word> last;  // sequential upsert semantics
+      for (std::size_t i = 0; i < kLanes; ++i) last[keys[i]] = values[i];
+      vm::VectorMachine m;
+      hashing::VectorHashMap map(2 * kLanes);
+      map.upsert_batch(m, keys, values);
+      const double per_lane =
+          m.cost().cycles(params) / static_cast<double>(kLanes);
+      FOLVEC_CHECK(map.capacity() == capacity && map.rehash_count() == 0,
+                   "the presized upsert must not rehash");
+      FOLVEC_CHECK(map.size() == last.size(),
+                   "the upsert must count each distinct key once");
+      const vm::WordVec got = map.lookup_batch(m, keys, -1);
+      for (std::size_t i = 0; i < kLanes; ++i) {
+        FOLVEC_CHECK(got[i] == last.at(keys[i]),
+                     "the last lane of each key must win");
+      }
+      table_out.add_row(
+          {Cell(with_repeats ? "map upsert, 1-in-8 repeats"
+                             : "map upsert, distinct"),
+           Cell(static_cast<long long>(kLanes)),
+           Cell(static_cast<long long>(last.size())), Cell(per_lane, 2)});
+      if (with_repeats) repeats_per_lane = per_lane;
+    }
+    const char* title =
+        "Ablation: in-batch duplicates in a VectorHashMap upsert (2^16 "
+        "lanes, modeled cycles per lane)";
+    table_out.print(std::cout, title);
+    report.add_table(title, table_out);
+    const double ratio = repeats_per_lane / insert_per_lane;
+    report.note("map_upsert_repeats_insert_cycle_ratio", ratio);
+    std::cout << "\nupsert with repeats / bare insert, cycles per lane: "
+              << ratio << "x\n";
   }
   return 0;
 }

@@ -1,7 +1,5 @@
 #include "hashing/hash_map.h"
 
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "support/faultsim.h"
@@ -53,7 +51,6 @@ WordVec VectorHashMap::insert_tracking_slots(VectorMachine& m,
   const Status st = try_multi_hash_open_insert(
       m, slots_, keys, ProbeVariant::kKeyDependent, &stats, &slots);
   if (st.is_ok()) {
-    entered_ += keys.size();
     tombstones_ -= stats.tombstones_reused;
     return slots;
   }
@@ -100,6 +97,7 @@ void VectorHashMap::rehash(VectorMachine& m, std::size_t min_capacity) {
   tombstones_ = 0;
   try {
     const WordVec new_slots = insert_tracking_slots(m, keys);
+    entered_ = keys.size();  // live keys are distinct
     m.scatter(values_, new_slots, vals);
   } catch (const RecoverableError&) {
     slots_ = std::move(saved_slots);
@@ -127,16 +125,13 @@ std::size_t VectorHashMap::erase_batch(VectorMachine& m,
   const WordVec hit_slots = m.compress(slot_vec, present);
   if (hit_slots.empty()) return 0;
 
-  // Duplicate keys in the batch resolve to the same slot; count distinct
-  // slots on the scalar unit while the vector unit does the stores.
-  std::unordered_set<Word> distinct;
-  for (const Word s : hit_slots) {
-    m.scalar_mem(2);
-    m.scalar_branch(1);
-    distinct.insert(s);
-  }
-  m.scatter(slots_, hit_slots, m.splat(hit_slots.size(), kTombstone));
-  const std::size_t removed = distinct.size();
+  // Duplicate keys in the batch resolve to the same slot: one owner lane
+  // per slot counts it and stores its tombstone, so the store has no
+  // colliding lanes.
+  const Mask owners = slot_owners(m, hit_slots);
+  const std::size_t removed = m.count_true(owners);
+  m.scatter_masked(slots_, hit_slots, m.splat(hit_slots.size(), kTombstone),
+                   owners);
   entered_ -= removed;
   tombstones_ += removed;
 
@@ -186,44 +181,44 @@ void VectorHashMap::upsert_batch_once(VectorMachine& m,
   grow(m, keys.size());
 
   // Split the batch into existing keys (value overwrite) and new keys
-  // (Figure 8 insert). Duplicates *within* the batch need care: only the
-  // first occurrence of a new key performs the insert; the rest become
-  // value overwrites of that freshly created slot. Lanes whose key is
-  // already in the map know their slot now; the rest read -1.
+  // (Figure 8 insert). Lanes whose key is already in the map know their
+  // slot now; the rest read -1.
   WordVec slot_vec =
       multi_hash_open_find(m, slots_, keys, ProbeVariant::kKeyDependent);
-  WordVec key_vec = m.copy(keys);
-  WordVec val_vec = m.copy(values);
 
   const Mask absent = m.eq_scalar(slot_vec, -1);
   if (m.count_true(absent) > 0) {
-    const WordVec absent_keys = m.compress(key_vec, absent);
+    // Every absent lane inserts, duplicates included: copies of a key walk
+    // one probe sequence in lockstep and land in one slot together, so the
+    // Figure 8 check confirms them all. The map grows by the number of
+    // distinct slots they took.
+    const WordVec absent_keys = m.compress(keys, absent);
     const WordVec absent_lanes = m.compress(m.iota(keys.size()), absent);
-    // The Figure 8 inserter requires distinct keys, so only the first
-    // occurrence of each absent key inserts (scalar-unit bookkeeping, one
-    // pass); every occurrence then takes the slot its first occurrence
-    // landed in.
-    std::unordered_map<Word, std::size_t> first_of;
-    std::vector<std::size_t> first_index(absent_keys.size());
-    WordVec first_keys;
-    for (std::size_t i = 0; i < absent_keys.size(); ++i) {
-      m.scalar_mem(2);
-      m.scalar_branch(1);
-      const auto [it, fresh] =
-          first_of.try_emplace(absent_keys[i], first_keys.size());
-      if (fresh) first_keys.push_back(absent_keys[i]);
-      first_index[i] = it->second;
-    }
-    const WordVec new_slots = insert_tracking_slots(m, first_keys);
+    const WordVec new_slots = insert_tracking_slots(m, absent_keys);
+    entered_ += m.count_true(slot_owners(m, new_slots));
     for (std::size_t i = 0; i < absent_lanes.size(); ++i) {
-      slot_vec[static_cast<std::size_t>(absent_lanes[i])] =
-          new_slots[first_index[i]];
+      slot_vec[static_cast<std::size_t>(absent_lanes[i])] = new_slots[i];
     }
   }
 
   // Value write: the order-preserving scatter makes "last lane wins" hold
   // for duplicate keys within the batch, matching sequential upserts.
-  m.scatter_ordered(values_, slot_vec, val_vec);
+  m.scatter_ordered(values_, slot_vec, values);
+}
+
+Mask VectorHashMap::slot_owners(VectorMachine& m,
+                                std::span<const Word> slots) {
+  // A lone lane owns its slot; no label round needed.
+  if (slots.size() == 1) return Mask(1, 1);
+  // One label round into the slots' value words: the order-preserving
+  // scatter leaves exactly one label per distinct slot (the last lane's),
+  // and only that lane reads its own label back. Being ordered, the scatter
+  // never stores an amalgam of colliding labels, so no slot loses its
+  // owner. The labels clobber those values, which the caller is about to
+  // overwrite or erase anyway.
+  const WordVec labels = m.iota(slots.size());
+  m.scatter_ordered(values_, slots, labels);
+  return m.eq(m.gather(values_, slots), labels);
 }
 
 WordVec VectorHashMap::lookup_batch(VectorMachine& m,

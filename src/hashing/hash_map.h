@@ -16,7 +16,10 @@
 // open_table.h with its slot output (each new key's slot, for the value
 // write; erased slots are reused), and lookups, erases and upserts find
 // slots with the lockstep multi_hash_open_find. The map keeps only its own
-// bookkeeping: the live count, tombstones and growth.
+// bookkeeping: the live count, tombstones and growth. Duplicate keys need
+// no host-side dedup: copies of a new key share the slot the insert gives
+// them, and one label round over the touched slots picks one owner lane
+// per slot, which counts it once for the live count.
 #pragma once
 
 #include <cstddef>
@@ -74,7 +77,11 @@ class VectorHashMap {
   vm::WordVec live_keys(vm::VectorMachine& m) const;
 
   std::size_t size() const { return entered_; }
+  /// Erased slots not yet reused or dropped by a rehash.
+  std::size_t tombstones() const { return tombstones_; }
   std::size_t capacity() const { return slots_.size(); }
+  /// The slot array: keys, kUnentered and kTombstone markers.
+  std::span<const vm::Word> slots() const { return slots_; }
   double load_factor() const {
     return static_cast<double>(entered_) / static_cast<double>(slots_.size());
   }
@@ -86,17 +93,26 @@ class VectorHashMap {
   void upsert_batch_once(vm::VectorMachine& m, std::span<const vm::Word> keys,
                          std::span<const vm::Word> values);
 
-  /// Enters keys (all distinct, none present) through
+  /// Enters keys (none present; duplicates share a slot) through
   /// try_multi_hash_open_insert, reusing tombstones, and returns their
-  /// slots. Throws folvec::RecoverableError(kProbeCycleSaturated) when the
-  /// probe loop sweeps the table without converging or fault injection
+  /// slots. On success it updates only tombstones_: the caller adds the
+  /// distinct count to entered_ (slot_owners, or keys.size() when known
+  /// distinct). Throws folvec::RecoverableError(kProbeCycleSaturated) when
+  /// the probe loop sweeps the table without converging or fault injection
   /// forces the condition; the table may then hold a partial subset of
-  /// `keys`, and entered_ and tombstones_ are reconciled with the table
+  /// `keys`, and entered_ and tombstones_ are both recounted from the table
   /// before the throw so size() stays truthful even when every later
   /// recovery attempt fails too (the retry path treats the landed strays as
   /// existing keys).
   vm::WordVec insert_tracking_slots(vm::VectorMachine& m,
                                     std::span<const vm::Word> keys);
+
+  /// One owner lane per distinct slot in `slots` (nonempty): the mask's
+  /// true count is the number of distinct slots. Found by one label round
+  /// (ordered scatter of lane labels into those slots' value words, gather,
+  /// compare). The caller must be about to overwrite or erase those values:
+  /// the labels clobber them.
+  vm::Mask slot_owners(vm::VectorMachine& m, std::span<const vm::Word> slots);
 
   void grow(vm::VectorMachine& m, std::size_t need);
 

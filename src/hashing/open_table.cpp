@@ -1,5 +1,6 @@
 #include "hashing/open_table.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -248,6 +249,7 @@ Status try_multi_hash_open_insert(VectorMachine& m, std::span<Word> table,
   // lanes that found a tombstone are noted on the host from the gathered
   // values, so the check below can count the tombstones actually taken.
   std::vector<std::size_t> found_tombstone;
+  std::vector<Word> taken_tombstones;
   const auto store_into_free = [&] {
     const WordVec probed = m.gather(table, hashed);
     const Mask free = slots_out != nullptr ? m.lt_scalar(probed, 0)
@@ -269,10 +271,17 @@ Status try_multi_hash_open_insert(VectorMachine& m, std::span<Word> table,
     const vm::AlgoSpan round_span(m, "retry", iter);
     const Mask entered = m.eq(m.gather(table, hashed), key_vec);
     const std::size_t nrest = key_vec.size() - m.count_true(entered);
-    // Keys are distinct, so an entered lane won its own store this round.
+    // Copies of one key enter one slot together, and distinct keys never
+    // share an entered slot, so each tombstone taken this round is counted
+    // once however many lanes entered it.
+    taken_tombstones.clear();
     for (const std::size_t i : found_tombstone) {
-      if (entered[i]) ++stats.tombstones_reused;
+      if (entered[i]) taken_tombstones.push_back(hashed[i]);
     }
+    std::sort(taken_tombstones.begin(), taken_tombstones.end());
+    stats.tombstones_reused += static_cast<std::size_t>(
+        std::unique(taken_tombstones.begin(), taken_tombstones.end()) -
+        taken_tombstones.begin());
     // Keys confirmed entered this pass found their slot on probe iter+1.
     telemetry::observe("hashing.probe_count", iter + 1,
                        key_vec.size() - nrest);

@@ -111,8 +111,11 @@ class ScalarOpenTable {
 /// Statistics returned by the vectorized multiple hash.
 struct MultiHashStats {
   std::size_t iterations = 0;      ///< passes of the Figure 8 outer loop
-  std::size_t max_vector_len = 0;  ///< length of the first (longest) pass
-  /// kTombstone slots keys landed in (slot-tracking insert only).
+  /// Length of the first (longest) pass: one lane per key given, so each
+  /// copy of a key passed to the slot-tracking insert counts.
+  std::size_t max_vector_len = 0;
+  /// kTombstone slots keys landed in (slot-tracking insert only), counted
+  /// per slot: copies of a key that entered one tombstone count once.
   std::size_t tombstones_reused = 0;
 };
 
@@ -148,12 +151,17 @@ MultiHashStats multi_hash_open_insert(vm::VectorMachine& m,
 /// has confirmed every key absent, and a probe chain never has a kUnentered
 /// slot before a live key, so a key entered at the first free-or-tombstone
 /// slot of its chain stays findable and duplicates nothing.
-/// stats_out->tombstones_reused counts the tombstones the landed keys took
-/// (on failure too, since a failed pass may already have consumed some); it
-/// is counted on the host from the slot values the lanes' gathers already
-/// returned, so it adds no vector op. Without `slots_out` only kUnentered
-/// slots are free and the instruction stream is exactly the paper's
-/// listing.
+/// The slot-tracking insert accepts duplicate keys. Equal keys hash to one
+/// slot and step along one probe sequence, so every copy is stored in the
+/// same round into the same slot, the check confirms them all, and they all
+/// receive that one slot; the key is stored once. The "hashing.keys"
+/// counter and stats_out->max_vector_len count lanes, one per copy.
+/// stats_out->tombstones_reused counts the tombstones the landed keys took,
+/// once per slot (on failure too, since a failed pass may already have
+/// consumed some); it is counted on the host from the slot values the
+/// lanes' gathers already returned, so it adds no vector op. Without
+/// `slots_out` only kUnentered slots are free, keys must be distinct, and
+/// the instruction stream is exactly the paper's listing.
 Status try_multi_hash_open_insert(vm::VectorMachine& m,
                                   std::span<vm::Word> table,
                                   std::span<const vm::Word> keys,

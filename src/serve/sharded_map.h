@@ -106,9 +106,8 @@ class ShardedMap {
     BloomFilter bloom;
   };
 
-  /// Stable per-shard partition of a batch (scalar-unit bookkeeping, like
-  /// the hash map's duplicate handling): lanes[s] are original positions,
-  /// in batch order.
+  /// Stable per-shard partition of a batch (scalar-unit bookkeeping):
+  /// lanes[s] are original positions, in batch order.
   void partition(std::span<const vm::Word> keys,
                  std::vector<std::vector<vm::Word>>& shard_keys,
                  std::vector<std::vector<std::size_t>>& shard_lanes);

@@ -23,6 +23,16 @@ using vm::VectorMachine;
 using vm::Word;
 using vm::WordVec;
 
+/// size() and tombstones() must agree with a recount of the slot array.
+void expect_counts_match_table(const VectorHashMap& map) {
+  const std::span<const Word> slots = map.slots();
+  EXPECT_EQ(map.size(),
+            static_cast<std::size_t>(std::count_if(
+                slots.begin(), slots.end(), [](Word v) { return v >= 0; })));
+  EXPECT_EQ(map.tombstones(), static_cast<std::size_t>(std::count(
+                                  slots.begin(), slots.end(), kTombstone)));
+}
+
 TEST(VectorHashMapTest, InsertAndLookup) {
   VectorMachine m;
   VectorHashMap map;
@@ -72,6 +82,62 @@ TEST(VectorHashMapTest, DuplicateKeysInBatchLastLaneWins) {
     ASSERT_EQ(found[i], 2000 + static_cast<Word>(i)) << "key " << fresh[i];
   }
   EXPECT_EQ(map.lookup_batch(m, WordVec{7, 8}, -1), (WordVec{4, 2}));
+}
+
+TEST(VectorHashMapTest, RepeatsAndHotKeyMatchUnorderedMap) {
+  // One new-key lane in eight repeats an earlier lane's key, and one hot
+  // key fills 2049 more lanes, on top of overwrites of stored keys. Every
+  // copy of a new key inserts; the map must still grow by the distinct
+  // keys only, and the last lane of each key must win.
+  for (const ScatterOrder order :
+       {ScatterOrder::kForward, ScatterOrder::kReverse,
+        ScatterOrder::kShuffled}) {
+    SCOPED_TRACE(static_cast<int>(order));
+    MachineConfig cfg;
+    cfg.scatter_order = order;
+    VectorMachine m(cfg);
+    VectorHashMap map;
+    std::unordered_map<Word, Word> reference;
+    const auto pool = random_unique_keys(5000, 1 << 30, 61);
+    const std::span<const Word> stored = std::span(pool).first(500);
+    map.upsert_batch(m, stored, stored);
+    for (const Word k : stored) reference[k] = k;
+
+    Xoshiro256 rng(67);
+    const Word hot = pool[4999];
+    WordVec keys;
+    for (std::size_t i = 0; i < 4096; ++i) {
+      if (i % 8 == 7) {
+        const Word repeat = keys[static_cast<std::size_t>(
+            rng.in_range(0, static_cast<Word>(keys.size()) - 1))];
+        keys.push_back(repeat);
+      } else if (i % 4 == 0) {
+        keys.push_back(stored[static_cast<std::size_t>(rng.in_range(0, 499))]);
+      } else {
+        keys.push_back(pool[500 + i]);
+      }
+    }
+    for (std::size_t i = 0; i < 2049; ++i) {
+      keys.insert(keys.begin() + static_cast<std::ptrdiff_t>(rng.in_range(
+                                     0, static_cast<Word>(keys.size()))),
+                  hot);
+    }
+    WordVec values(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      values[i] = static_cast<Word>(i) + 1000000;
+      reference[keys[i]] = values[i];
+    }
+    map.upsert_batch(m, keys, values);
+    EXPECT_EQ(map.size(), reference.size());
+    expect_counts_match_table(map);
+    WordVec queries;
+    WordVec want;
+    for (const auto& [k, v] : reference) {
+      queries.push_back(k);
+      want.push_back(v);
+    }
+    EXPECT_EQ(map.lookup_batch(m, queries, -1), want);
+  }
 }
 
 TEST(VectorHashMapTest, NegativeKeysRejectedByEveryOperation) {
@@ -153,6 +219,43 @@ TEST(VectorHashMapEraseTest, DuplicateEraseKeysCountOnce) {
   map.upsert_batch(m, WordVec{7}, WordVec{70});
   EXPECT_EQ(map.erase_batch(m, WordVec{7, 7, 7}), 1u);
   EXPECT_EQ(map.size(), 0u);
+}
+
+TEST(VectorHashMapEraseTest, RepeatedEraseKeysReturnDistinctCount) {
+  // 300 stored keys erased with 1-3 copies each, mixed with absent keys:
+  // the return value and size() count keys, not lanes.
+  VectorMachine m;
+  VectorHashMap map;
+  const auto pool = random_unique_keys(1200, 1 << 30, 71);
+  const std::span<const Word> stored = std::span(pool).first(1000);
+  map.upsert_batch(m, stored, stored);
+  Xoshiro256 rng(73);
+  WordVec dead;
+  for (std::size_t i = 0; i < 300; ++i) {
+    const Word copies = rng.in_range(1, 3);
+    for (Word c = 0; c < copies; ++c) dead.push_back(stored[3 * i]);
+    dead.push_back(pool[1000 + i % 200]);
+  }
+  EXPECT_EQ(map.erase_batch(m, dead), 300u);
+  EXPECT_EQ(map.size(), 700u);
+  expect_counts_match_table(map);
+  EXPECT_EQ(map.lookup_batch(m, WordVec{stored[0], stored[1]}, -1),
+            (WordVec{-1, stored[1]}));
+}
+
+TEST(VectorHashMapEraseTest, RepeatedKeyReusesOneTombstone) {
+  // A key erased into a tombstone and re-upserted with three copies in one
+  // batch: the copies share the tombstone, which counts as reused once.
+  VectorMachine m;
+  VectorHashMap map;
+  map.upsert_batch(m, WordVec{5, 6}, WordVec{50, 60});
+  ASSERT_EQ(map.erase_batch(m, WordVec{5}), 1u);
+  ASSERT_EQ(map.tombstones(), 1u);
+  map.upsert_batch(m, WordVec{5, 5, 5}, WordVec{51, 52, 53});
+  EXPECT_EQ(map.tombstones(), 0u);
+  EXPECT_EQ(map.size(), 2u);
+  expect_counts_match_table(map);
+  EXPECT_EQ(map.lookup_batch(m, WordVec{5, 6}, -1), (WordVec{53, 60}));
 }
 
 TEST(VectorHashMapEraseTest, ReinsertAfterEraseWorks) {
@@ -253,16 +356,19 @@ TEST(VectorHashMapEraseTest, MixedChurnMatchesUnorderedMap) {
     return rng.unit() < 0.5 ? rng.in_range(0, 7) : rng.in_range(0, 299);
   };
   for (int round = 0; round < 200; ++round) {
+    // Lanes 12-15 repeat lanes 0-3, and the erase repeats its first key,
+    // so every batch carries in-batch repeats beyond the hot keys'.
     WordVec keys(16);
     WordVec values(16);
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      keys[i] = draw_key();
+      keys[i] = i < 12 ? draw_key() : keys[i - 12];
       values[i] = rng.in_range(0, 1 << 20);
       reference[keys[i]] = values[i];
     }
     map.upsert_batch(m, keys, values);
     WordVec dead(12);
     for (Word& k : dead) k = draw_key();
+    dead.push_back(dead[0]);
     map.erase_batch(m, dead);
     for (const Word k : dead) reference.erase(k);
     ASSERT_EQ(map.size(), reference.size()) << "round " << round;
@@ -277,6 +383,65 @@ TEST(VectorHashMapEraseTest, MixedChurnMatchesUnorderedMap) {
           << "key " << k << " round " << round;
     }
   }
+  expect_counts_match_table(map);
+}
+
+TEST(VectorHashMapAuditTest, DuplicateUpsertAndEraseRaiseNoHazard) {
+  // The owner count scatters lane labels into shared slots; the ScatterCheck
+  // auditor must accept it (the ordered scatter defines the survivor).
+  MachineConfig cfg;
+  cfg.audit = true;
+  cfg.audit_throw = true;
+  VectorMachine m(cfg);
+  VectorHashMap map;
+  const WordVec keys{9, 4, 9, 9, 17, 4, 30};
+  const WordVec values{1, 2, 3, 4, 5, 6, 7};
+  ASSERT_NO_THROW(map.upsert_batch(m, keys, values));
+  EXPECT_EQ(map.lookup_batch(m, WordVec{9, 4, 17, 30}, -1),
+            (WordVec{4, 6, 5, 7}));
+  ASSERT_NO_THROW(EXPECT_EQ(map.erase_batch(m, WordVec{4, 9, 4, 30, 9}), 3u));
+  EXPECT_TRUE(m.hazards().empty()) << m.hazards().to_string();
+  EXPECT_EQ(map.size(), 1u);
+  expect_counts_match_table(map);
+}
+
+TEST(VectorHashMapFaultTest, DuplicateUpsertStaysCountedUnderElsFaults) {
+  // Every unmasked scatter-class instruction stores the amalgam of its
+  // colliding lanes. Copies of a new key share a slot, so the owner count
+  // must still find one owner for it.
+  VectorMachine m;
+  VectorHashMap map;
+  FaultPlan plan(1, "els%1");
+  ScopedFaultPlan scoped(&plan);
+  map.upsert_batch(m, WordVec{5, 5, 6}, WordVec{50, 51, 60});
+  EXPECT_EQ(map.size(), 2u);
+  expect_counts_match_table(map);
+  EXPECT_EQ(map.lookup_batch(m, WordVec{5, 6}, -1), (WordVec{51, 60}));
+  EXPECT_EQ(map.erase_batch(m, WordVec{5}), 1u);
+  EXPECT_EQ(map.size(), 1u);
+  expect_counts_match_table(map);
+}
+
+TEST(VectorHashMapFaultTest, DuplicateEraseStaysCountedUnderElsFaults) {
+  // Repeated erase keys: one tombstone per slot is stored and counted, and
+  // no amalgam of tombstone markers (two copies would leave a live key 0,
+  // three copies kUnentered, cutting 73's probe chain) reaches the table.
+  VectorMachine m;
+  VectorHashMap map;
+  ASSERT_EQ(map.capacity(), 67u);
+  map.upsert_batch(m, WordVec{5, 6}, WordVec{50, 60});
+  map.upsert_batch(m, WordVec{73}, WordVec{730});  // probes past 6's slot
+  FaultPlan plan(1, "els%1");
+  ScopedFaultPlan scoped(&plan);
+  EXPECT_EQ(map.erase_batch(m, WordVec{5, 5}), 1u);
+  EXPECT_EQ(map.size(), 2u);
+  expect_counts_match_table(map);
+  EXPECT_EQ(std::count(map.slots().begin(), map.slots().end(), Word{0}), 0);
+  EXPECT_EQ(map.erase_batch(m, WordVec{6, 6, 6}), 1u);
+  EXPECT_EQ(map.size(), 1u);
+  expect_counts_match_table(map);
+  EXPECT_EQ(map.lookup_batch(m, WordVec{5, 6, 73}, -1),
+            (WordVec{-1, -1, 730}));
 }
 
 TEST(VectorHashMapTest, CapacitiesArePrime) {

@@ -278,6 +278,69 @@ TEST(MultiHashOpenTest, SlotTrackingInsertReusesTombstones) {
             slots);
 }
 
+TEST(MultiHashOpenTest, SlotTrackingInsertAcceptsDuplicateKeys) {
+  // Fresh keys repeated 1-4 times in shuffled lane order, into a table
+  // with live keys and tombstones: equal keys walk one probe sequence in
+  // lockstep, so they all land in one slot and the key is stored once.
+  std::vector<MachineConfig> configs;
+  for (const ScatterOrder order :
+       {ScatterOrder::kForward, ScatterOrder::kReverse,
+        ScatterOrder::kShuffled}) {
+    MachineConfig serial;
+    serial.scatter_order = order;
+    serial.backend = vm::BackendKind::kSerial;
+    MachineConfig parallel_simd = serial;
+    parallel_simd.backend = vm::BackendKind::kParallelSimd;
+    parallel_simd.backend_threads = 2;
+    parallel_simd.backend_grain = 8;  // split even the short retry rounds
+    configs.push_back(serial);
+    configs.push_back(parallel_simd);
+  }
+  for (const MachineConfig& cfg : configs) {
+    SCOPED_TRACE(testing::Message()
+                 << "order " << static_cast<int>(cfg.scatter_order)
+                 << ", backend " << static_cast<int>(cfg.backend));
+    VectorMachine m(cfg);
+    TombstonedTable t = tombstoned_table(m);
+    const WordVec distinct = fresh_keys(random_unique_keys(120, 1 << 30, 47),
+                                        std::vector<Word>(t.table));
+    Xoshiro256 rng(53);
+    WordVec keys;
+    for (const Word k : distinct) {
+      const Word copies = rng.in_range(1, 4);
+      for (Word c = 0; c < copies; ++c) keys.push_back(k);
+    }
+    for (std::size_t i = keys.size() - 1; i > 0; --i) {
+      std::swap(keys[i], keys[static_cast<std::size_t>(
+                             rng.in_range(0, static_cast<Word>(i)))]);
+    }
+    MultiHashStats stats;
+    WordVec slots;
+    const Status st = try_multi_hash_open_insert(
+        m, t.table, keys, ProbeVariant::kKeyDependent, &stats, &slots);
+    ASSERT_TRUE(st.is_ok()) << st.message();
+    EXPECT_EQ(stats.max_vector_len, keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(t.table[static_cast<std::size_t>(slots[i])], keys[i]);
+      for (std::size_t j = 0; j < i; ++j) {
+        if (keys[j] == keys[i]) {
+          ASSERT_EQ(slots[j], slots[i]);
+        }
+      }
+    }
+    for (const Word k : distinct) {
+      ASSERT_EQ(std::count(t.table.begin(), t.table.end(), k), 1) << k;
+    }
+    // Tombstones are counted per slot taken, not per lane that entered.
+    const auto left = static_cast<std::size_t>(
+        std::count(t.table.begin(), t.table.end(), kTombstone));
+    EXPECT_GT(stats.tombstones_reused, 0u);
+    EXPECT_EQ(stats.tombstones_reused, t.tombstones - left);
+    EXPECT_EQ(slots, multi_hash_open_find(m, t.table, keys,
+                                          ProbeVariant::kKeyDependent));
+  }
+}
+
 TEST(MultiHashOpenTest, ListingInsertNeverOverwritesTombstones) {
   VectorMachine m;
   TombstonedTable t = tombstoned_table(m);
