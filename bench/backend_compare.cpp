@@ -1,14 +1,13 @@
-// Serial vs parallel vs SIMD execution backend on the paper's core
-// workloads: FOL1 decomposition (dense and rare sharing), FOL*
-// decomposition, multiple hashing (Figure 8), and address-calculation
-// sorting (Figure 12), at N up to 2^20.
+// Serial vs SIMD execution backend on the paper's core workloads: FOL1
+// decomposition (dense and rare sharing), FOL* decomposition, multiple
+// hashing (Figure 8), and address-calculation sorting (Figure 12), at N up
+// to 2^20.
 //
-// Since PR 4 every workload runs a fused serial, a fused parallel, and an
-// unfused serial (MachineConfig::fuse = false) configuration; PR 9 adds the
-// fused simd and fused parallel+simd backends to the same table. Inputs are
-// generated ONCE per (workload, N) cell and shared by every backend column,
-// so all five configurations consume bit-identical buffers — no column
-// re-draws from its own PRNG. The table reports, side by side:
+// Every workload runs a fused serial, a fused simd, and an unfused serial
+// (MachineConfig::fuse = false) configuration. Inputs are generated ONCE
+// per (workload, N) cell and shared by every backend column, so all three
+// configurations consume bit-identical buffers — no column re-draws from
+// its own PRNG. The table reports, side by side:
 //
 //   * the fused and unfused chime-model times (modeled S-810 microseconds)
 //     and the fused-over-unfused chime cut — the headline number of the
@@ -16,15 +15,14 @@
 //     to one, which the chime model prices at a >= 25% reduction (asserted
 //     for the FOL1 workloads at N=2^20);
 //   * measured host wall-clock per backend plus the unfused serial wall,
-//     the parallel-over-serial and simd-over-serial wall accelerations.
-//     Wall ratios are reported, never asserted: host timing is too noisy
-//     to gate on.
+//     and the simd-over-serial wall acceleration. Wall ratios are
+//     reported, never asserted: host timing is too noisy to gate on.
 //
-// Every run is also differentially checked: the parallel, simd, and
-// parallel+simd digests (outputs + final memory images) must be
-// bit-identical to the serial one, their chime streams identical, and the
-// unfused digest bit-identical to the fused one — the bench doubles as a
-// million-element backend-equivalence test.
+// Every run is also differentially checked: the simd digest (outputs +
+// final memory images) must be bit-identical to the serial one, their
+// chime streams identical, and the unfused digest bit-identical to the
+// fused one — the bench doubles as a million-element backend-equivalence
+// test.
 //
 // A second table compares audit modes on the proven-safe fol1_distinct
 // workload: audit off, full per-lane ScatterCheck, and the static-analysis
@@ -32,19 +30,7 @@
 // of scatter-class ops proven safe, identical outputs and chime streams
 // across modes, and the elided wall beating the full audit at N=2^20.
 //
-// A third table is the scaling curve (PR 7): every workload rerun at 1, 2,
-// 4, and 8 workers at N=2^17 (plus a 4-worker point at N=2^20 when that
-// size is in the run), with the parallel-over-serial wall acceleration per
-// worker count, and since PR 9 the parallel+simd wall beside the plain
-// parallel one — all worker counts and both parallel flavors reuse the one
-// input generated for the cell. On hosts with >= 4 hardware threads the
-// 4-worker points are asserted > 1.0 and emitted as notes so
-// bench/goldens/backend_scaling.json can hold ratio-based floors for the CI
-// scaling leg. On smaller hosts the assertions are skipped (the curve
-// honestly degrades toward 1) and the gate is reported via the
-// wall_accel_gate_active note.
-//
-// The fourth table is the hardware-vs-FOL1 ablation (fol1_hw_conflict), the
+// The third table is the hardware-vs-FOL1 ablation (fol1_hw_conflict), the
 // result the SIMD backend exists for. The paper's FOL1 method decomposes a
 // shared index vector into parallel-processable sets with O(rounds) passes
 // of software scatter/gather/compare, because the S-810 had no
@@ -60,10 +46,10 @@
 // single-pass rank stands in (reported via the hw_conflict_native config),
 // so the ablation still runs on the scalar-forced CI leg.
 //
-// Worker count defaults to 8 (override with FOLVEC_BENCH_THREADS); the size
-// list defaults to {14, 17, 20} (override with FOLVEC_BENCH_SIZES_LOG2, a
-// comma-separated log2 list — the CI scaling leg passes "17"). The SIMD
-// columns honor FOLVEC_SIMD_LEVEL forcing like any other machine.
+// The size list defaults to {14, 17, 20} (override with
+// FOLVEC_BENCH_SIZES_LOG2, a comma-separated log2 list — the CI trend leg
+// passes "17"). The simd column honors FOLVEC_SIMD_LEVEL forcing like any
+// other machine.
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -72,7 +58,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -119,16 +104,8 @@ struct AuditSample {
 
 enum class AuditMode { kOff, kFull, kElide };
 
-std::size_t bench_threads() {
-  if (const auto env = folvec::env_value("FOLVEC_BENCH_THREADS")) {
-    const long v = std::strtol(env->c_str(), nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return 8;
-}
-
 /// Lane counts to run, as log2 sizes. FOLVEC_BENCH_SIZES_LOG2 overrides the
-/// default {14, 17, 20} with a comma-separated list (the CI scaling leg
+/// default {14, 17, 20} with a comma-separated list (the CI trend leg
 /// passes "17" to keep the runner under budget); out-of-range tokens are
 /// ignored, and an all-invalid override falls back to the default.
 std::vector<int> bench_sizes() {
@@ -157,15 +134,14 @@ struct WorkloadInput {
 };
 
 template <typename Body>
-Sample run_backend(BackendKind kind, std::size_t threads, bool fuse,
+Sample run_backend(BackendKind kind, bool fuse,
                    const folvec::vm::CostParams& params, const Body& body) {
   MachineConfig cfg;
-  cfg.audit = false;  // the auditor would pin the thread pool to one worker
+  cfg.audit = false;  // time the workload, not the auditor's bookkeeping
   cfg.backend = kind;
-  cfg.backend_threads = threads;
   cfg.fuse = fuse;
   // cfg.simd_level stays at its default (kAuto unless FOLVEC_SIMD_LEVEL
-  // forces a level), so the simd columns report whatever the dispatcher
+  // forces a level), so the simd column reports whatever the dispatcher
   // actually picked for this host.
   VectorMachine m(cfg);
   Sample s;
@@ -316,28 +292,19 @@ int main() {
   using folvec::Cell;
   using folvec::JsonArray;
   const folvec::vm::CostParams params = folvec::vm::CostParams::s810_like();
-  const std::size_t threads = bench_threads();
   const std::vector<int> sizes = bench_sizes();
-  const bool has_n17 =
-      std::find(sizes.begin(), sizes.end(), 17) != sizes.end();
   const bool has_n20 =
       std::find(sizes.begin(), sizes.end(), 20) != sizes.end();
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  // The 4-worker win is only assertable when the host can actually run 4
-  // workers in parallel; on smaller hosts the curve is reported, not gated.
-  const bool accel_gate = hw_threads >= 4;
-  // The SIMD level every simd column below runs at: the dispatcher's pick
-  // for this host, after FOLVEC_SIMD_LEVEL forcing and graceful downgrade.
+  // The SIMD level the simd column below runs at: the dispatcher's pick for
+  // this host, after FOLVEC_SIMD_LEVEL forcing and graceful downgrade.
   const SimdLevel simd_level =
       folvec::vm::simd_resolve_level(MachineConfig::simd_level_default());
   folvec::bench::BenchReport report("backend_compare");
-  report.config("threads", threads);
   {
     JsonArray sizes_json;
     for (const int lg : sizes) sizes_json.emplace_back(lg);
     report.config("sizes_log2", std::move(sizes_json));
   }
-  report.config("hardware_concurrency", static_cast<double>(hw_threads));
   report.config("simd_level", folvec::vm::simd_level_name(simd_level));
 
   struct Workload {
@@ -364,70 +331,51 @@ int main() {
 
   folvec::TablePrinter table({"workload", "N", "fused_chime_us",
                               "unfused_chime_us", "chime_cut", "serial_wall_ms",
-                              "parallel_wall_ms", "simd_wall_ms",
-                              "par_simd_wall_ms", "unfused_wall_ms",
-                              "wall_accel", "simd_accel"});
+                              "simd_wall_ms", "unfused_wall_ms",
+                              "simd_accel"});
   for (const Workload& w : workloads) {
     for (const int lg : sizes) {
       const auto n = static_cast<std::size_t>(1) << lg;
-      // One input per cell: serial, parallel, simd, parallel+simd, and
-      // unfused all consume these exact buffers.
+      // One input per cell: serial, simd, and unfused all consume these
+      // exact buffers.
       const WorkloadInput input = w.make(n);
       const auto body = [&w, &input](VectorMachine& m) {
         return w.body(m, input);
       };
       // One untimed warmup so the first measured run is not the one paying
       // to page in the key material and working set, then min-of-k
-      // interleaved reps: ambient host load drifts all five configurations
+      // interleaved reps: ambient host load drifts all three configurations
       // alike instead of landing on whichever ran when the spike hit.
-      run_backend(BackendKind::kSerial, threads, /*fuse=*/true, params, body);
+      run_backend(BackendKind::kSerial, /*fuse=*/true, params, body);
       constexpr int kReps = 3;
       Sample serial;
-      Sample parallel;
       Sample simd;
-      Sample par_simd;
       Sample unfused;
       for (int rep = 0; rep < kReps; ++rep) {
-        const Sample s = run_backend(BackendKind::kSerial, threads,
-                                     /*fuse=*/true, params, body);
-        const Sample p = run_backend(BackendKind::kParallel, threads,
-                                     /*fuse=*/true, params, body);
-        const Sample v = run_backend(BackendKind::kSimd, threads,
-                                     /*fuse=*/true, params, body);
-        const Sample pv = run_backend(BackendKind::kParallelSimd, threads,
-                                      /*fuse=*/true, params, body);
-        const Sample u = run_backend(BackendKind::kSerial, threads,
-                                     /*fuse=*/false, params, body);
+        const Sample s =
+            run_backend(BackendKind::kSerial, /*fuse=*/true, params, body);
+        const Sample v =
+            run_backend(BackendKind::kSimd, /*fuse=*/true, params, body);
+        const Sample u =
+            run_backend(BackendKind::kSerial, /*fuse=*/false, params, body);
         if (rep == 0) {
           serial = s;
-          parallel = p;
           simd = v;
-          par_simd = pv;
           unfused = u;
         } else {
-          FOLVEC_CHECK(s.digest == serial.digest && p.digest == parallel.digest &&
-                           v.digest == simd.digest &&
-                           pv.digest == par_simd.digest &&
+          FOLVEC_CHECK(s.digest == serial.digest && v.digest == simd.digest &&
                            u.digest == unfused.digest,
                        "workload must be deterministic across reps");
           serial.wall_s = std::min(serial.wall_s, s.wall_s);
-          parallel.wall_s = std::min(parallel.wall_s, p.wall_s);
           simd.wall_s = std::min(simd.wall_s, v.wall_s);
-          par_simd.wall_s = std::min(par_simd.wall_s, pv.wall_s);
           unfused.wall_s = std::min(unfused.wall_s, u.wall_s);
         }
       }
-      FOLVEC_CHECK(serial.digest == parallel.digest,
-                   "parallel backend diverged from serial reference");
       FOLVEC_CHECK(serial.digest == simd.digest,
                    "simd backend diverged from serial reference");
-      FOLVEC_CHECK(serial.digest == par_simd.digest,
-                   "parallel+simd backend diverged from serial reference");
       FOLVEC_CHECK(serial.digest == unfused.digest,
                    "fused kernels diverged from the unfused composition");
-      FOLVEC_CHECK(serial.chime_us == parallel.chime_us &&
-                       serial.chime_us == simd.chime_us &&
-                       serial.chime_us == par_simd.chime_us,
+      FOLVEC_CHECK(serial.chime_us == simd.chime_us,
                    "backends must issue identical instruction streams");
       FOLVEC_CHECK(serial.chime_us <= unfused.chime_us,
                    "fused kernels must never cost more chimes than the chain");
@@ -447,8 +395,6 @@ int main() {
       if (lg == 20 && std::string(w.name) == "fol1_heavy") {
         heavy_chime_n20 = serial.chime_us;
       }
-      const double accel =
-          parallel.wall_s > 0 ? serial.wall_s / parallel.wall_s : 0;
       const double simd_accel =
           simd.wall_s > 0 ? serial.wall_s / simd.wall_s : 0;
       if (lg == 20) {
@@ -459,11 +405,8 @@ int main() {
       table.add_row({w.name, Cell(static_cast<long long>(n)),
                      Cell(serial.chime_us, 0), Cell(unfused.chime_us, 0),
                      Cell(cut, 3), Cell(serial.wall_s * 1e3, 2),
-                     Cell(parallel.wall_s * 1e3, 2),
                      Cell(simd.wall_s * 1e3, 2),
-                     Cell(par_simd.wall_s * 1e3, 2),
-                     Cell(unfused.wall_s * 1e3, 2), Cell(accel, 2),
-                     Cell(simd_accel, 2)});
+                     Cell(unfused.wall_s * 1e3, 2), Cell(simd_accel, 2)});
     }
   }
   if (has_n20) report.note("simd_wall_accel_min_n20", min_simd_accel_n20);
@@ -481,93 +424,6 @@ int main() {
                  "2x of the all-distinct chime cost at N=2^20");
     report.note("fol1_heavy_over_distinct_chime_n20", heavy_ratio);
   }
-
-  // ---- worker scaling curve -----------------------------------------------
-  // Every workload at 1/2/4/8 workers at N=2^17, plus the 4-worker point at
-  // N=2^20: the evidence the parallel backend wins rather than merely
-  // matching, with the parallel+simd wall beside it. Each point is
-  // digest-checked against the serial reference, so the curve doubles as a
-  // bit-identity sweep across worker counts, and every column of a cell
-  // reuses the one input generated for that (workload, N).
-  folvec::TablePrinter scaling_table({"workload", "N", "workers",
-                                      "serial_wall_ms", "parallel_wall_ms",
-                                      "par_simd_wall_ms", "wall_accel",
-                                      "par_simd_accel"});
-  double min_accel_n17_w4 = 0;
-  double min_accel_n20_w4 = 0;
-  const auto scaling_points = [&](const Workload& w, int lg,
-                                  const std::vector<std::size_t>& counts) {
-    const auto n = static_cast<std::size_t>(1) << lg;
-    const WorkloadInput input = w.make(n);
-    const auto body = [&w, &input](VectorMachine& m) {
-      return w.body(m, input);
-    };
-    constexpr int kReps = 3;
-    run_backend(BackendKind::kSerial, threads, /*fuse=*/true, params, body);
-    Sample serial;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const Sample s = run_backend(BackendKind::kSerial, threads,
-                                   /*fuse=*/true, params, body);
-      if (rep == 0) {
-        serial = s;
-      } else {
-        serial.wall_s = std::min(serial.wall_s, s.wall_s);
-      }
-    }
-    for (const std::size_t workers : counts) {
-      Sample parallel;
-      Sample par_simd;
-      for (int rep = 0; rep < kReps; ++rep) {
-        const Sample p = run_backend(BackendKind::kParallel, workers,
-                                     /*fuse=*/true, params, body);
-        const Sample pv = run_backend(BackendKind::kParallelSimd, workers,
-                                      /*fuse=*/true, params, body);
-        FOLVEC_CHECK(p.digest == serial.digest,
-                     "parallel backend diverged from serial on the scaling "
-                     "curve");
-        FOLVEC_CHECK(pv.digest == serial.digest,
-                     "parallel+simd backend diverged from serial on the "
-                     "scaling curve");
-        if (rep == 0) {
-          parallel = p;
-          par_simd = pv;
-        } else {
-          parallel.wall_s = std::min(parallel.wall_s, p.wall_s);
-          par_simd.wall_s = std::min(par_simd.wall_s, pv.wall_s);
-        }
-      }
-      const double accel =
-          parallel.wall_s > 0 ? serial.wall_s / parallel.wall_s : 0;
-      const double simd_accel =
-          par_simd.wall_s > 0 ? serial.wall_s / par_simd.wall_s : 0;
-      scaling_table.add_row({w.name, Cell(static_cast<long long>(n)),
-                             Cell(static_cast<long long>(workers)),
-                             Cell(serial.wall_s * 1e3, 2),
-                             Cell(parallel.wall_s * 1e3, 2),
-                             Cell(par_simd.wall_s * 1e3, 2), Cell(accel, 2),
-                             Cell(simd_accel, 2)});
-      if (workers == 4) {
-        const std::string note_key = std::string("scaling_wall_accel_") +
-                                     w.name + "_n" + std::to_string(lg) +
-                                     "_w4";
-        report.note(note_key, accel);
-        double& min_accel = lg == 17 ? min_accel_n17_w4 : min_accel_n20_w4;
-        min_accel = min_accel == 0 ? accel : std::min(min_accel, accel);
-        if (accel_gate) {
-          FOLVEC_CHECK(accel > 1.0,
-                       "parallel backend must beat serial wall clock with 4 "
-                       "workers on every workload");
-        }
-      }
-    }
-  };
-  for (const Workload& w : workloads) {
-    if (has_n17) scaling_points(w, 17, {1, 2, 4, 8});
-    if (has_n20) scaling_points(w, 20, {4});
-  }
-  report.note("wall_accel_gate_active", accel_gate ? 1.0 : 0.0);
-  if (has_n17) report.note("scaling_wall_accel_min_n17_w4", min_accel_n17_w4);
-  if (has_n20) report.note("scaling_wall_accel_min_n20_w4", min_accel_n20_w4);
 
   // ---- hardware conflict detection vs FOL1 software decomposition ---------
   // The headline ablation: the same dense-sharing index vector as the fol1
@@ -692,7 +548,7 @@ int main() {
   // one clobber interval) while skipping the per-lane pass.
   const auto run_audit = [&params](AuditMode mode, const WorkloadInput& in) {
     MachineConfig cfg;
-    cfg.backend = BackendKind::kSerial;  // audit pins serial; compare alike
+    cfg.backend = BackendKind::kSerial;
     cfg.audit = mode != AuditMode::kOff;
     cfg.analysis = mode == AuditMode::kElide;
     cfg.audit_elide = mode == AuditMode::kElide;
@@ -783,13 +639,9 @@ int main() {
   }
 
   table.print(std::cout,
-              "Backend comparison: fused vs unfused chimes; serial, "
-              "parallel, simd, parallel+simd wall clock (" +
-                  std::to_string(threads) + " workers requested, simd=" +
+              std::string("Backend comparison: fused vs unfused chimes; "
+                          "serial and simd wall clock (simd=") +
                   folvec::vm::simd_level_name(simd_level) + ")");
-  scaling_table.print(std::cout,
-                      "Worker scaling curve: parallel and parallel+simd "
-                      "wall clock vs the serial reference per worker count");
   hw_table.print(std::cout,
                  std::string("fol1_hw_conflict ablation: one-pass ") +
                      (hw_native ? "hardware" : "scalar-fallback") +
@@ -802,23 +654,15 @@ int main() {
   report.add_table("Audit modes on the proven-safe fol1_distinct workload: "
                        "off vs full ScatterCheck vs analysis-elided",
                    audit_table);
-  report.add_table("Backend comparison: fused vs unfused chimes; serial, "
-                       "parallel, simd, parallel+simd wall clock (" +
-                       std::to_string(threads) + " workers requested)",
+  report.add_table("Backend comparison: fused vs unfused chimes; serial "
+                   "and simd wall clock",
                    table);
-  report.add_table("Worker scaling curve: parallel and parallel+simd wall "
-                       "clock vs the serial reference per worker count",
-                   scaling_table);
   report.add_table("fol1_hw_conflict ablation: one-pass conflict ranking vs "
                        "the FOL1 software decomposition",
                    hw_table);
   std::cout << "\nchime times are backend-invariant (asserted); chime_cut is "
                "1 - fused/unfused, asserted >= 0.25 for the FOL1 workloads "
-               "at N=2^20;\nwall acceleration depends on host core count; "
-               "the 4-worker scaling points are asserted > 1.0 "
-            << (accel_gate ? "(gate active: " : "(gate skipped: ")
-            << hw_threads << " hardware threads);\nfol1_hw_conflict asserts "
-               "the one-pass conflict ranking beats the multi-round FOL1 "
-               "software wall clock\n";
+               "at N=2^20;\nfol1_hw_conflict asserts the one-pass conflict "
+               "ranking beats the multi-round FOL1 software wall clock\n";
   return 0;
 }

@@ -184,11 +184,10 @@ struct ScenarioResult {
   std::size_t final_size = 0;
 };
 
-BatchServerConfig server_config(std::size_t shards, std::size_t workers) {
+BatchServerConfig server_config(std::size_t shards) {
   BatchServerConfig cfg;
   cfg.map.shards = shards;
-  cfg.map.machine.backend = vm::BackendKind::kParallelSimd;
-  cfg.map.machine.backend_threads = workers;
+  cfg.map.machine.backend = vm::BackendKind::kSimd;
   cfg.map.machine.audit = false;
   cfg.coalesce.max_batch = 512;
   cfg.coalesce.max_wait = std::chrono::microseconds(200);
@@ -198,9 +197,8 @@ BatchServerConfig server_config(std::size_t shards, std::size_t workers) {
 /// Pump mode with a burst schedule: submit `burst` requests, pump, repeat.
 /// Deterministic end state; wall time still measured for the table.
 ScenarioResult run_pumped(const std::vector<Op>& ops, std::size_t key_space,
-                          std::size_t shards, std::size_t workers,
-                          std::size_t burst) {
-  BatchServer server(server_config(shards, workers));
+                          std::size_t shards, std::size_t burst) {
+  BatchServer server(server_config(shards));
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t base = 0; base < ops.size(); base += burst) {
     const std::size_t end = std::min(ops.size(), base + burst);
@@ -232,8 +230,8 @@ ScenarioResult run_pumped(const std::vector<Op>& ops, std::size_t key_space,
 /// service progress (spin pacing; the dispatch thread drains behind).
 /// Wall-only numbers — nothing deterministic is read from this run.
 ScenarioResult run_open_loop(const std::vector<Op>& ops, std::size_t shards,
-                             std::size_t workers, double rate_rps) {
-  BatchServer server(server_config(shards, workers));
+                             double rate_rps) {
+  BatchServer server(server_config(shards));
   server.start();
   const auto t0 = std::chrono::steady_clock::now();
   const double ns_per_req = 1e9 / rate_rps;
@@ -268,13 +266,11 @@ ScenarioResult run_open_loop(const std::vector<Op>& ops, std::size_t shards,
 int main() {
   bench::BenchReport report("serve_load");
   const std::size_t n_requests = env_size("FOLVEC_SERVE_REQUESTS", 20000);
-  const std::size_t workers = env_size("FOLVEC_BENCH_THREADS", 4);
   const std::size_t key_space = 4096;
   const std::size_t shards = 4;
   report.config("requests_per_scenario", static_cast<long long>(n_requests));
   report.config("key_space", static_cast<long long>(key_space));
   report.config("shards", static_cast<long long>(shards));
-  report.config("workers", static_cast<long long>(workers));
 
   // ---- pump-mode scenario table (deterministic digests + counters) --------
   struct Scenario {
@@ -295,7 +291,7 @@ int main() {
   for (const Scenario& s : scenarios) {
     std::cerr << "scenario " << s.name << "..." << std::flush;
     const std::vector<Op> ops = make_stream(s.seed, n_requests, key_space, s.dist);
-    const ScenarioResult r = run_pumped(ops, key_space, shards, workers, s.burst);
+    const ScenarioResult r = run_pumped(ops, key_space, shards, s.burst);
     std::cerr << " done (" << r.wall_seconds * 1e3 << " ms)\n";
     if (std::string(s.name) == "zipf_hot") pump_throughput_rps = r.throughput_rps;
     table.add_row({Cell(s.name), Cell(static_cast<long long>(ops.size())),
@@ -340,7 +336,7 @@ int main() {
     {
       ScopedFaultPlan scoped(&plan);
       const ScenarioResult r =
-          run_pumped(ops, key_space, shards, workers, /*burst=*/512);
+          run_pumped(ops, key_space, shards, /*burst=*/512);
       report.note("serve_faulted_final_size",
                   static_cast<long long>(r.final_size));
       report.note("serve_faulted_p99_wall_us",
@@ -371,7 +367,7 @@ int main() {
     const double rate_rps =
         std::clamp(0.3 * pump_throughput_rps, 5000.0, 100000.0);
     report.note("serve_open_loop_offered_wall_rps", rate_rps);
-    const ScenarioResult r = run_open_loop(ops, shards, workers, rate_rps);
+    const ScenarioResult r = run_open_loop(ops, shards, rate_rps);
     report.note("serve_open_loop_p50_wall_us", static_cast<long long>(r.p50_us));
     report.note("serve_open_loop_p99_wall_us", static_cast<long long>(r.p99_us));
     report.note("serve_open_loop_throughput_wall_rps", r.throughput_rps);

@@ -11,8 +11,9 @@
 //   schema       the literal schema id
 //   bench        the bench name
 //   config       bench-declared parameters (config())
-//   backend      effective execution backend of a default-config machine:
-//                name, workers, requested, pinned, pin_reason
+//   backend      execution backend of a default-config machine: name
+//                ("serial" or "simd") and simd_level (the kernel table's
+//                level: "scalar", "neon", "avx2" or "avx512")
 //   chime        modeled totals summed from the vm.op.* counters:
 //                instructions, elements
 //   wall         host seconds between report construction and write

@@ -1,11 +1,11 @@
-// ShardedMap: N VectorHashMap shards, one backend lane-group each.
+// ShardedMap: N VectorHashMap shards, one lane group each.
 //
-// The scaling unit of the serving layer. Keys route to shards by a
-// multiplicative spreading hash computed with vector ops on a dedicated
-// router machine; each shard owns its own VectorMachine built from the
-// shared MachineConfig — so a kParallel config gives every shard its own
-// worker pool (its lane group), and a kParallelSimd config runs every
-// shard's probe chains through the SIMD kernel tables. Batches partition
+// Keys route to shards by a multiplicative spreading hash computed with
+// vector ops on a dedicated router machine; each shard owns its own
+// VectorMachine built from the shared MachineConfig, so a shard is a lane
+// group: one shard's lanes of a batch run as that shard's vector
+// instructions (through the SIMD kernel tables on a kSimd config), and
+// more shards means shorter vectors per shard. Batches partition
 // stably by shard and run through the existing FOL decomposition via
 // VectorHashMap::{upsert,lookup,erase}_batch, which preserves the
 // sequential "last lane wins" contract: all occurrences of a key land in
@@ -18,11 +18,11 @@
 // fills past its design fill. So it can only over-approximate the live
 // set (false positives, never false negatives) — the differential tests
 // pin ShardedMap bit-identical to a single reference VectorHashMap at
-// every backend / worker-count / shard-count combination.
+// every backend / scatter-order / fuse / shard-count combination.
 //
 // Not thread-safe: like VectorMachine itself, a ShardedMap belongs to one
-// issuing thread (the BatchServer's dispatch loop); parallelism comes from
-// the shards' backend pools, not from concurrent callers.
+// issuing thread (the BatchServer's dispatch loop); the data parallelism is
+// the shards' vector lanes, not concurrent callers.
 #pragma once
 
 #include <cstddef>

@@ -2,9 +2,9 @@
 //
 // Historically each switch grew its own ad-hoc parser; FOLVEC_AUDIT treated
 // only the literal "0" as off, so `FOLVEC_AUDIT=off` silently *enabled* the
-// auditor. All boolean-ish switches (FOLVEC_AUDIT, FOLVEC_BACKEND's boolean
-// spellings) now share env_flag(): case-insensitive, whitespace-trimmed, and
-// with every common "off" spelling recognised.
+// auditor. Boolean-ish switches (FOLVEC_AUDIT) now share env_flag():
+// case-insensitive, whitespace-trimmed, and with every common "off" spelling
+// recognised.
 #pragma once
 
 #include <cctype>

@@ -1,14 +1,13 @@
 // Deterministic fault injection for the recovery paths.
 //
 // Every recovery path in this repo (pool-pressure degradation, ELS-violation
-// absorption, probe-cycle growth, worker-task re-dispatch) is exercised by
-// injecting its fault on purpose. The injection must be *deterministic*:
-// the serial and parallel backends are contractually bit-identical, and a
-// fault plan that fired on wall-clock time or a global RNG would break that
-// the moment two runs interleaved differently. FaultPlan therefore derives
-// every decision from (seed, site, per-site check index) — all three of
-// which are identical across backends, worker counts, and reruns — and all
-// draws happen on the issuing thread.
+// absorption, probe-cycle growth) is exercised by injecting its fault on
+// purpose. The injection must be *deterministic*: the serial and simd
+// backends are contractually bit-identical, and a fault plan that fired on
+// wall-clock time or a global RNG would break that between two runs.
+// FaultPlan therefore derives every decision from (seed, site, per-site
+// check index) — all three of which are identical across backends and
+// reruns — and all draws happen on the issuing thread.
 //
 // A plan is a comma/space-separated list of per-site clauses:
 //
@@ -16,7 +15,7 @@
 //   <site>@<k>      fire exactly once, on the k-th check (1-based)
 //   <site>%<k>      fire on every k-th check
 //
-// with sites: pool_alloc | els | probe | worker. Example:
+// with sites: pool_alloc | els | probe. Example:
 //
 //   FOLVEC_FAULT_SEED=42 FOLVEC_FAULT_SPEC='pool_alloc%5,els@2,probe=0.01'
 //
@@ -30,7 +29,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -40,21 +38,12 @@ enum class FaultSite : std::uint8_t {
   kPoolAlloc = 0,    ///< BufferPool::acquire allocation failure
   kElsViolation,     ///< scatter stores an amalgam (ELS condition broken)
   kProbeSaturation,  ///< open-addressing probe cycle saturates
-  kWorkerFault,      ///< a ThreadPool task dies at dispatch
 };
 
-inline constexpr std::size_t kFaultSiteCount = 4;
+inline constexpr std::size_t kFaultSiteCount = 3;
 
-/// Spec name of a site: "pool_alloc", "els", "probe", "worker".
+/// Spec name of a site: "pool_alloc", "els", "probe".
 const char* fault_site_name(FaultSite site);
-
-/// The exception an injected worker fault raises inside ThreadPool. A
-/// distinct type so the pool's re-dispatch logic retries exactly the
-/// injected failures and still rethrows real task exceptions unchanged.
-struct InjectedFault : std::runtime_error {
-  explicit InjectedFault(FaultSite fault_site);
-  FaultSite site;
-};
 
 /// A deterministic per-site fault schedule. Thread-safe: the per-site check
 /// counters are atomics, though in practice every draw happens on the

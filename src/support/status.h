@@ -39,9 +39,6 @@ enum class StatusCode : std::uint8_t {
   kProbeCycleSaturated,
   /// A capped BufferPool could not serve an acquire within its word limit.
   kPoolExhausted,
-  /// A worker task died and was not re-dispatched (surfaced only when the
-  /// ThreadPool's bounded re-dispatch is itself exhausted).
-  kWorkerFault,
   /// Catch-all for wrapped non-recoverable failures.
   kInternal,
 };
@@ -56,8 +53,6 @@ inline const char* status_code_name(StatusCode code) {
       return "ProbeCycleSaturated";
     case StatusCode::kPoolExhausted:
       return "PoolExhausted";
-    case StatusCode::kWorkerFault:
-      return "WorkerFault";
     case StatusCode::kInternal:
       return "Internal";
   }

@@ -12,12 +12,9 @@ namespace {
 
 std::atomic<MetricsRegistry*> g_metrics{nullptr};
 
-/// Namespaces that describe the host-execution machinery (thread pool,
-/// backend identity, fault injection) rather than the modeled computation;
-/// excluded from the deterministic view because they legitimately vary with
-/// worker count ("fault.": the worker-fault site is only checked by the
-/// parallel backend, so serial and parallel runs under one plan see
-/// different check counts).
+/// Namespaces that describe the host-execution machinery (buffer pool,
+/// backend identity, the fault-injection harness) rather than the modeled
+/// computation; excluded from the deterministic view.
 bool is_host_namespace(std::string_view name) {
   return name.rfind("pool.", 0) == 0 || name.rfind("backend.", 0) == 0 ||
          name.rfind("fault.", 0) == 0;

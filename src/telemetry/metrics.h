@@ -2,9 +2,9 @@
 //
 // The registry is the numeric half of the telemetry layer (spans.h is the
 // timeline half). Everything the repo's claims rest on — FOL round counts,
-// |S1..SM| set-size distributions, hash probe histograms, scatter-merge
-// phase costs — is recorded here by the instrumented code and read back as
-// a MetricsSnapshot by tests and the bench reporter.
+// |S1..SM| set-size distributions, hash probe histograms — is recorded
+// here by the instrumented code and read back as a MetricsSnapshot by
+// tests and the bench reporter.
 //
 // Recording follows the SpanTracer pattern (spans.h): a process-wide
 // installed registry, borrowed not owned, nullptr by default. Every record helper is
@@ -13,14 +13,14 @@
 // overhead guard pins that property).
 //
 // Determinism contract: counters, gauges, and histograms carry *modeled*
-// quantities and must be bit-identical for the same program on any
-// execution backend at any worker count — EXCEPT the "pool." and "backend."
+// quantities and must be bit-identical for the same program on either
+// execution backend — EXCEPT the "pool.", "backend." and "fault."
 // namespaces, which describe the host-execution machinery itself. Measured
 // host time always goes into the separate `timings` section, and
-// non-numeric facts (backend names, pin reasons) into `labels`. The
-// MetricsSnapshot::deterministic() view drops timings, labels, and the two
+// non-numeric facts (backend names, SIMD levels) into `labels`. The
+// MetricsSnapshot::deterministic() view drops timings, labels, and the
 // host namespaces; tests/backend_diff_test.cpp asserts it is identical
-// between the serial and parallel backend kinds at 1, 2, and 8 workers.
+// between the scalar table and the widest SIMD table.
 #pragma once
 
 #include <array>
@@ -132,12 +132,12 @@ struct MetricsSnapshot {
   std::map<std::string, HistogramData> histograms;
   /// Measured host seconds; inherently non-deterministic.
   std::map<std::string, double> timings;
-  /// Non-numeric facts (backend names, pin reasons, build flavor).
+  /// Non-numeric facts (backend names, SIMD levels, build flavor).
   std::map<std::string, std::string> labels;
 
   /// The backend-independent view: counters/gauges/histograms minus the
-  /// "pool." and "backend." namespaces; no timings, no labels. Identical
-  /// across execution backends and worker counts for the same program.
+  /// "pool.", "backend." and "fault." namespaces; no timings, no labels.
+  /// Identical across execution backends for the same program.
   MetricsSnapshot deterministic() const;
 
   /// Per-entry difference `after - before`, keyed on the union of both

@@ -1,8 +1,6 @@
 #include "vm/machine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
 #include <numeric>
 #include <string>
 #include <unordered_map>
@@ -11,66 +9,12 @@
 #include "analysis/analyzer.h"
 #include "support/env.h"
 #include "support/faultsim.h"
-#include "vm/backend.h"
 #include "vm/buffer_pool.h"
 #include "vm/checker.h"
 #include "vm/simd_backend.h"
 #include "vm/simd_kernels.h"
 
 namespace folvec::vm {
-
-namespace {
-
-/// The kind a machine built from `config` runs. Audit pins execution to the
-/// single-threaded path: ScatterCheck's per-lane bookkeeping is
-/// single-threaded, and an audited instruction stream must be the one whose
-/// semantics the auditor reasons about. The kernel tables run on the issuing
-/// thread and are bit-identical to the scalar table, so kSimd itself stays
-/// auditable — only the pool is pinned away (kParallel -> kSerial,
-/// kParallelSimd -> kSimd).
-BackendKind effective_kind(const MachineConfig& config) {
-  if (config.audit && config.backend == BackendKind::kParallel) {
-    return BackendKind::kSerial;
-  }
-  if (config.audit && config.backend == BackendKind::kParallelSimd) {
-    return BackendKind::kSimd;
-  }
-  return config.backend;
-}
-
-bool is_simd_kind(BackendKind k) {
-  return k == BackendKind::kSimd || k == BackendKind::kParallelSimd;
-}
-
-/// One-time stderr notice that the parallel request was pinned; per-machine
-/// repetition would drown test output, but silence would leave
-/// FOLVEC_BACKEND=parallel users benchmarking the wrong backend unawares.
-void warn_audit_pin_once() {
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true, std::memory_order_relaxed)) {
-    std::fprintf(stderr,
-                 "folvec: audit mode pins execution to the single-threaded "
-                 "path; the requested parallel workers are ignored "
-                 "(set FOLVEC_AUDIT=0 to benchmark parallel execution)\n");
-  }
-}
-
-/// Telemetry spelling of a BackendKind request.
-const char* backend_kind_name(BackendKind k) {
-  switch (k) {
-    case BackendKind::kSerial:
-      return "serial";
-    case BackendKind::kParallel:
-      return "parallel";
-    case BackendKind::kSimd:
-      return "simd";
-    case BackendKind::kParallelSimd:
-      return "parallel+simd";
-  }
-  return "serial";
-}
-
-}  // namespace
 
 bool MachineConfig::audit_default() {
   if (const auto env = env_value("FOLVEC_AUDIT")) return env_flag(*env);
@@ -81,12 +25,9 @@ BackendKind MachineConfig::backend_default() {
   if (const auto env = env_value("FOLVEC_BACKEND")) {
     const std::string v = env_normalize(*env);
     if (v == "serial") return BackendKind::kSerial;
-    if (v == "parallel") return BackendKind::kParallel;
     if (v == "simd") return BackendKind::kSimd;
-    if (v == "parallel+simd" || v == "simd+parallel") {
-      return BackendKind::kParallelSimd;
-    }
-    return env_flag(v) ? BackendKind::kParallel : BackendKind::kSerial;
+    throw PreconditionError("FOLVEC_BACKEND='" + *env +
+                            "' is not a backend (expected serial or simd)");
   }
   return BackendKind::kSerial;
 }
@@ -100,9 +41,14 @@ SimdLevel MachineConfig::simd_level_default() {
 
 VectorMachine::VectorMachine(const MachineConfig& config)
     : config_(config),
-      kind_(effective_kind(config)),
       shuffle_rng_(config.shuffle_seed),
+      kernels_(config.backend == BackendKind::kSimd
+                   ? &simd_kernels_for(simd_resolve_level(config.simd_level))
+                   : &simd_kernels_scalar()),
       pool_(std::make_unique<BufferPool>()) {
+  FOLVEC_REQUIRE(config_.backend_threads <= 1,
+                 "backend_threads must be 0 or 1: every instruction runs on "
+                 "the issuing thread");
   if (config_.audit) {
     checker_ = std::make_unique<ScatterChecker>(config_.audit_throw);
   }
@@ -110,19 +56,11 @@ VectorMachine::VectorMachine(const MachineConfig& config)
     analyzer_ = std::make_unique<analysis::Analyzer>();
     pool_->set_analyzer(analyzer_.get());
   }
-  const bool pooled =
-      kind_ == BackendKind::kParallel || kind_ == BackendKind::kParallelSimd;
-  backend_ = std::make_unique<Backend>(
-      is_simd_kind(kind_)
-          ? simd_kernels_for(simd_resolve_level(config_.simd_level))
-          : simd_kernels_scalar(),
-      pooled ? config_.backend_threads : 1, config_.backend_grain);
-  if (kind_ != config_.backend) warn_audit_pin_once();
 }
 
 VectorMachine::~VectorMachine() {
-  // A moved-from machine has no backend (and nothing to report).
-  if (backend_ != nullptr) flush_telemetry();
+  // A moved-from machine has no pool (and nothing to report).
+  if (pool_ != nullptr) flush_telemetry();
 }
 
 VectorMachine::VectorMachine(VectorMachine&&) noexcept = default;
@@ -184,37 +122,24 @@ void VectorMachine::flush_telemetry() const {
     if (ps.fault_drops != 0) r->add("pool.buffer.fault_drops", ps.fault_drops);
   }
   // Backend identity lives in the excluded-from-determinism "backend."
-  // namespace: it legitimately differs between serial and parallel runs.
+  // namespace: it legitimately differs between serial and simd runs.
   r->label("backend.name", backend_name());
-  r->label("backend.requested", backend_kind_name(config_.backend));
-  r->gauge_max("backend.workers",
-               static_cast<std::int64_t>(backend_workers()));
-  if (is_simd_kind(kind_)) {
-    const char* level = backend_->kernels().name;
-    r->label("backend.simd_level", level);
-    r->add(std::string("backend.simd.dispatch.") + level, simd_dispatches_);
-  }
-  if (kind_ != config_.backend) {
-    r->add("backend.pinned", 1);
-    r->label("backend.pin_reason", "audit");
+  if (config_.backend == BackendKind::kSimd) {
+    r->label("backend.simd_level", kernels_->name);
+    r->add(std::string("backend.simd.dispatch.") + kernels_->name,
+           simd_dispatches_);
   }
 }
 
 const char* VectorMachine::backend_name() const {
-  return backend_kind_name(kind_);
+  return config_.backend == BackendKind::kSimd ? "simd" : "serial";
 }
 
-std::size_t VectorMachine::backend_workers() const {
-  return backend_->workers();
-}
-
-SimdLevel VectorMachine::active_simd_level() const {
-  return backend_->kernels().level;
-}
+SimdLevel VectorMachine::active_simd_level() const { return kernels_->level; }
 
 const SimdKernels& VectorMachine::kernels() {
-  if (is_simd_kind(kind_)) ++simd_dispatches_;
-  return backend_->kernels();
+  if (config_.backend == BackendKind::kSimd) ++simd_dispatches_;
+  return *kernels_;
 }
 
 const HazardReport& VectorMachine::hazards() const {
@@ -244,10 +169,11 @@ bool VectorMachine::elide_allowed() const {
          faults() == nullptr;
 }
 
-void VectorMachine::run_lanes(OpClass c, std::size_t n, RangeFn kernel) {
+template <typename Kernel>
+void VectorMachine::run_lanes(OpClass c, std::size_t n, const Kernel& kernel) {
   const OpTimer timer(cost_, c, n);
   issue(c, n);
-  backend_->for_lanes(n, kernel);
+  kernel();
 }
 
 // ---- vector generation -----------------------------------------------------
@@ -263,8 +189,8 @@ void VectorMachine::iota_into(WordVec& out, std::size_t n, Word start,
   out.resize(n);
   Word* o = out.data();
   const auto k = kernels().iota;
-  run_lanes(OpClass::kVectorArith, n, [&](std::size_t lo, std::size_t hi) {
-    k(o, start, step, lo, hi);
+  run_lanes(OpClass::kVectorArith, n, [&] {
+    k(o, start, step, 0, n);
   });
   if (analyzer_ != nullptr) {
     analyzer_->rec_gen(analysis::Opcode::kIota, out, start, step);
@@ -274,8 +200,8 @@ void VectorMachine::iota_into(WordVec& out, std::size_t n, Word start,
 WordVec VectorMachine::splat(std::size_t n, Word value) {
   WordVec out(n);
   Word* o = out.data();
-  run_lanes(OpClass::kVectorArith, n, [&](std::size_t lo, std::size_t hi) {
-    std::fill(o + lo, o + hi, value);
+  run_lanes(OpClass::kVectorArith, n, [&] {
+    std::fill(o, o + n, value);
   });
   if (analyzer_ != nullptr) {
     analyzer_->rec_gen(analysis::Opcode::kSplat, out, value, 0);
@@ -292,11 +218,9 @@ WordVec VectorMachine::copy(std::span<const Word> v) {
 void VectorMachine::copy_into(WordVec& out, std::span<const Word> v) {
   out.resize(v.size());
   Word* o = out.data();
-  run_lanes(OpClass::kVectorLoad, v.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              std::copy(v.begin() + static_cast<std::ptrdiff_t>(lo),
-                        v.begin() + static_cast<std::ptrdiff_t>(hi), o + lo);
-            });
+  run_lanes(OpClass::kVectorLoad, v.size(), [&] {
+    std::copy(v.begin(), v.end(), o);
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kCopy, out, v);
   }
@@ -312,8 +236,8 @@ void VectorMachine::reverse_into(WordVec& out, std::span<const Word> v) {
   const std::size_t n = v.size();
   out.resize(n);
   Word* o = out.data();
-  run_lanes(OpClass::kVectorLoad, n, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) o[i] = v[n - 1 - i];
+  run_lanes(OpClass::kVectorLoad, n, [&] {
+    for (std::size_t i = 0; i < n; ++i) o[i] = v[n - 1 - i];
   });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kReverse, out, v);
@@ -327,10 +251,9 @@ void VectorMachine::zip_into(WordVec& out, std::span<const Word> a,
   FOLVEC_REQUIRE(a.size() == b.size(), "vector lengths must match");
   out.resize(a.size());
   Word* o = out.data();
-  run_lanes(OpClass::kVectorArith, a.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              k(o, a.data(), b.data(), lo, hi);
-            });
+  run_lanes(OpClass::kVectorArith, a.size(), [&] {
+    k(o, a.data(), b.data(), 0, a.size());
+  });
 }
 
 WordVec VectorMachine::zip(std::span<const Word> a, std::span<const Word> b,
@@ -344,8 +267,9 @@ void VectorMachine::map_into(WordVec& out, std::span<const Word> a,
                              SimdMapFn k, Word s) {
   out.resize(a.size());
   Word* o = out.data();
-  run_lanes(OpClass::kVectorArith, a.size(),
-            [&](std::size_t lo, std::size_t hi) { k(o, a.data(), s, lo, hi); });
+  run_lanes(OpClass::kVectorArith, a.size(), [&] {
+    k(o, a.data(), s, 0, a.size());
+  });
 }
 
 WordVec VectorMachine::map(std::span<const Word> a, SimdMapFn k, Word s) {
@@ -430,8 +354,9 @@ void VectorMachine::div_scalar_into(WordVec& out, std::span<const Word> a,
   out.resize(a.size());
   Word* o = out.data();
   const auto k = kernels().div_s;
-  run_lanes(OpClass::kVectorDiv, a.size(),
-            [&](std::size_t lo, std::size_t hi) { k(o, a.data(), s, lo, hi); });
+  run_lanes(OpClass::kVectorDiv, a.size(), [&] {
+    k(o, a.data(), s, 0, a.size());
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kDivScalar, out, a, s);
   }
@@ -449,8 +374,9 @@ void VectorMachine::mod_scalar_into(WordVec& out, std::span<const Word> a,
   out.resize(a.size());
   Word* o = out.data();
   const auto k = kernels().mod_s;
-  run_lanes(OpClass::kVectorDiv, a.size(),
-            [&](std::size_t lo, std::size_t hi) { k(o, a.data(), s, lo, hi); });
+  run_lanes(OpClass::kVectorDiv, a.size(), [&] {
+    k(o, a.data(), s, 0, a.size());
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kModScalar, out, a, s);
   }
@@ -482,14 +408,13 @@ WordVec VectorMachine::shl_scalar(std::span<const Word> a, int k) {
   FOLVEC_REQUIRE(k >= 0 && k < 64, "shift amount out of range");
   WordVec out(a.size());
   Word* o = out.data();
-  run_lanes(OpClass::kVectorArith, a.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              for (std::size_t i = lo; i < hi; ++i) {
-                FOLVEC_REQUIRE(a[i] >= 0,
-                               "shl_scalar needs non-negative elements");
-                o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) << k);
-              }
-            });
+  run_lanes(OpClass::kVectorArith, a.size(), [&] {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      FOLVEC_REQUIRE(a[i] >= 0,
+                     "shl_scalar needs non-negative elements");
+      o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) << k);
+    }
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_unary(analysis::Opcode::kShlScalar, out, a, k);
   }
@@ -540,10 +465,9 @@ void VectorMachine::cmp_into(Mask& out, std::span<const Word> a,
   FOLVEC_REQUIRE(a.size() == b.size(), "vector lengths must match");
   out.resize(a.size());
   std::uint8_t* o = out.data();
-  run_lanes(OpClass::kVectorCompare, a.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              k(o, a.data(), b.data(), lo, hi);
-            });
+  run_lanes(OpClass::kVectorCompare, a.size(), [&] {
+    k(o, a.data(), b.data(), 0, a.size());
+  });
 }
 
 Mask VectorMachine::cmp_scalar(std::span<const Word> a, SimdCmpSFn k,
@@ -557,8 +481,9 @@ void VectorMachine::cmp_scalar_into(Mask& out, std::span<const Word> a,
                                     SimdCmpSFn k, Word s) {
   out.resize(a.size());
   std::uint8_t* o = out.data();
-  run_lanes(OpClass::kVectorCompare, a.size(),
-            [&](std::size_t lo, std::size_t hi) { k(o, a.data(), s, lo, hi); });
+  run_lanes(OpClass::kVectorCompare, a.size(), [&] {
+    k(o, a.data(), s, 0, a.size());
+  });
 }
 
 void VectorMachine::rec_cmp(analysis::Opcode op, const Mask& out,
@@ -646,10 +571,9 @@ void VectorMachine::mask_and_into(Mask& out, const Mask& a, const Mask& b) {
   out.resize(a.size());
   std::uint8_t* o = out.data();
   const auto k = kernels().mask_and;
-  run_lanes(OpClass::kVectorMask, a.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              k(o, a.data(), b.data(), lo, hi);
-            });
+  run_lanes(OpClass::kVectorMask, a.size(), [&] {
+    k(o, a.data(), b.data(), 0, a.size());
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskAnd, out.bytes(), a.bytes(),
                          b.bytes());
@@ -661,10 +585,9 @@ Mask VectorMachine::mask_or(const Mask& a, const Mask& b) {
   Mask out(a.size());
   std::uint8_t* o = out.data();
   const auto k = kernels().mask_or;
-  run_lanes(OpClass::kVectorMask, a.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              k(o, a.data(), b.data(), lo, hi);
-            });
+  run_lanes(OpClass::kVectorMask, a.size(), [&] {
+    k(o, a.data(), b.data(), 0, a.size());
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskOr, out.bytes(), a.bytes(), b.bytes());
   }
@@ -675,8 +598,9 @@ Mask VectorMachine::mask_not(const Mask& a) {
   Mask out(a.size());
   std::uint8_t* o = out.data();
   const auto k = kernels().mask_not;
-  run_lanes(OpClass::kVectorMask, a.size(),
-            [&](std::size_t lo, std::size_t hi) { k(o, a.data(), lo, hi); });
+  run_lanes(OpClass::kVectorMask, a.size(), [&] {
+    k(o, a.data(), 0, a.size());
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_mask2(analysis::Opcode::kMaskNot, out.bytes(), a.bytes(), {});
   }
@@ -690,7 +614,9 @@ std::size_t VectorMachine::count_true(const Mask& m) {
   // compress / partition sizing that usually follows).
   const OpTimer timer(cost_, OpClass::kVectorReduce, m.size());
   issue(OpClass::kVectorReduce, m.size());
-  if (!m.has_popcount()) m.set_popcount(backend_->count_true(m));
+  if (!m.has_popcount()) {
+    m.set_popcount(kernels_->count_true(m.data(), m.size()));
+  }
   if (analyzer_ != nullptr) analyzer_->rec_count_true(m.bytes());
   return m.popcount();
 }
@@ -703,7 +629,7 @@ Word VectorMachine::reduce_sum(std::span<const Word> v) {
   if (analyzer_ != nullptr) {
     analyzer_->rec_reduce(analysis::Opcode::kReduceSum, v);
   }
-  return backend_->reduce_sum(v);
+  return kernels_->reduce_sum(v.data(), v.size());
 }
 
 Word VectorMachine::reduce_min(std::span<const Word> v) {
@@ -713,7 +639,7 @@ Word VectorMachine::reduce_min(std::span<const Word> v) {
   if (analyzer_ != nullptr) {
     analyzer_->rec_reduce(analysis::Opcode::kReduceMin, v);
   }
-  return backend_->reduce_min(v);
+  return kernels_->reduce_min(v.data(), v.size());
 }
 
 Word VectorMachine::reduce_max(std::span<const Word> v) {
@@ -723,7 +649,7 @@ Word VectorMachine::reduce_max(std::span<const Word> v) {
   if (analyzer_ != nullptr) {
     analyzer_->rec_reduce(analysis::Opcode::kReduceMax, v);
   }
-  return backend_->reduce_max(v);
+  return kernels_->reduce_max(v.data(), v.size());
 }
 
 // ---- selection -----------------------------------------------------------------
@@ -741,7 +667,7 @@ std::size_t VectorMachine::compress_into(WordVec& out, std::span<const Word> v,
   issue(OpClass::kVectorCompress, v.size());
   const std::size_t nt = m.popcount();
   out.resize(nt);
-  backend_->compress_into(v, m, out);
+  kernels_->compress(out.data(), nt, v.data(), m.data(), v.size());
   if (analyzer_ != nullptr) analyzer_->rec_compress(out, v, m.bytes());
   return nt;
 }
@@ -761,10 +687,9 @@ void VectorMachine::select_into(WordVec& out, const Mask& m,
   out.resize(a.size());
   Word* o = out.data();
   const auto k = kernels().select;
-  run_lanes(OpClass::kVectorArith, a.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              k(o, m.data(), a.data(), b.data(), lo, hi);
-            });
+  run_lanes(OpClass::kVectorArith, a.size(), [&] {
+    k(o, m.data(), a.data(), b.data(), 0, a.size());
+  });
   if (analyzer_ != nullptr) analyzer_->rec_select(out, m.bytes(), a, b);
 }
 
@@ -772,8 +697,9 @@ WordVec VectorMachine::from_mask(const Mask& m) {
   WordVec out(m.size());
   Word* o = out.data();
   const auto k = kernels().from_mask;
-  run_lanes(OpClass::kVectorArith, m.size(),
-            [&](std::size_t lo, std::size_t hi) { k(o, m.data(), lo, hi); });
+  run_lanes(OpClass::kVectorArith, m.size(), [&] {
+    k(o, m.data(), 0, m.size());
+  });
   if (analyzer_ != nullptr) analyzer_->rec_from_mask(out, m.bytes());
   return out;
 }
@@ -788,11 +714,9 @@ void VectorMachine::store(std::span<Word> table, std::size_t offset,
                  "contiguous store out of bounds");
   if (checker_ != nullptr) checker_->on_overwrite(table.data() + offset, v.size());
   Word* dst = table.data() + offset;
-  run_lanes(OpClass::kVectorStore, v.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              std::copy(v.begin() + static_cast<std::ptrdiff_t>(lo),
-                        v.begin() + static_cast<std::ptrdiff_t>(hi), dst + lo);
-            });
+  run_lanes(OpClass::kVectorStore, v.size(), [&] {
+    std::copy(v.begin(), v.end(), dst);
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_store(analysis::Opcode::kStore, table, dst, v.size(), 1);
   }
@@ -801,10 +725,9 @@ void VectorMachine::store(std::span<Word> table, std::size_t offset,
 void VectorMachine::fill(std::span<Word> table, Word value) {
   if (checker_ != nullptr) checker_->on_overwrite(table.data(), table.size());
   Word* dst = table.data();
-  run_lanes(OpClass::kVectorStore, table.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              std::fill(dst + lo, dst + hi, value);
-            });
+  run_lanes(OpClass::kVectorStore, table.size(), [&] {
+    std::fill(dst, dst + table.size(), value);
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_store(analysis::Opcode::kFill, table, dst, table.size(), 1);
   }
@@ -818,8 +741,8 @@ WordVec VectorMachine::load(std::span<const Word> table, std::size_t offset,
   WordVec out(n);
   Word* o = out.data();
   const Word* src = table.data() + offset;
-  run_lanes(OpClass::kVectorLoad, n, [&](std::size_t lo, std::size_t hi) {
-    std::copy(src + lo, src + hi, o + lo);
+  run_lanes(OpClass::kVectorLoad, n, [&] {
+    std::copy(src, src + n, o);
   });
   if (analyzer_ != nullptr) {
     analyzer_->rec_load(analysis::Opcode::kLoad, out, table);
@@ -838,8 +761,8 @@ WordVec VectorMachine::load_strided(std::span<const Word> table,
   WordVec out(n);
   Word* o = out.data();
   const auto k = kernels().load_strided;
-  run_lanes(OpClass::kVectorLoad, n, [&](std::size_t lo, std::size_t hi) {
-    k(o, table.data(), offset, stride, lo, hi);
+  run_lanes(OpClass::kVectorLoad, n, [&] {
+    k(o, table.data(), offset, stride, 0, n);
   });
   if (analyzer_ != nullptr) {
     analyzer_->rec_load(analysis::Opcode::kLoadStrided, out, table);
@@ -858,12 +781,11 @@ void VectorMachine::store_strided(std::span<Word> table, std::size_t offset,
   if (checker_ != nullptr) {
     checker_->on_overwrite(table.data() + offset, v.size(), stride);
   }
-  run_lanes(OpClass::kVectorStore, v.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              for (std::size_t i = lo; i < hi; ++i) {
-                table[offset + i * stride] = v[i];
-              }
-            });
+  run_lanes(OpClass::kVectorStore, v.size(), [&] {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      table[offset + i * stride] = v[i];
+    }
+  });
   if (analyzer_ != nullptr) {
     analyzer_->rec_store(analysis::Opcode::kStoreStrided, table,
                          table.data() + offset, v.size(), stride);
@@ -875,8 +797,9 @@ void VectorMachine::store_strided(std::span<Word> table, std::size_t offset,
 void VectorMachine::check_indices(std::span<const Word> idx,
                                   std::size_t table_size, const Mask* mask) {
   const std::uint8_t* m = mask != nullptr ? mask->data() : nullptr;
-  FOLVEC_REQUIRE(backend_->first_oob(idx, table_size, m) == Backend::npos,
-                 "list-vector index out of bounds");
+  FOLVEC_REQUIRE(
+      kernels_->first_oob(idx.data(), idx.size(), table_size, m) == kNoLane,
+      "list-vector index out of bounds");
 }
 
 WordVec VectorMachine::gather(std::span<const Word> table,
@@ -915,10 +838,9 @@ void VectorMachine::gather_into(WordVec& out, std::span<const Word> table,
   out.resize(idx.size());
   Word* o = out.data();
   const auto k = kernels().gather;
-  run_lanes(OpClass::kVectorGather, idx.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              k(o, table.data(), idx.data(), lo, hi);
-            });
+  run_lanes(OpClass::kVectorGather, idx.size(), [&] {
+    k(o, table.data(), idx.data(), 0, idx.size());
+  });
   if (analyzer_ != nullptr) analyzer_->rec_gather(out, table, idx, {}, sv, elide);
 }
 
@@ -944,10 +866,9 @@ WordVec VectorMachine::gather_masked(std::span<const Word> table,
   WordVec out(idx.size(), fill);
   Word* o = out.data();
   const auto k = kernels().gather_masked;
-  run_lanes(OpClass::kVectorGather, idx.size(),
-            [&](std::size_t lo, std::size_t hi) {
-              k(o, table.data(), idx.data(), m.data(), lo, hi);
-            });
+  run_lanes(OpClass::kVectorGather, idx.size(), [&] {
+    k(o, table.data(), idx.data(), m.data(), 0, idx.size());
+  });
   if (analyzer_ != nullptr) analyzer_->rec_gather(out, table, idx, m.bytes(), sv, elide);
   return out;
 }
@@ -962,22 +883,26 @@ std::vector<std::size_t> VectorMachine::shuffled_lane_order(std::size_t n) {
 void VectorMachine::dispatch_scatter(std::span<Word> table,
                                      std::span<const Word> idx,
                                      std::span<const Word> vals,
-                                     const Mask* mask) {
-  const std::uint8_t* m = mask != nullptr ? mask->data() : nullptr;
+                                     const std::uint8_t* mask) {
+  // The table's scatters cover the two lane-order traversals; shuffled
+  // orders have no vector shape and run the reference loop.
   switch (config_.scatter_order) {
     case ScatterOrder::kForward:
-      backend_->scatter(table, idx, vals, m, ScatterTraversal::kForward, {});
-      break;
+      kernels_->scatter_fwd(table.data(), idx.data(), vals.data(), mask,
+                            idx.size());
+      return;
     case ScatterOrder::kReverse:
-      backend_->scatter(table, idx, vals, m, ScatterTraversal::kReverse, {});
-      break;
+      kernels_->scatter_rev(table.data(), idx.data(), vals.data(), mask,
+                            idx.size());
+      return;
     case ScatterOrder::kShuffled: {
-      // The permutation is drawn from the machine's RNG on the issuing
-      // thread, so it is identical for every backend and worker count.
+      // One draw per scatter-class instruction — the fused kernel consumes
+      // exactly the draw its composition's one scatter would, so fused and
+      // unfused runs see identical RNG streams.
       const std::vector<std::size_t> order = shuffled_lane_order(idx.size());
-      backend_->scatter(table, idx, vals, m, ScatterTraversal::kExplicit,
-                        order);
-      break;
+      apply_scatter_reference(table, idx, vals, mask,
+                              ScatterTraversal::kExplicit, order);
+      return;
     }
   }
 }
@@ -1100,7 +1025,7 @@ void VectorMachine::scatter_masked(std::span<Word> table,
   check_indices(idx, table.size(), &m);
   const OpTimer timer(cost_, OpClass::kVectorScatter, idx.size());
   issue(OpClass::kVectorScatter, idx.size());
-  dispatch_scatter(table, idx, vals, &m);
+  dispatch_scatter(table, idx, vals, m.data());
   if (analyzer_ != nullptr) {
     analyzer_->rec_scatter(table, idx, vals, m.bytes(), /*ordered=*/false, sv, elide);
   }
@@ -1135,8 +1060,8 @@ void VectorMachine::scatter_ordered(std::span<Word> table,
   issue(OpClass::kVectorScatterOrdered, idx.size());
   // VSTX semantics: lane i completes before lane i+1, independent of the
   // configured ELS order.
-  backend_->scatter(table, idx, vals, nullptr, ScatterTraversal::kForward,
-                    {});
+  kernels_->scatter_fwd(table.data(), idx.data(), vals.data(), nullptr,
+                        idx.size());
   if (analyzer_ != nullptr) {
     analyzer_->rec_scatter(table, idx, vals, {}, /*ordered=*/true, sv, elide);
   }
@@ -1153,23 +1078,6 @@ void VectorMachine::scalar_store(std::span<Word> table, std::size_t pos,
 
 // ---- fused kernels ----------------------------------------------------------
 
-ScatterTraversal VectorMachine::resolve_scatter_order(
-    std::size_t n, std::vector<std::size_t>& order) {
-  switch (config_.scatter_order) {
-    case ScatterOrder::kForward:
-      return ScatterTraversal::kForward;
-    case ScatterOrder::kReverse:
-      return ScatterTraversal::kReverse;
-    case ScatterOrder::kShuffled:
-      break;
-  }
-  // Drawn on the issuing thread, one draw per scatter-class instruction —
-  // the fused kernel consumes exactly the draw its composition's one
-  // scatter would, so fused and unfused runs see identical RNG streams.
-  order = shuffled_lane_order(n);
-  return ScatterTraversal::kExplicit;
-}
-
 void VectorMachine::fused_scatter_gather_eq(Mask& out, std::span<Word> table,
                                             std::span<const Word> idx,
                                             std::span<const Word> vals,
@@ -1177,37 +1085,20 @@ void VectorMachine::fused_scatter_gather_eq(Mask& out, std::span<Word> table,
   const std::size_t n = idx.size();
   const OpTimer timer(cost_, OpClass::kVectorScatterGatherEq, n);
   issue(OpClass::kVectorScatterGatherEq, n);
-  std::vector<std::size_t> order;
-  const ScatterTraversal traversal = resolve_scatter_order(n, order);
+  const std::uint8_t* mask = active != nullptr ? active->data() : nullptr;
+  dispatch_scatter(table, idx, vals, mask);
 
-  // Runs once between the scatter and readback passes, on the issuing
-  // thread. The masked form must bounds-check ALL lanes here — its readback
-  // gathers inactive lanes too, and the composition faults at the gather,
-  // i.e. with the scatter already applied. The audit probe sits at the same
-  // point so ScatterCheck sees scatter-then-gather exactly like the
-  // composition.
-  struct BetweenPasses {
-    VectorMachine* m;
-    std::span<Word> table;
-    std::span<const Word> idx;
-    bool recheck_all_lanes;
-    bool audit_probe;
-  } hook{this, table, idx, active != nullptr, !elide && checker_ != nullptr};
-  const auto probe = [](void* ctx) {
-    auto* h = static_cast<BetweenPasses*>(ctx);
-    if (h->recheck_all_lanes) h->m->check_indices(h->idx, h->table.size());
-    if (h->audit_probe) {
-      h->m->checker_->on_gather(h->table, h->idx, nullptr);
-    }
-  };
-  const bool need_probe = hook.recheck_all_lanes || hook.audit_probe;
+  // Between the scatter and readback passes: the masked form must
+  // bounds-check ALL lanes here — its readback gathers inactive lanes too,
+  // and the composition faults at the gather, i.e. with the scatter already
+  // applied. The audit probe sits at the same point so ScatterCheck sees
+  // scatter-then-gather exactly like the composition.
+  if (active != nullptr) check_indices(idx, table.size());
+  if (!elide && checker_ != nullptr) checker_->on_gather(table, idx, nullptr);
 
   out.resize(n);
-  const std::size_t survivors = backend_->scatter_gather_eq(
-      table, idx, vals, active != nullptr ? active->data() : nullptr,
-      traversal, order, std::span<std::uint8_t>(out.data(), n),
-      need_probe ? +probe : nullptr, &hook);
-  out.set_popcount(survivors);
+  out.set_popcount(kernels_->match_eq(out.data(), table.data(), idx.data(),
+                                      vals.data(), mask, n));
   if (telemetry::MetricsRegistry* r = telemetry::metrics()) {
     r->add("fused.sge", 1);
     r->add("fused.sge.lanes", n);
@@ -1344,7 +1235,8 @@ std::pair<WordVec, WordVec> VectorMachine::partition(std::span<const Word> v,
   issue(OpClass::kVectorPartition, v.size());
   WordVec kept(nt);
   WordVec rejected(v.size() - nt);
-  backend_->partition(v, m, kept, rejected);
+  kernels_->partition(kept.data(), nt, rejected.data(), v.data(), m.data(),
+                      v.size());
   if (analyzer_ != nullptr) analyzer_->rec_partition(kept, rejected, v, m.bytes());
   if (telemetry::MetricsRegistry* r = telemetry::metrics()) {
     r->add("fused.partition", 1);
@@ -1368,7 +1260,8 @@ std::size_t VectorMachine::partition_into(WordVec& kept, WordVec& rejected,
   issue(OpClass::kVectorPartition, v.size());
   kept.resize(nt);
   rejected.resize(v.size() - nt);
-  backend_->partition(v, m, kept, rejected);
+  kernels_->partition(kept.data(), nt, rejected.data(), v.data(), m.data(),
+                      v.size());
   if (analyzer_ != nullptr) analyzer_->rec_partition(kept, rejected, v, m.bytes());
   if (telemetry::MetricsRegistry* r = telemetry::metrics()) {
     r->add("fused.partition", 1);

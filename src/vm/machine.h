@@ -66,16 +66,18 @@ enum class ScatterOrder : std::uint8_t {
   kShuffled,  ///< fresh pseudo-random lane order per scatter instruction
 };
 
-/// How the backend (see backend.h) runs the primitive lane loops: which
-/// kernel table, and across how many workers.
+/// Which kernel table (simd_kernels.h) the machine's lane loops run
+/// through. Every instruction runs on the issuing thread.
 enum class BackendKind : std::uint8_t {
-  kSerial,        ///< scalar reference table, one worker
-  kParallel,      ///< scalar table, backend_threads workers
-  kSimd,          ///< resolved simd_level table, one worker
-  kParallelSimd,  ///< resolved simd_level table, backend_threads workers
+  kSerial,  ///< the scalar reference table
+  kSimd,    ///< the resolved simd_level table
+  // Spellings of the retired multi-worker kinds, still named by perfbench;
+  // they go in the next benchmark change.
+  kParallel = kSerial,
+  kParallelSimd = kSimd,
 };
 
-/// Which SIMD kernel table the SIMD kinds execute through (see
+/// Which SIMD kernel table a kSimd machine executes through (see
 /// simd_backend.h). Declaration order is support rank order: resolution
 /// downgrades toward kScalar, never up.
 enum class SimdLevel : std::uint8_t {
@@ -87,8 +89,7 @@ enum class SimdLevel : std::uint8_t {
 };
 
 // Lane-kernel pointer shapes of the SIMD kernel table (simd_kernels.h). All
-// operate on lanes [lo, hi) of shared vectors, the same contract as
-// Backend::for_lanes chunks.
+// operate on lanes [lo, hi) of shared vectors.
 using SimdBinFn = void (*)(Word*, const Word*, const Word*, std::size_t,
                            std::size_t);
 using SimdMapFn = void (*)(Word*, const Word*, Word, std::size_t,
@@ -110,35 +111,28 @@ struct MachineConfig {
   static bool audit_default();
 
   /// Default backend: from the FOLVEC_BACKEND environment variable when set
-  /// ("serial"/"parallel"/"simd"/"parallel+simd" (or "simd+parallel"), or
-  /// the boolean spellings of support/env.h where truthy means parallel),
-  /// else serial.
+  /// ("serial" or "simd", case-insensitive; any other value throws
+  /// PreconditionError), else serial.
   static BackendKind backend_default();
 
-  /// Execution backend. Audit mode pins the instruction stream to the
-  /// single-threaded path regardless (ScatterCheck's per-lane bookkeeping is
-  /// single-threaded, and audited runs must see reference execution):
-  /// kParallel runs as kSerial and kParallelSimd as kSimd. The SIMD lane
-  /// kernels themselves stay auditable — they are bit-identical to serial
-  /// and execute on the issuing thread.
+  /// Execution backend. Both kinds are auditable: the SIMD tables are
+  /// bit-identical to the scalar table.
   BackendKind backend = backend_default();
 
   /// Default SIMD level: from the FOLVEC_SIMD_LEVEL environment variable
   /// when set (auto/scalar/neon/avx2/avx512), else kAuto.
   static SimdLevel simd_level_default();
 
-  /// Requested kernel level for the SIMD kinds (kSerial / kParallel always
-  /// run the scalar table). kAuto resolves to the best level the host CPU
+  /// Requested kernel level for kSimd (kSerial always runs the scalar
+  /// table). kAuto resolves to the best level the host CPU
   /// supports; a forced level unavailable on this host/build degrades to the
   /// best supported lower level with a one-time stderr notice (see
   /// simd_backend.h).
   SimdLevel simd_level = simd_level_default();
-  /// Worker threads for kParallel / kParallelSimd; 0 = hardware concurrency.
+  /// Must be 0 or 1 (PreconditionError otherwise): one worker runs every
+  /// instruction. Kept only because perfbench still sets it; it goes in the
+  /// next benchmark change.
   std::size_t backend_threads = 0;
-  /// Minimum lanes per worker chunk before the backend splits an
-  /// instruction. Tests lower it to exercise the parallel path on short
-  /// vectors; benches keep the default so tiny ops skip dispatch.
-  std::size_t backend_grain = 4096;
 
   /// Execute scatter_gather_eq / partition as single fused instructions
   /// (chained pipes, one vector startup). With false they run as their
@@ -178,11 +172,8 @@ struct MachineConfig {
 };
 
 class ScatterChecker;
-class Backend;
 class BufferPool;
-class RangeFn;  // full declaration in backend.h
 struct SimdKernels;  // full declaration in simd_kernels.h
-enum class ScatterTraversal : std::uint8_t;  // full declaration in backend.h
 
 class VectorMachine {
  public:
@@ -196,18 +187,17 @@ class VectorMachine {
   CostAccumulator& cost() { return cost_; }
   const CostAccumulator& cost() const { return cost_; }
 
-  /// Name of the active execution backend ("serial", "parallel", "simd" or
-  /// "parallel+simd"). May differ from config().backend: audit mode pins
-  /// execution to the single-threaded path.
+  /// Name of the execution backend: "serial" or "simd".
   const char* backend_name() const;
-  /// Worker count of the active backend (1 for serial/simd).
-  std::size_t backend_workers() const;
+  /// Always 1. Kept only because perfbench still reads it; it goes in the
+  /// next benchmark change.
+  std::size_t backend_workers() const { return 1; }
   /// The level of the kernel table the machine executes through (kScalar
-  /// on kSerial / kParallel, which run the scalar reference table).
+  /// on kSerial, which runs the scalar reference table).
   SimdLevel active_simd_level() const;
-  /// Lane-kernel table dispatches on a SIMD-kind machine (kSimd /
-  /// kParallelSimd; also published as backend.simd.dispatch.*). Always 0 on
-  /// kSerial / kParallel, whose scalar-table dispatches are not counted.
+  /// Lane-kernel table dispatches on a kSimd machine (also published as
+  /// backend.simd.dispatch.*). Always 0 on kSerial, whose scalar-table
+  /// dispatches are not counted.
   std::size_t simd_dispatches() const { return simd_dispatches_; }
 
   // ---- ScatterCheck auditing (see checker.h) ------------------------------
@@ -502,18 +492,18 @@ class VectorMachine {
   void cmp_scalar_into(Mask& out, std::span<const Word> a, SimdCmpSFn k,
                        Word s);
 
-  /// The kernel table the backend runs; on a SIMD-kind machine each call
-  /// counts one dispatch.
+  /// The kernel table the machine runs; on a kSimd machine each call counts
+  /// one dispatch.
   const SimdKernels& kernels();
 
-  /// Issues one class-`c` instruction over n lanes and runs its lane-aligned
-  /// kernel over [0, n) through the backend, under the instruction's
-  /// OpTimer.
-  void run_lanes(OpClass c, std::size_t n, RangeFn kernel);
+  /// Issues one class-`c` instruction over n lanes and runs `kernel` (which
+  /// covers lanes [0, n)) under the instruction's OpTimer.
+  template <typename Kernel>
+  void run_lanes(OpClass c, std::size_t n, const Kernel& kernel);
 
   /// Shared fused-kernel body for the scatter_gather_eq variants: issues the
-  /// single kVectorScatterGatherEq instruction and runs the backend's fused
-  /// scatter + readback-compare, publishing the survivor count on `out`.
+  /// single kVectorScatterGatherEq instruction and runs the fused scatter +
+  /// readback-compare, publishing the survivor count on `out`.
   /// The caller has already run the scatter-half hooks and bounds checks;
   /// the readback half's audit probe (and, for the masked form, its
   /// all-lanes bounds check) runs between the two passes.
@@ -541,10 +531,11 @@ class VectorMachine {
   static void amalgam_scatter(std::span<Word> table, std::span<const Word> idx,
                               std::span<const Word> vals);
 
-  /// Dispatches one ELS scatter to the backend under the configured
-  /// ScatterOrder (bounds already checked, audit hooks already run).
+  /// Runs one ELS scatter (`mask` null for unmasked) under the configured
+  /// ScatterOrder, consuming one shuffled draw under kShuffled (bounds
+  /// already checked, audit hooks already run).
   void dispatch_scatter(std::span<Word> table, std::span<const Word> idx,
-                        std::span<const Word> vals, const Mask* mask);
+                        std::span<const Word> vals, const std::uint8_t* mask);
 
   void check_indices(std::span<const Word> idx, std::size_t table_size,
                      const Mask* mask = nullptr);
@@ -571,23 +562,17 @@ class VectorMachine {
   /// registry is installed.
   void flush_telemetry() const;
 
-  /// Resolves the configured ScatterOrder for one scatter-class instruction:
-  /// fills `order` (consuming one shuffled draw under kShuffled, exactly as
-  /// the plain scatter would) and returns the traversal for the backend.
-  ScatterTraversal resolve_scatter_order(std::size_t n,
-                                         std::vector<std::size_t>& order);
-
   MachineConfig config_;
-  /// The kind actually run: config_.backend after audit pinning.
-  BackendKind kind_;
   CostAccumulator cost_;
   Xoshiro256 shuffle_rng_;
   std::unique_ptr<ScatterChecker> checker_;
   // Declared before pool_: the pool's destructor fires release hooks into
   // the analyzer, so the analyzer must still be alive when pool_ dies.
   std::unique_ptr<analysis::Analyzer> analyzer_;
-  std::unique_ptr<Backend> backend_;
-  /// Lane-kernel table dispatches (counted on SIMD kinds only).
+  /// The table every lane loop runs through (a function-local static of
+  /// simd_kernels_scalar / simd_kernels_for).
+  const SimdKernels* kernels_;
+  /// Lane-kernel table dispatches (counted on kSimd only).
   std::size_t simd_dispatches_ = 0;
   std::unique_ptr<BufferPool> pool_;
 };

@@ -1,5 +1,5 @@
 // Runtime SIMD dispatch: which SimdKernels table (simd_kernels.h) a
-// SIMD-kind machine (BackendKind::kSimd / kParallelSimd) executes through.
+// BackendKind::kSimd machine executes through.
 //
 // The binary carries one kernel table per ISA level it was compiled for
 // (scalar always; AVX2/AVX-512 on x86-64, NEON on aarch64). At machine

@@ -9,7 +9,7 @@
 // actually supports.
 //
 // The scalar table is the reference implementation: every entry populated,
-// and every backend kind runs it unless a SIMD kind resolves an ISA table.
+// and kSerial machines run it; kSimd machines run a resolved ISA table.
 // In an ISA table an entry may be null ("this level has no profitable
 // lowering for the op"); simd_kernels_for fills those from the scalar table
 // when it resolves the level, so the table a machine runs is total. Only
@@ -18,24 +18,43 @@
 // ELS scatter survivor; tests/backend_diff_test.cpp enforces that per level.
 //
 // Lane-kernel entries (SimdBinFn and friends) run over [lo, hi) of a larger
-// vector — the exact contract of Backend::for_lanes chunks — so each pool
-// worker runs the table's inner loop over its own chunk. Whole-span entries
-// take a base pointer and a length; the backend calls them once per chunk.
+// vector; VectorMachine calls each once per instruction over [0, n).
+// Whole-span entries take a base pointer and a length.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "vm/machine.h"
 
 namespace folvec::vm {
+
+/// first_oob's result when every (mask-active) lane is in bounds.
+inline constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
+
+/// The order lanes of one scatter instruction are applied in. kForward and
+/// kReverse avoid materializing an order vector; kExplicit carries one
+/// (VectorMachine derives it from shuffle_seed for ScatterOrder::kShuffled).
+enum class ScatterTraversal : std::uint8_t { kForward, kReverse, kExplicit };
+
+/// The reference scatter semantics every table must reproduce: lanes
+/// visited one at a time in `traversal` order, the last visit to an address
+/// wins. The machine runs explicit (shuffled) orders through it, since they
+/// have no vector shape; the tests use it as the oracle of scatter_fwd and
+/// scatter_rev.
+void apply_scatter_reference(std::span<Word> table, std::span<const Word> idx,
+                             std::span<const Word> vals,
+                             const std::uint8_t* mask,
+                             ScatterTraversal traversal,
+                             std::span<const std::size_t> order);
 
 struct SimdKernels {
   SimdLevel level;
   /// Telemetry spelling of the level ("scalar", "neon", "avx2", "avx512").
   const char* name;
 
-  // ---- lane kernels (chunkable; [lo, hi) of a shared vector) --------------
+  // ---- lane kernels ([lo, hi) of a shared vector) ------------------------
 
   SimdBinFn add;
   SimdBinFn sub;
@@ -88,7 +107,7 @@ struct SimdKernels {
   void (*load_strided)(Word*, const Word* table, std::size_t offset,
                        std::size_t stride, std::size_t, std::size_t);
 
-  // ---- whole-span entry points (called once per backend chunk) -----------
+  // ---- whole-span entry points --------------------------------------------
 
   Word (*reduce_sum)(const Word*, std::size_t n);
   Word (*reduce_min)(const Word*, std::size_t n);
@@ -102,11 +121,11 @@ struct SimdKernels {
   std::size_t (*compress)(Word* out, std::size_t cap, const Word*,
                           const std::uint8_t*, std::size_t n);
   /// Two-way pack; kept_cap is kept's capacity (== popcount(m) when called
-  /// from the backend), rejected holds n - kept_cap words.
+  /// from the machine), rejected holds n - kept_cap words.
   void (*partition)(Word* kept, std::size_t kept_cap, Word* rejected,
                     const Word*, const std::uint8_t*, std::size_t n);
   /// Lowest (mask-active) lane with idx outside [0, table_size), or
-  /// Backend::npos.
+  /// kNoLane.
   std::size_t (*first_oob)(const Word* idx, std::size_t n,
                            std::size_t table_size, const std::uint8_t* mask);
   /// ELS scatter, forward traversal: bit-identical to

@@ -25,8 +25,6 @@
 #include <bit>
 #include <cstring>
 
-#include "vm/backend.h"
-
 namespace folvec::vm {
 
 namespace {
@@ -556,7 +554,7 @@ std::size_t k_first_oob(const Word* idx, std::size_t n, std::size_t table_size,
     if (mask != nullptr && mask[i] == 0) continue;
     if (idx[i] < 0 || static_cast<std::size_t>(idx[i]) >= table_size) return i;
   }
-  return Backend::npos;
+  return kNoLane;
 }
 
 std::size_t k_match_eq(std::uint8_t* out, const Word* table, const Word* idx,

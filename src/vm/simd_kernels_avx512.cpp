@@ -30,8 +30,6 @@
 
 #include <bit>
 
-#include "vm/backend.h"
-
 namespace folvec::vm {
 
 namespace {
@@ -650,7 +648,7 @@ std::size_t k_first_oob(const Word* idx, std::size_t n, std::size_t table_size,
     if (mask != nullptr && mask[i] == 0) continue;
     if (idx[i] < 0 || static_cast<std::size_t>(idx[i]) >= table_size) return i;
   }
-  return Backend::npos;
+  return kNoLane;
 }
 
 void k_scatter_fwd(Word* table, const Word* idx, const Word* vals,

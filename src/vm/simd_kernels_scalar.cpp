@@ -1,15 +1,15 @@
 // The scalar SimdKernels instance: plain loops, every entry populated.
 //
-// This is the reference implementation of every lane loop. Serial and
-// parallel machines run it, FOLVEC_SIMD_LEVEL=scalar forces it on the SIMD
-// kinds, every unsupported-host downgrade lands on it, and it fills the null
-// entries of the ISA tables. Integer arithmetic wraps modulo 2^64 (through
+// This is the reference implementation of every lane loop. Serial machines
+// run it, FOLVEC_SIMD_LEVEL=scalar forces it on simd machines, every
+// unsupported-host downgrade lands on it, and it fills the null entries of
+// the ISA tables. Integer arithmetic wraps modulo 2^64 (through
 // uint64_t, so an overflowing lane is defined behaviour), exactly as the
 // vector instructions do.
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
-#include "vm/backend.h"
 #include "vm/simd_kernels.h"
 
 namespace folvec::vm {
@@ -245,7 +245,7 @@ std::size_t k_first_oob(const Word* idx, std::size_t n, std::size_t table_size,
     if (mask != nullptr && mask[i] == 0) continue;
     if (idx[i] < 0 || static_cast<std::size_t>(idx[i]) >= table_size) return i;
   }
-  return Backend::npos;
+  return kNoLane;
 }
 
 void k_scatter_fwd(Word* table, const Word* idx, const Word* vals,
@@ -336,6 +336,29 @@ const SimdKernels& simd_kernels_scalar() {
       k_conflict_rank,
   };
   return k;
+}
+
+void apply_scatter_reference(std::span<Word> table, std::span<const Word> idx,
+                             std::span<const Word> vals,
+                             const std::uint8_t* mask,
+                             ScatterTraversal traversal,
+                             std::span<const std::size_t> order) {
+  const std::size_t n = idx.size();
+  const auto store = [&](std::size_t lane) {
+    if (mask != nullptr && mask[lane] == 0) return;
+    table[static_cast<std::size_t>(idx[lane])] = vals[lane];
+  };
+  switch (traversal) {
+    case ScatterTraversal::kForward:
+      for (std::size_t lane = 0; lane < n; ++lane) store(lane);
+      break;
+    case ScatterTraversal::kReverse:
+      for (std::size_t lane = n; lane > 0; --lane) store(lane - 1);
+      break;
+    case ScatterTraversal::kExplicit:
+      for (const std::size_t lane : order) store(lane);
+      break;
+  }
 }
 
 }  // namespace folvec::vm

@@ -40,6 +40,7 @@ using vm::ConflictWindow;
 using vm::HazardKind;
 using vm::MachineConfig;
 using vm::ScatterOrder;
+using vm::SimdLevel;
 using vm::VectorMachine;
 using vm::WindowKind;
 using vm::Word;
@@ -535,26 +536,22 @@ TEST(AnalysisSoundnessFuzz, ProvenSafeNeverTripsRuntimeAcrossConfigs) {
   const ScatterOrder orders[] = {ScatterOrder::kForward,
                                  ScatterOrder::kReverse,
                                  ScatterOrder::kShuffled};
-  const std::pair<BackendKind, std::size_t> backends[] = {
-      {BackendKind::kSerial, 0},
-      {BackendKind::kParallel, 1},
-      {BackendKind::kParallel, 2},
-      {BackendKind::kParallel, 8}};
+  // The scalar table and the widest table the host supports.
+  const BackendKind backends[] = {BackendKind::kSerial, BackendKind::kSimd};
   std::uint64_t seed = 0xf01dab1eULL;
   for (const ScatterOrder order : orders) {
-    for (const auto& [backend, threads] : backends) {
+    for (const BackendKind backend : backends) {
       for (const bool fuse : {true, false}) {
         MachineConfig cfg = analyzed(/*elide=*/true);
         cfg.scatter_order = order;
         cfg.backend = backend;
-        cfg.backend_threads = threads;
-        cfg.backend_grain = 64;  // exercise parallel splits on short vectors
+        cfg.simd_level = SimdLevel::kAuto;
         cfg.fuse = fuse;
         ++seed;
         SCOPED_TRACE(testing::Message()
                      << "order=" << static_cast<int>(order)
-                     << " backend=" << static_cast<int>(backend) << "/"
-                     << threads << " fuse=" << fuse);
+                     << " backend=" << static_cast<int>(backend)
+                     << " fuse=" << fuse);
 
         const FuzzOutcome elided = run_fuzz_workload(cfg, seed);
         EXPECT_GT(elided.elided, 0u);

@@ -1,15 +1,13 @@
-// Differential fuzz of the backend kinds: every worker count and kernel
-// table must be bit-identical to the serial machine (the scalar reference
-// table on one worker) for every primitive, under every ScatterOrder — same
-// outputs, same memory images, same chime costs, same exceptions. The parallel machines run with a tiny
-// backend_grain so even short vectors actually cross the thread pool.
+// Differential fuzz of the backend kinds: every kernel table must be
+// bit-identical to the serial machine (the scalar reference table) for
+// every primitive, under every ScatterOrder and fuse mode — same outputs,
+// same memory images, same chime costs, same exceptions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,7 +24,6 @@
 #include "vm/checker.h"
 #include "vm/machine.h"
 #include "vm/simd_backend.h"
-#include "vm/thread_pool.h"
 
 namespace folvec::vm {
 namespace {
@@ -36,8 +33,7 @@ MachineConfig diff_config(ScatterOrder order, std::uint64_t seed) {
   cfg.scatter_order = order;
   cfg.shuffle_seed = seed;
   // The fuzz scatters duplicate addresses outside ConflictWindows on
-  // purpose; opt out of auditing regardless of the FOLVEC_AUDIT env (audit
-  // would also pin the parallel machine to the serial path).
+  // purpose; opt out of auditing regardless of the FOLVEC_AUDIT env.
   cfg.audit = false;
   return cfg;
 }
@@ -45,15 +41,6 @@ MachineConfig diff_config(ScatterOrder order, std::uint64_t seed) {
 VectorMachine make_serial(ScatterOrder order, std::uint64_t seed) {
   MachineConfig cfg = diff_config(order, seed);
   cfg.backend = BackendKind::kSerial;
-  return VectorMachine(cfg);
-}
-
-VectorMachine make_parallel(ScatterOrder order, std::uint64_t seed,
-                            std::size_t threads, std::size_t grain = 8) {
-  MachineConfig cfg = diff_config(order, seed);
-  cfg.backend = BackendKind::kParallel;
-  cfg.backend_threads = threads;
-  cfg.backend_grain = grain;
   return VectorMachine(cfg);
 }
 
@@ -65,27 +52,79 @@ VectorMachine make_simd(ScatterOrder order, std::uint64_t seed,
   return VectorMachine(cfg);
 }
 
-VectorMachine make_parallel_simd(ScatterOrder order, std::uint64_t seed,
-                                 std::size_t threads, SimdLevel level,
-                                 std::size_t grain = 8) {
+/// Points `cfg` at one kernel table of the matrices below: kScalar is the
+/// serial machine (the scalar reference table), any other level the kSimd
+/// machine forced to that level's table.
+void use_table(MachineConfig& cfg, SimdLevel table) {
+  cfg.backend =
+      table == SimdLevel::kScalar ? BackendKind::kSerial : BackendKind::kSimd;
+  cfg.simd_level = table;
+}
+
+/// One machine of the kernel table x fuse matrix.
+VectorMachine make_table(ScatterOrder order, std::uint64_t seed,
+                         SimdLevel table, bool fuse) {
   MachineConfig cfg = diff_config(order, seed);
-  cfg.backend = BackendKind::kParallelSimd;
-  cfg.backend_threads = threads;
-  cfg.backend_grain = grain;
-  cfg.simd_level = level;
+  use_table(cfg, table);
+  cfg.fuse = fuse;
   return VectorMachine(cfg);
 }
 
 void expect_same_costs(const CostAccumulator& serial,
-                       const CostAccumulator& parallel) {
+                       const CostAccumulator& other) {
   for (std::size_t i = 0; i < kOpClassCount; ++i) {
     const auto c = static_cast<OpClass>(i);
-    EXPECT_EQ(serial.instructions(c), parallel.instructions(c))
+    EXPECT_EQ(serial.instructions(c), other.instructions(c))
         << "instruction count diverged for " << op_class_name(c);
-    EXPECT_EQ(serial.elements(c), parallel.elements(c))
+    EXPECT_EQ(serial.elements(c), other.elements(c))
         << "element count diverged for " << op_class_name(c);
   }
 }
+
+constexpr const char* kOrderNames[] = {"Forward", "Reverse", "Shuffled"};
+
+/// (ScatterOrder, kernel table, flag) — the matrix BackendDiffTest and
+/// MergeScalingDiffTest rerun over with flag = fuse, and FusedDiffTest with
+/// flag = audit. The table axis is every table the build can compile, not
+/// just the widest one this host picks: an AVX2-only host runs the AVX2
+/// table, so it gets the full matrix on an AVX-512 host too.
+using TableParam = std::tuple<ScatterOrder, SimdLevel, bool>;
+
+const auto kOrders = ::testing::Values(
+    ScatterOrder::kForward, ScatterOrder::kReverse, ScatterOrder::kShuffled);
+const auto kTables = ::testing::Values(SimdLevel::kScalar, SimdLevel::kNeon,
+                                       SimdLevel::kAvx2, SimdLevel::kAvx512);
+
+std::string table_name(SimdLevel table) {
+  std::string name = simd_level_name(table);
+  name[0] = static_cast<char>(std::toupper(name[0]));
+  return name + "Table";
+}
+
+std::string table_param_name(
+    const ::testing::TestParamInfo<TableParam>& info) {
+  return std::string(
+             kOrderNames[static_cast<std::size_t>(std::get<0>(info.param))]) +
+         "x" + table_name(std::get<1>(info.param)) +
+         (std::get<2>(info.param) ? "xFused" : "xUnfused");
+}
+
+const auto kTableParams =
+    ::testing::Combine(kOrders, kTables, ::testing::Bool());
+
+/// Fixture base of the table matrices; a table the host or the build
+/// cannot run is skipped.
+class TableMatrixTest : public ::testing::TestWithParam<TableParam> {
+ protected:
+  void SetUp() override {
+    if (!simd_level_supported(table())) {
+      GTEST_SKIP() << simd_level_name(table())
+                   << " is not available on this host/build";
+    }
+  }
+  ScatterOrder order() const { return std::get<0>(GetParam()); }
+  SimdLevel table() const { return std::get<1>(GetParam()); }
+};
 
 /// Shared random operands for one script run at size n.
 struct Inputs {
@@ -200,11 +239,15 @@ WordVec run_script(VectorMachine& m, const Inputs& in) {
   return digest;
 }
 
-class BackendDiffTest
-    : public ::testing::TestWithParam<std::tuple<ScatterOrder, std::size_t>> {
+class BackendDiffTest : public TableMatrixTest {
  protected:
-  ScatterOrder order() const { return std::get<0>(GetParam()); }
-  std::size_t threads() const { return std::get<1>(GetParam()); }
+  bool fuse() const { return std::get<2>(GetParam()); }
+  VectorMachine serial(std::uint64_t seed) const {
+    return make_table(order(), seed, SimdLevel::kScalar, fuse());
+  }
+  VectorMachine other(std::uint64_t seed) const {
+    return make_table(order(), seed, table(), fuse());
+  }
 };
 
 TEST_P(BackendDiffTest, EveryPrimitiveBitIdenticalWithIdenticalChimes) {
@@ -212,23 +255,24 @@ TEST_P(BackendDiffTest, EveryPrimitiveBitIdenticalWithIdenticalChimes) {
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{64},
         std::size_t{257}, std::size_t{1000}, std::size_t{4099}}) {
     const Inputs in(n, 0xfeed0000 + n);
-    VectorMachine serial = make_serial(order(), 99);
-    VectorMachine parallel = make_parallel(order(), 99, threads());
-    ASSERT_STREQ(parallel.backend_name(), "parallel");
-    EXPECT_EQ(parallel.backend_workers(), threads());
-    const WordVec want = run_script(serial, in);
-    const WordVec got = run_script(parallel, in);
+    VectorMachine want_m = serial(99);
+    VectorMachine got_m = other(99);
+    ASSERT_STREQ(got_m.backend_name(),
+                 table() == SimdLevel::kScalar ? "serial" : "simd");
+    ASSERT_EQ(got_m.active_simd_level(), table());
+    const WordVec want = run_script(want_m, in);
+    const WordVec got = run_script(got_m, in);
     ASSERT_EQ(want, got) << "digest diverged at n=" << n;
-    expect_same_costs(serial.cost(), parallel.cost());
+    expect_same_costs(want_m.cost(), got_m.cost());
   }
 }
 
-TEST_P(BackendDiffTest, ScatterMergeLaneExactUnderHeavyCollisions) {
+TEST_P(BackendDiffTest, ScatterSurvivorLaneExactUnderHeavyCollisions) {
   Xoshiro256 rng(0xc0113c7);
   for (int round = 0; round < 40; ++round) {
     const auto n = static_cast<std::size_t>(rng.in_range(1, 600));
     // Between 1 and n distinct addresses: the low end makes nearly every
-    // lane collide, the merge's worst case.
+    // lane collide, the survivor rule's worst case.
     const auto table_size = static_cast<std::size_t>(
         rng.in_range(1, static_cast<Word>(n)));
     WordVec table_s(table_size, 0);
@@ -238,102 +282,118 @@ TEST_P(BackendDiffTest, ScatterMergeLaneExactUnderHeavyCollisions) {
       x = rng.in_range(0, static_cast<Word>(table_size) - 1);
     }
     for (auto& x : vals) x = rng.in_range(-1 << 20, 1 << 20);
-    WordVec table_p = table_s;
+    WordVec table_o = table_s;
     const auto seed = static_cast<std::uint64_t>(round) * 7919 + 1;
-    VectorMachine serial = make_serial(order(), seed);
-    VectorMachine parallel = make_parallel(order(), seed, threads(),
-                                           /*grain=*/1);
-    serial.scatter(table_s, idx, vals);
-    parallel.scatter(table_p, idx, vals);
-    ASSERT_EQ(table_s, table_p)
+    VectorMachine want_m = serial(seed);
+    VectorMachine got_m = other(seed);
+    want_m.scatter(table_s, idx, vals);
+    got_m.scatter(table_o, idx, vals);
+    ASSERT_EQ(table_s, table_o)
         << "scatter survivor diverged: n=" << n << " areas=" << table_size;
   }
 }
 
-TEST_P(BackendDiffTest, ExceptionParityAcrossWorkerThreads) {
-  VectorMachine serial = make_serial(order(), 5);
-  VectorMachine parallel = make_parallel(order(), 5, threads());
-  // A negative element deep inside one chunk: the worker's exception must
-  // surface on the issuing thread with the serial exception type.
+TEST_P(BackendDiffTest, ExceptionParityWithSerial) {
+  VectorMachine want_m = serial(5);
+  VectorMachine got_m = other(5);
+  // A negative element deep inside the vector: both machines throw the
+  // same exception type.
   WordVec v(300, 1);
   v[257] = -4;
-  EXPECT_THROW(serial.shl_scalar(v, 1), PreconditionError);
-  EXPECT_THROW(parallel.shl_scalar(v, 1), PreconditionError);
+  EXPECT_THROW(want_m.shl_scalar(v, 1), PreconditionError);
+  EXPECT_THROW(got_m.shl_scalar(v, 1), PreconditionError);
   // Out-of-bounds lane in the middle of a gather/scatter.
   WordVec table(16, 0);
   WordVec idx(300, 3);
   idx[170] = 99;
-  EXPECT_THROW(serial.gather(table, idx), PreconditionError);
-  EXPECT_THROW(parallel.gather(table, idx), PreconditionError);
+  EXPECT_THROW(want_m.gather(table, idx), PreconditionError);
+  EXPECT_THROW(got_m.gather(table, idx), PreconditionError);
   const WordVec vals(300, 1);
-  EXPECT_THROW(serial.scatter(table, idx, vals), PreconditionError);
-  EXPECT_THROW(parallel.scatter(table, idx, vals), PreconditionError);
+  EXPECT_THROW(want_m.scatter(table, idx, vals), PreconditionError);
+  EXPECT_THROW(got_m.scatter(table, idx, vals), PreconditionError);
   // Inactive out-of-bounds lanes are legal on both.
   Mask mask(300, 1);
   mask[170] = 0;
   WordVec table_s = table;
-  WordVec table_p = table;
-  serial.scatter_masked(table_s, idx, vals, mask);
-  parallel.scatter_masked(table_p, idx, vals, mask);
-  EXPECT_EQ(table_s, table_p);
+  WordVec table_o = table;
+  want_m.scatter_masked(table_s, idx, vals, mask);
+  got_m.scatter_masked(table_o, idx, vals, mask);
+  EXPECT_EQ(table_s, table_o);
 }
 
-std::string diff_param_name(
-    const ::testing::TestParamInfo<std::tuple<ScatterOrder, std::size_t>>&
-        info) {
-  static constexpr const char* kOrderNames[] = {"Forward", "Reverse",
-                                                "Shuffled"};
-  return std::string(
-             kOrderNames[static_cast<std::size_t>(std::get<0>(info.param))]) +
-         "x" + std::to_string(std::get<1>(info.param)) + "threads";
-}
+INSTANTIATE_TEST_SUITE_P(AllOrdersTablesFuseModes, BackendDiffTest,
+                         kTableParams, table_param_name);
 
-INSTANTIATE_TEST_SUITE_P(
-    AllOrdersAllThreadCounts, BackendDiffTest,
-    ::testing::Combine(::testing::Values(ScatterOrder::kForward,
-                                         ScatterOrder::kReverse,
-                                         ScatterOrder::kShuffled),
-                       ::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{4}, std::size_t{8})),
-    diff_param_name);
-
-TEST(BackendDiffLargeTest, LargeVectorsWithDefaultGrain) {
+TEST(BackendDiffLargeTest, LargeVectorsOnTheWidestTable) {
   const std::size_t n = 200000;
   const Inputs in(n, 0xabcde);
   VectorMachine serial = make_serial(ScatterOrder::kShuffled, 7);
-  VectorMachine parallel =
-      make_parallel(ScatterOrder::kShuffled, 7, 4, /*grain=*/4096);
+  VectorMachine simd = make_simd(ScatterOrder::kShuffled, 7, SimdLevel::kAuto);
   const WordVec want = run_script(serial, in);
-  const WordVec got = run_script(parallel, in);
+  const WordVec got = run_script(simd, in);
   ASSERT_EQ(want, got);
-  expect_same_costs(serial.cost(), parallel.cost());
+  expect_same_costs(serial.cost(), simd.cost());
 }
 
-TEST(BackendDiffLargeTest, AuditModePinsParallelConfigToSerialPath) {
-  MachineConfig cfg;
-  cfg.backend = BackendKind::kParallel;
-  cfg.backend_threads = 4;
-  cfg.audit = true;
-  const VectorMachine m(cfg);
-  EXPECT_STREQ(m.backend_name(), "serial");
-  EXPECT_EQ(m.backend_workers(), 1u);
+// perfbench still configures the retired kParallelSimd kind with one
+// worker; that spelling must run exactly the kSimd machine.
+TEST(RetiredKindTest, PerfbenchShapedConfigRunsTheSimdMachine) {
+  static_assert(BackendKind::kParallelSimd == BackendKind::kSimd);
+  static_assert(BackendKind::kParallel == BackendKind::kSerial);
+  for (const ScatterOrder order :
+       {ScatterOrder::kForward, ScatterOrder::kReverse,
+        ScatterOrder::kShuffled}) {
+    const Inputs in(1000, 0x9e7f0000 + static_cast<std::uint64_t>(order));
+    MachineConfig simd_cfg = diff_config(order, 99);
+    simd_cfg.backend = BackendKind::kSimd;
+    simd_cfg.simd_level = SimdLevel::kAuto;
+    MachineConfig perf_cfg = simd_cfg;
+    perf_cfg.backend = BackendKind::kParallelSimd;
+    perf_cfg.backend_threads = 1;
+    VectorMachine simd(simd_cfg);
+    VectorMachine perf(perf_cfg);
+    EXPECT_STREQ(perf.backend_name(), "simd");
+    EXPECT_EQ(perf.backend_workers(), 1u);
+    EXPECT_EQ(perf.active_simd_level(), simd.active_simd_level());
+    const WordVec want = run_script(simd, in);
+    const WordVec got = run_script(perf, in);
+    ASSERT_EQ(want, got) << "order=" << static_cast<int>(order);
+    expect_same_costs(simd.cost(), perf.cost());
+    EXPECT_EQ(perf.simd_dispatches(), simd.simd_dispatches());
+  }
 }
 
 // ---- telemetry determinism across backends ---------------------------------
 //
-// The metrics contract (telemetry/metrics.h): everything outside the "pool."
-// and "backend." namespaces carries modeled quantities and must be
-// bit-identical for the same program on any backend at any worker count.
+// The metrics contract (telemetry/metrics.h): everything outside the host
+// namespaces carries modeled quantities and must be bit-identical for the
+// same program on either backend, for every ScatterOrder and fuse mode.
 // The span timeline likewise: the same spans, in the same order, with the
 // same chime deltas — only the wall timestamps differ.
 
-VectorMachine make_telemetry_machine(BackendKind kind, std::size_t threads) {
-  MachineConfig cfg;
-  cfg.audit = false;  // audit would pin the parallel machine to serial
+/// A telemetry-workload machine: the scalar or the widest table under one
+/// (order, fuse) cell of the matrix.
+struct TelemetryCell {
+  ScatterOrder order;
+  bool fuse;
+};
+
+VectorMachine make_telemetry_machine(BackendKind kind, TelemetryCell cell) {
+  MachineConfig cfg = diff_config(cell.order, 0x7e1e);
   cfg.backend = kind;
-  cfg.backend_threads = threads;
-  cfg.backend_grain = 8;  // force short vectors across the pool
+  cfg.simd_level = SimdLevel::kAuto;
+  cfg.fuse = cell.fuse;
   return VectorMachine(cfg);
+}
+
+std::vector<TelemetryCell> telemetry_cells() {
+  std::vector<TelemetryCell> cells;
+  for (const ScatterOrder order :
+       {ScatterOrder::kForward, ScatterOrder::kReverse,
+        ScatterOrder::kShuffled}) {
+    for (const bool fuse : {true, false}) cells.push_back({order, fuse});
+  }
+  return cells;
 }
 
 /// A workload touching every instrumented layer: raw machine ops, FOL1
@@ -353,13 +413,13 @@ void telemetry_workload(VectorMachine& m) {
 }
 
 telemetry::MetricsSnapshot run_with_metrics(BackendKind kind,
-                                            std::size_t threads) {
+                                            TelemetryCell cell) {
   telemetry::MetricsRegistry registry;
   const telemetry::ScopedMetrics scoped(registry);
   {
     // The machine flushes its per-op-class totals on destruction, so the
     // snapshot is taken after this scope closes.
-    VectorMachine m = make_telemetry_machine(kind, threads);
+    VectorMachine m = make_telemetry_machine(kind, cell);
     telemetry_workload(m);
   }
   return registry.snapshot();
@@ -367,15 +427,14 @@ telemetry::MetricsSnapshot run_with_metrics(BackendKind kind,
 
 /// The backend-invariant part of a trace: span and op event names,
 /// categories, and chime payloads, in emission order — everything but the
-/// wall clock. Host-side decoration (thread metadata, per-worker "chunk"
-/// slices, "flow" arrows, "counter" samples) is excluded by construction:
-/// those describe how the host scheduled the work, not what the program
-/// computed, and legitimately differ across backends and worker counts.
-std::string span_tree_signature(BackendKind kind, std::size_t threads) {
+/// wall clock. Host-side decoration (thread metadata, "counter" samples) is
+/// excluded by construction: it describes the host, not what the program
+/// computed.
+std::string span_tree_signature(BackendKind kind, TelemetryCell cell) {
   telemetry::SpanTracer tracer;
   {
     const telemetry::ScopedTracer scoped(tracer);
-    VectorMachine m = make_telemetry_machine(kind, threads);
+    VectorMachine m = make_telemetry_machine(kind, cell);
     telemetry_workload(m);
   }
   std::ostringstream os;
@@ -405,163 +464,75 @@ std::string span_tree_signature(BackendKind kind, std::size_t threads) {
   return sig;
 }
 
-TEST(TelemetryDeterminismTest, MetricsIdenticalAcrossBackendsAndWorkers) {
-  const telemetry::MetricsSnapshot serial =
-      run_with_metrics(BackendKind::kSerial, 1).deterministic();
-  ASSERT_FALSE(serial.counters.empty());
-  ASSERT_FALSE(serial.histograms.empty());
-  EXPECT_TRUE(serial.counters.contains("fol1.rounds"));
-  EXPECT_TRUE(serial.counters.contains("hashing.retry_rounds"));
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    const telemetry::MetricsSnapshot parallel =
-        run_with_metrics(BackendKind::kParallel, workers).deterministic();
-    EXPECT_EQ(serial.to_text(), parallel.to_text())
-        << "deterministic metrics diverged at " << workers << " workers";
-    EXPECT_TRUE(serial == parallel);
+TEST(TelemetryDeterminismTest, MetricsIdenticalAcrossBackends) {
+  for (const TelemetryCell cell : telemetry_cells()) {
+    SCOPED_TRACE(testing::Message() << "order=" << static_cast<int>(cell.order)
+                                    << " fuse=" << cell.fuse);
+    const telemetry::MetricsSnapshot serial =
+        run_with_metrics(BackendKind::kSerial, cell).deterministic();
+    ASSERT_FALSE(serial.counters.empty());
+    ASSERT_FALSE(serial.histograms.empty());
+    EXPECT_TRUE(serial.counters.contains("fol1.rounds"));
+    EXPECT_TRUE(serial.counters.contains("hashing.retry_rounds"));
+    const telemetry::MetricsSnapshot simd =
+        run_with_metrics(BackendKind::kSimd, cell).deterministic();
+    EXPECT_EQ(serial.to_text(), simd.to_text())
+        << "deterministic metrics diverged on the widest table";
+    EXPECT_TRUE(serial == simd);
   }
 }
 
 TEST(TelemetryDeterminismTest, FullSnapshotSeparatesHostOnlyNamespaces) {
-  // The raw (non-deterministic view) parallel snapshot is allowed to differ
+  // The raw (non-deterministic view) simd snapshot is allowed to differ
   // from serial ONLY via timings, labels, and the pool./backend. namespaces.
-  const telemetry::MetricsSnapshot serial =
-      run_with_metrics(BackendKind::kSerial, 1);
-  const telemetry::MetricsSnapshot parallel =
-      run_with_metrics(BackendKind::kParallel, 4);
-  EXPECT_EQ(parallel.labels.at("backend.name"), "parallel");
-  EXPECT_EQ(serial.labels.at("backend.name"), "serial");
-  for (const auto& [name, value] : parallel.counters) {
-    if (name.starts_with("pool.") || name.starts_with("backend.")) continue;
-    ASSERT_TRUE(serial.counters.contains(name)) << name;
-    EXPECT_EQ(serial.counters.at(name), value) << name;
+  for (const TelemetryCell cell : telemetry_cells()) {
+    const telemetry::MetricsSnapshot serial =
+        run_with_metrics(BackendKind::kSerial, cell);
+    const telemetry::MetricsSnapshot simd =
+        run_with_metrics(BackendKind::kSimd, cell);
+    EXPECT_EQ(simd.labels.at("backend.name"), "simd");
+    EXPECT_EQ(serial.labels.at("backend.name"), "serial");
+    for (const auto& [name, value] : simd.counters) {
+      if (name.starts_with("pool.") || name.starts_with("backend.")) continue;
+      ASSERT_TRUE(serial.counters.contains(name)) << name;
+      EXPECT_EQ(serial.counters.at(name), value) << name;
+    }
   }
 }
 
-TEST(TelemetryDeterminismTest, SpanTreesIdenticalAcrossBackendsAndWorkers) {
-  const std::string serial = span_tree_signature(BackendKind::kSerial, 1);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_NE(serial.find("fol1.decompose|span"), std::string::npos);
-  EXPECT_NE(serial.find("hashing.multi_insert|span"), std::string::npos);
-  for (const std::size_t workers : {1u, 2u, 8u}) {
-    const std::string parallel =
-        span_tree_signature(BackendKind::kParallel, workers);
-    EXPECT_EQ(serial, parallel)
-        << "span tree diverged at " << workers << " workers";
+TEST(TelemetryDeterminismTest, SpanTreesIdenticalAcrossBackends) {
+  for (const TelemetryCell cell : telemetry_cells()) {
+    SCOPED_TRACE(testing::Message() << "order=" << static_cast<int>(cell.order)
+                                    << " fuse=" << cell.fuse);
+    const std::string serial = span_tree_signature(BackendKind::kSerial, cell);
+    ASSERT_FALSE(serial.empty());
+    EXPECT_NE(serial.find("fol1.decompose|span"), std::string::npos);
+    EXPECT_NE(serial.find("hashing.multi_insert|span"), std::string::npos);
+    EXPECT_EQ(serial, span_tree_signature(BackendKind::kSimd, cell))
+        << "span tree diverged on the widest table";
   }
-}
-
-TEST(TelemetryDeterminismTest, ParallelTraceHasWorkerTracksFlowsAndCounters) {
-  telemetry::SpanTracer tracer;
-  {
-    const telemetry::ScopedTracer scoped(tracer);
-    VectorMachine m = make_telemetry_machine(BackendKind::kParallel, 8);
-    telemetry_workload(m);
-    // The machine (and its pool) is destroyed before export: the joins
-    // provide the quiescence the tracer's export contract requires.
-  }
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);
-  const JsonValue doc = JsonValue::parse(os.str());
-
-  std::set<std::string> thread_names;
-  std::set<double> named_tids;
-  std::set<double> flow_start_ids;
-  std::set<double> flow_end_ids;
-  std::set<std::string> counter_names;
-  std::set<double> span_tids;
-  std::set<double> chunk_tids;
-  for (const JsonValue& ev : doc.find("traceEvents")->as_array()) {
-    const std::string ph = ev.find("ph")->as_string();
-    ASSERT_NE(ev.find("name"), nullptr);
-    ASSERT_NE(ev.find("tid"), nullptr);
-    EXPECT_EQ(ev.find("pid")->as_number(), 1.0);
-    if (ph == "M") {
-      if (ev.find("name")->as_string() == "thread_name") {
-        thread_names.insert(ev.find("args")->find("name")->as_string());
-        named_tids.insert(ev.find("tid")->as_number());
-      }
-      continue;
-    }
-    // Every non-metadata event is timestamped and categorized.
-    ASSERT_NE(ev.find("ts"), nullptr);
-    const std::string cat = ev.find("cat")->as_string();
-    if (ph == "s") {
-      EXPECT_EQ(cat, "flow");
-      flow_start_ids.insert(ev.find("id")->as_number());
-    } else if (ph == "f") {
-      EXPECT_EQ(cat, "flow");
-      EXPECT_EQ(ev.find("bp")->as_string(), "e");
-      flow_end_ids.insert(ev.find("id")->as_number());
-    } else if (ph == "C") {
-      EXPECT_EQ(cat, "counter");
-      ASSERT_NE(ev.find("args")->find("value"), nullptr);
-      counter_names.insert(ev.find("name")->as_string());
-    } else {
-      ASSERT_EQ(ph, "X");
-      ASSERT_NE(ev.find("dur"), nullptr);
-      EXPECT_TRUE(cat == "span" || cat == "op" || cat == "chunk") << cat;
-      if (cat == "span" || cat == "op") {
-        span_tids.insert(ev.find("tid")->as_number());
-      } else {
-        chunk_tids.insert(ev.find("tid")->as_number());
-      }
-    }
-  }
-
-  // Acceptance: distinct named tracks for main plus the pool workers.
-  EXPECT_TRUE(thread_names.contains("main"));
-  std::size_t worker_tracks = 0;
-  for (const std::string& n : thread_names) {
-    if (n.rfind("worker-", 0) == 0) ++worker_tracks;
-  }
-  EXPECT_GE(worker_tracks, 4u);
-  EXPECT_GE(named_tids.size(), 5u);
-  EXPECT_GE(tracer.track_count(), 5u);
-
-  // Deterministic span/op events all ride the issuing ("main") thread;
-  // chunk slices fan out across the worker tracks.
-  ASSERT_EQ(span_tids.size(), 1u);
-  EXPECT_FALSE(chunk_tids.empty());
-  EXPECT_GT(chunk_tids.size(), 1u);
-
-  // Flow arrows: every finish id was started, and at least one flush
-  // produced arrows at all.
-  EXPECT_FALSE(flow_start_ids.empty());
-  EXPECT_FALSE(flow_end_ids.empty());
-  for (const double id : flow_end_ids) {
-    EXPECT_TRUE(flow_start_ids.contains(id)) << "unmatched flow id " << id;
-  }
-
-  // Counter tracks: batch occupancy and pool occupancy at minimum.
-  EXPECT_GE(counter_names.size(), 2u);
-  EXPECT_TRUE(counter_names.contains("pool.occupancy"));
 }
 
 // ---- fused vs unfused differential fuzz ------------------------------------
 //
 // The fused scatter_gather_eq / partition kernels are an optimization, not a
-// semantics change: for every ScatterOrder, every backend, every worker
-// count, and audit on or off, a machine with config.fuse=true must produce
-// bit-identical outputs and memory images to the same machine running the
-// unfused reference composition (fuse=false). Chimes are NOT compared
-// across fuse modes — charging fused ops less is the point — but they must
-// be identical across backends and audit settings for a fixed fuse mode.
+// semantics change: for every ScatterOrder, either kernel table, and audit
+// on or off, a machine with config.fuse=true must produce bit-identical
+// outputs and memory images to the same machine running the unfused
+// reference composition (fuse=false). Chimes are NOT compared across fuse
+// modes — charging fused ops less is the point — but they must be identical
+// across tables and audit settings for a fixed fuse mode.
 
-/// Machine whose fuse flag is forced rather than left at its default.
-VectorMachine make_fused_machine(ScatterOrder order, std::size_t threads,
+/// Machine whose fuse flag is forced rather than left at its default, on
+/// one kernel table.
+VectorMachine make_fused_machine(ScatterOrder order, SimdLevel table,
                                  bool audit, bool fuse) {
   MachineConfig cfg;
   cfg.scatter_order = order;
   cfg.shuffle_seed = 4242;
   cfg.audit = audit;
   cfg.fuse = fuse;
-  if (threads == 0) {
-    cfg.backend = BackendKind::kSerial;
-  } else {
-    cfg.backend = BackendKind::kParallel;
-    cfg.backend_threads = threads;
-    cfg.backend_grain = 8;
-  }
+  use_table(cfg, table);
   return VectorMachine(cfg);
 }
 
@@ -642,13 +613,8 @@ WordVec run_fused_script(VectorMachine& m, const Inputs& in) {
   return digest;
 }
 
-class FusedDiffTest
-    : public ::testing::TestWithParam<
-          std::tuple<ScatterOrder, std::size_t, bool>> {
+class FusedDiffTest : public TableMatrixTest {
  protected:
-  ScatterOrder order() const { return std::get<0>(GetParam()); }
-  /// 0 = serial backend; otherwise parallel with this worker count.
-  std::size_t threads() const { return std::get<1>(GetParam()); }
   bool audit() const { return std::get<2>(GetParam()); }
 };
 
@@ -657,10 +623,10 @@ TEST_P(FusedDiffTest, FusedBitIdenticalToUnfusedComposition) {
        {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{64},
         std::size_t{257}, std::size_t{1000}}) {
     const Inputs in(n, 0xf05ed000 + n);
-    VectorMachine fused = make_fused_machine(order(), threads(), audit(),
-                                             /*fuse=*/true);
-    VectorMachine unfused = make_fused_machine(order(), threads(), audit(),
-                                               /*fuse=*/false);
+    VectorMachine fused =
+        make_fused_machine(order(), table(), audit(), /*fuse=*/true);
+    VectorMachine unfused =
+        make_fused_machine(order(), table(), audit(), /*fuse=*/false);
     const WordVec want = run_fused_script(unfused, in);
     const WordVec got = run_fused_script(fused, in);
     ASSERT_EQ(want, got) << "fused digest diverged at n=" << n;
@@ -669,43 +635,29 @@ TEST_P(FusedDiffTest, FusedBitIdenticalToUnfusedComposition) {
 
 TEST_P(FusedDiffTest, ChimesInvariantAcrossBackendAndAudit) {
   // For a fixed fuse mode the chime stream is part of the deterministic
-  // contract: serial, parallel at any width, audit on or off — identical.
+  // contract: any table, audit on or off — identical.
   for (const bool fuse : {true, false}) {
     const Inputs in(513, 0xc41135);
-    VectorMachine base = make_fused_machine(order(), 0, false, fuse);
+    VectorMachine base =
+        make_fused_machine(order(), SimdLevel::kScalar, false, fuse);
     const WordVec base_digest = run_fused_script(base, in);
-    VectorMachine other =
-        make_fused_machine(order(), threads(), audit(), fuse);
+    VectorMachine other = make_fused_machine(order(), table(), audit(), fuse);
     const WordVec other_digest = run_fused_script(other, in);
     ASSERT_EQ(base_digest, other_digest);
     expect_same_costs(base.cost(), other.cost());
   }
 }
 
-using FusedDiffParam = std::tuple<ScatterOrder, std::size_t, bool>;
-
 std::string fused_param_name(
-    const ::testing::TestParamInfo<FusedDiffParam>& info) {
-  static constexpr const char* kFusedOrderNames[] = {"Forward", "Reverse",
-                                                     "Shuffled"};
-  const std::size_t workers = std::get<1>(info.param);
-  return std::string(kFusedOrderNames[static_cast<std::size_t>(
-             std::get<0>(info.param))]) +
-         (workers == 0 ? std::string("xSerial")
-                       : "xParallel" + std::to_string(workers)) +
+    const ::testing::TestParamInfo<TableParam>& info) {
+  return std::string(
+             kOrderNames[static_cast<std::size_t>(std::get<0>(info.param))]) +
+         "x" + table_name(std::get<1>(info.param)) +
          (std::get<2>(info.param) ? "xAudit" : "xNoAudit");
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllConfigs, FusedDiffTest,
-    ::testing::Combine(::testing::Values(ScatterOrder::kForward,
-                                         ScatterOrder::kReverse,
-                                         ScatterOrder::kShuffled),
-                       ::testing::Values(std::size_t{0}, std::size_t{1},
-                                         std::size_t{2}, std::size_t{4},
-                                         std::size_t{8}),
-                       ::testing::Bool()),
-    fused_param_name);
+INSTANTIATE_TEST_SUITE_P(AllConfigs, FusedDiffTest, kTableParams,
+                         fused_param_name);
 
 // ---- SIMD backend differential fuzz ----------------------------------------
 //
@@ -720,8 +672,6 @@ using SimdDiffParam = std::tuple<ScatterOrder, SimdLevel>;
 
 std::string simd_param_name(
     const ::testing::TestParamInfo<SimdDiffParam>& info) {
-  static constexpr const char* kOrderNames[] = {"Forward", "Reverse",
-                                                "Shuffled"};
   std::string level = simd_level_name(std::get<1>(info.param));
   level[0] = static_cast<char>(std::toupper(level[0]));
   return std::string(
@@ -918,25 +868,6 @@ TEST_P(SimdDiffTest, DivModScalarAdversarialValues) {
   }
 }
 
-TEST_P(SimdDiffTest, ComposesWithParallelBackend) {
-  // parallel+simd: pool chunks run the SIMD inner loops. Must match serial
-  // for the full script at multiple worker counts; one worker is the
-  // deployed configuration, where every instruction runs unsplit.
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    const Inputs in(1000, 0xc0de5000 + threads);
-    VectorMachine serial = make_serial(order(), 99);
-    VectorMachine both = make_parallel_simd(order(), 99, threads, level());
-    ASSERT_STREQ(both.backend_name(), "parallel+simd");
-    EXPECT_EQ(both.backend_workers(), threads);
-    ASSERT_EQ(both.active_simd_level(), level());
-    const WordVec want = run_script(serial, in);
-    const WordVec got = run_script(both, in);
-    ASSERT_EQ(want, got) << "threads=" << threads;
-    expect_same_costs(serial.cost(), both.cost());
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllOrdersAllLevels, SimdDiffTest,
     ::testing::Combine(::testing::Values(ScatterOrder::kForward,
@@ -990,87 +921,71 @@ TEST(SimdMixedLevelTest, AllSupportedLevelsProduceOneDigest) {
   }
 }
 
-// ---- scatter-merge scaling fuzz --------------------------------------------
-//
-// A scatter split across workers runs the single-pass claim-interval merge:
-// for every ScatterOrder, worker count, fuse mode, and kernel table (the
-// scalar reference table, or the widest table the host supports), the
-// machine must be bit-identical — outputs, memory images, and chimes — to
-// the serial reference.
-
-using MergeScalingParam = std::tuple<ScatterOrder, std::size_t, bool>;
-
-class MergeScalingDiffTest
-    : public ::testing::TestWithParam<MergeScalingParam> {
- protected:
-  ScatterOrder order() const { return std::get<0>(GetParam()); }
-  std::size_t threads() const { return std::get<1>(GetParam()); }
-  bool simd_table() const { return std::get<2>(GetParam()); }
-
-  /// kParallel on the scalar table, or kParallelSimd on the widest table.
-  void use_table(MachineConfig& cfg) const {
-    cfg.backend =
-        simd_table() ? BackendKind::kParallelSimd : BackendKind::kParallel;
-    cfg.simd_level = SimdLevel::kAuto;
+TEST(SimdMixedLevelTest, TinyVectorReductionsMatchSerialOnEveryTable) {
+  // Vectors shorter than one register, and just past one or two: the
+  // reductions run only their tail loop or a single vector step, and must
+  // still agree with the scalar reference table.
+  MachineConfig serial_cfg;
+  serial_cfg.backend = BackendKind::kSerial;
+  VectorMachine serial(serial_cfg);
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kNeon, SimdLevel::kAvx2,
+        SimdLevel::kAvx512}) {
+    if (!simd_level_supported(level)) continue;
+    VectorMachine simd = make_simd(ScatterOrder::kForward, 1, level);
+    for (std::size_t n = 1; n <= 17; ++n) {
+      Xoshiro256 rng(0x1234 + n);
+      WordVec v(n);
+      for (auto& x : v) x = rng.in_range(-1000, 1000);
+      EXPECT_EQ(serial.reduce_sum(v), simd.reduce_sum(v))
+          << simd_level_name(level) << " n=" << n;
+      EXPECT_EQ(serial.reduce_min(v), simd.reduce_min(v))
+          << simd_level_name(level) << " n=" << n;
+      EXPECT_EQ(serial.reduce_max(v), simd.reduce_max(v))
+          << simd_level_name(level) << " n=" << n;
+    }
   }
+}
+
+// ---- full and fused scripts over the table x order x fuse matrix ---------
+//
+// For every ScatterOrder, fuse mode, and kernel table the host supports
+// (the scalar reference table or one SIMD level's), the machine must be
+// bit-identical — outputs, memory images, and chimes — to the serial
+// reference in the same fuse mode, on both the primitive script and the
+// fused-kernel script.
+
+class MergeScalingDiffTest : public TableMatrixTest {
+ protected:
+  bool fuse() const { return std::get<2>(GetParam()); }
 };
 
 TEST_P(MergeScalingDiffTest, FullScriptBitIdenticalToSerial) {
   for (const std::size_t n : {std::size_t{257}, std::size_t{1000}}) {
     const Inputs in(n, 0x4e46e000 + n);
-    VectorMachine serial = make_serial(order(), 99);
-    VectorMachine parallel =
-        simd_table() ? make_parallel_simd(order(), 99, threads(),
-                                          SimdLevel::kAuto, /*grain=*/8)
-                     : make_parallel(order(), 99, threads(), /*grain=*/8);
+    VectorMachine serial = make_table(order(), 99, SimdLevel::kScalar, fuse());
+    VectorMachine other = make_table(order(), 99, table(), fuse());
     const WordVec want = run_script(serial, in);
-    const WordVec got = run_script(parallel, in);
+    const WordVec got = run_script(other, in);
     ASSERT_EQ(want, got) << "digest diverged at n=" << n;
-    expect_same_costs(serial.cost(), parallel.cost());
+    expect_same_costs(serial.cost(), other.cost());
   }
 }
 
 TEST_P(MergeScalingDiffTest, FusedScriptBitIdenticalForEitherFuseMode) {
-  for (const bool fuse : {true, false}) {
-    const Inputs in(600, 0x4e46ef);
-    MachineConfig serial_cfg;
-    serial_cfg.scatter_order = order();
-    serial_cfg.shuffle_seed = 4242;
-    serial_cfg.audit = false;
-    serial_cfg.fuse = fuse;
-    serial_cfg.backend = BackendKind::kSerial;
-    MachineConfig par_cfg = serial_cfg;
-    use_table(par_cfg);
-    par_cfg.backend_threads = threads();
-    par_cfg.backend_grain = 8;
-    VectorMachine serial(serial_cfg);
-    VectorMachine parallel(par_cfg);
-    const WordVec want = run_fused_script(serial, in);
-    const WordVec got = run_fused_script(parallel, in);
-    ASSERT_EQ(want, got) << "fuse=" << fuse;
-    expect_same_costs(serial.cost(), parallel.cost());
-  }
+  const Inputs in(600, 0x4e46ef);
+  VectorMachine serial = make_fused_machine(order(), SimdLevel::kScalar,
+                                            /*audit=*/false, fuse());
+  VectorMachine other =
+      make_fused_machine(order(), table(), /*audit=*/false, fuse());
+  const WordVec want = run_fused_script(serial, in);
+  const WordVec got = run_fused_script(other, in);
+  ASSERT_EQ(want, got) << "fuse=" << fuse();
+  expect_same_costs(serial.cost(), other.cost());
 }
 
-std::string merge_scaling_param_name(
-    const ::testing::TestParamInfo<MergeScalingParam>& info) {
-  static constexpr const char* kOrderNames[] = {"Forward", "Reverse",
-                                                "Shuffled"};
-  return std::string(
-             kOrderNames[static_cast<std::size_t>(std::get<0>(info.param))]) +
-         "x" + std::to_string(std::get<1>(info.param)) + "threadsx" +
-         (std::get<2>(info.param) ? "SimdTable" : "ScalarTable");
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllOrdersWorkersTables, MergeScalingDiffTest,
-    ::testing::Combine(::testing::Values(ScatterOrder::kForward,
-                                         ScatterOrder::kReverse,
-                                         ScatterOrder::kShuffled),
-                       ::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{4}, std::size_t{8}),
-                       ::testing::Bool()),
-    merge_scaling_param_name);
+INSTANTIATE_TEST_SUITE_P(AllOrdersTablesFuseModes, MergeScalingDiffTest,
+                         kTableParams, table_param_name);
 
 TEST(FusedDiffEdgeTest, MaskedSgeFaultsLikeCompositionWithScatterApplied) {
   // An out-of-bounds INACTIVE lane: the masked scatter skips it, but the
@@ -1078,7 +993,8 @@ TEST(FusedDiffEdgeTest, MaskedSgeFaultsLikeCompositionWithScatterApplied) {
   // the unfused composition does at its gather — i.e. with the scatter's
   // stores already landed.
   for (const bool fuse : {true, false}) {
-    VectorMachine m = make_fused_machine(ScatterOrder::kForward, 0,
+    VectorMachine m = make_fused_machine(ScatterOrder::kForward,
+                                         SimdLevel::kScalar,
                                          /*audit=*/false, fuse);
     WordVec table(16, -1);
     WordVec idx{3, 99, 5};
@@ -1089,55 +1005,6 @@ TEST(FusedDiffEdgeTest, MaskedSgeFaultsLikeCompositionWithScatterApplied) {
     EXPECT_EQ(table[3], 10);
     EXPECT_EQ(table[5], 12);
   }
-}
-
-// The pool's one schedule is run_affine: at most one task per worker, so
-// every job here uses task counts <= pool size.
-
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(workers);
-    EXPECT_EQ(pool.size(), workers);
-    for (std::size_t tasks = 0; tasks <= workers; ++tasks) {
-      std::vector<int> hits(tasks, 0);
-      pool.run_affine(tasks, [&](std::size_t i) { hits[i] += 1; });
-      for (int h : hits) EXPECT_EQ(h, 1) << "workers=" << workers;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, RethrowsLowestTaskException) {
-  ThreadPool pool(8);
-  for (int round = 0; round < 20; ++round) {
-    for (const std::size_t tasks : {2u, 5u, 8u}) {
-      try {
-        pool.run_affine(tasks, [&](std::size_t i) {
-          if (i % 2 == 1 || i == tasks - 1) {
-            throw std::runtime_error("task " + std::to_string(i));
-          }
-        });
-        FAIL() << "expected an exception";
-      } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "task 1");
-      }
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossJobs) {
-  ThreadPool pool(3);
-  std::size_t total = 0;
-  std::size_t want = 0;
-  for (int job = 0; job < 100; ++job) {
-    const std::size_t tasks = 1 + static_cast<std::size_t>(job) % 3;
-    std::vector<std::size_t> marks(tasks, 0);
-    pool.run_affine(tasks, [&](std::size_t i) { marks[i] = i + 1; });
-    for (std::size_t i = 0; i < tasks; ++i) {
-      total += marks[i];
-      want += i + 1;
-    }
-  }
-  EXPECT_EQ(total, want);
 }
 
 }  // namespace

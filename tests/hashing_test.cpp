@@ -289,12 +289,10 @@ TEST(MultiHashOpenTest, SlotTrackingInsertAcceptsDuplicateKeys) {
     MachineConfig serial;
     serial.scatter_order = order;
     serial.backend = vm::BackendKind::kSerial;
-    MachineConfig parallel_simd = serial;
-    parallel_simd.backend = vm::BackendKind::kParallelSimd;
-    parallel_simd.backend_threads = 2;
-    parallel_simd.backend_grain = 8;  // split even the short retry rounds
+    MachineConfig simd = serial;
+    simd.backend = vm::BackendKind::kSimd;
     configs.push_back(serial);
-    configs.push_back(parallel_simd);
+    configs.push_back(simd);
   }
   for (const MachineConfig& cfg : configs) {
     SCOPED_TRACE(testing::Message()

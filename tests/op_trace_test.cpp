@@ -263,7 +263,6 @@ class Fol1InstructionMixTest : public ::testing::TestWithParam<BackendKind> {
     cfg.audit = false;
     cfg.fuse = fuse;
     cfg.backend = GetParam();
-    cfg.backend_threads = 2;
     VectorMachine m(cfg);
     SpanTracer tracer;
     {
@@ -308,17 +307,14 @@ TEST_P(Fol1InstructionMixTest, DuplicateFreeUnfused) {
 std::string kind_name(const ::testing::TestParamInfo<BackendKind>& p) {
   switch (p.param) {
     case BackendKind::kSerial: return "serial";
-    case BackendKind::kParallel: return "parallel";
     case BackendKind::kSimd: return "simd";
-    case BackendKind::kParallelSimd: return "parallel_simd";
   }
   return "unknown";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     BackendKinds, Fol1InstructionMixTest,
-    ::testing::Values(BackendKind::kSerial, BackendKind::kParallel,
-                      BackendKind::kSimd, BackendKind::kParallelSimd),
+    ::testing::Values(BackendKind::kSerial, BackendKind::kSimd),
     kind_name);
 
 }  // namespace

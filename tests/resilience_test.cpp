@@ -4,10 +4,10 @@
 //   1. Taxonomy — data-dependent exhaustion (TableFull,
 //      ProbeCycleSaturated, PoolExhausted) surfaces as Status /
 //      RecoverableError, distinct from the logic_error bug classes.
-//   2. Injection — every FaultSite (pool_alloc, els, probe, worker) can be
-//      fired deterministically from a seeded FaultPlan, every site recovers
+//   2. Injection — every FaultSite (pool_alloc, els, probe) can be fired
+//      deterministically from a seeded FaultPlan, every site recovers
 //      without process-level unwinding, and recovery is bit-identical
-//      across the serial and parallel backends.
+//      across the serial and simd backends.
 //   3. Degradation — pathological sharing (Theorem 6's heavy-duplication
 //      worst case) drains through the adaptive scalar path in O(k) instead
 //      of O(N^2) vector work, preserving every decomposition theorem.
@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -36,7 +35,6 @@
 #include "telemetry/metrics.h"
 #include "vm/buffer_pool.h"
 #include "vm/machine.h"
-#include "vm/thread_pool.h"
 
 namespace folvec {
 namespace {
@@ -58,11 +56,11 @@ vm::MachineConfig quiet_config() {
   return cfg;
 }
 
-vm::MachineConfig parallel_config(std::size_t threads, std::size_t grain = 8) {
+/// quiet_config on the widest kernel table the host supports.
+vm::MachineConfig simd_config() {
   vm::MachineConfig cfg = quiet_config();
-  cfg.backend = vm::BackendKind::kParallel;
-  cfg.backend_threads = threads;
-  cfg.backend_grain = grain;
+  cfg.backend = vm::BackendKind::kSimd;
+  cfg.simd_level = vm::SimdLevel::kAuto;
   return cfg;
 }
 
@@ -233,10 +231,10 @@ TEST(FaultPlanTest, SpecGrammar) {
 
 TEST(FaultPlanTest, RateDrawsAreSeedDeterministic) {
   const auto draw_pattern = [](std::uint64_t seed) {
-    FaultPlan plan(seed, "worker=0.5");
+    FaultPlan plan(seed, "probe=0.5");
     std::string bits;
     for (int i = 0; i < 64; ++i) {
-      bits += plan.fires(FaultSite::kWorkerFault) ? '1' : '0';
+      bits += plan.fires(FaultSite::kProbeSaturation) ? '1' : '0';
     }
     return bits;
   };
@@ -257,13 +255,13 @@ TEST(FaultPlanTest, RateDrawsAreSeedDeterministic) {
 }
 
 TEST(FaultPlanTest, SitesDrawIndependentStreams) {
-  // Checking one site must not shift another site's decisions: the worker
-  // site is only checked under the parallel backend, and serial/parallel
-  // recovery would diverge if site streams were entangled.
+  // Checking one site must not shift another site's decisions: how often a
+  // site is checked depends on the workload, and recovery would stop being
+  // reproducible if site streams were entangled.
   FaultPlan lone(9, "els=0.5");
-  FaultPlan mixed(9, "els=0.5,worker=0.5,pool_alloc%3");
+  FaultPlan mixed(9, "els=0.5,probe=0.5,pool_alloc%3");
   for (int i = 0; i < 64; ++i) {
-    if (i % 3 == 0) mixed.fires(FaultSite::kWorkerFault);
+    if (i % 3 == 0) mixed.fires(FaultSite::kProbeSaturation);
     if (i % 2 == 0) mixed.fires(FaultSite::kPoolAlloc);
     EXPECT_EQ(lone.fires(FaultSite::kElsViolation),
               mixed.fires(FaultSite::kElsViolation))
@@ -433,89 +431,51 @@ TEST(ProbeFault, ScalarInsertOrGrowAbsorbsInjection) {
   EXPECT_EQ(counter(reg, "fault.recovered.probe"), 1u);
 }
 
-// ---- 2d. worker site --------------------------------------------------------
-
-TEST(WorkerFault, ParallelScatterRecoversBitIdentically) {
-  telemetry::MetricsRegistry reg;
-  const telemetry::ScopedMetrics scoped(reg);
-  const WordVec targets = mixed_targets(2048, 256, 17);
-  std::vector<Word> clean_work(256, 0);
-  VectorMachine serial(quiet_config());
-  const fol::Decomposition expected =
-      fol::fol1_decompose(serial, targets, clean_work);
-
-  FaultPlan plan(4, "worker%2");
-  const ScopedFaultPlan install(&plan);
-  std::vector<Word> work(256, 0);
-  VectorMachine m(parallel_config(4));
-  const fol::Decomposition dec = fol::fol1_decompose(m, targets, work);
-  EXPECT_EQ(dec.sets, expected.sets);
-  EXPECT_GT(plan.fired(FaultSite::kWorkerFault), 0u);
-  EXPECT_EQ(counter(reg, "fault.injected.worker"),
-            counter(reg, "fault.recovered.worker"));
-  EXPECT_GT(counter(reg, "fault.injected.worker"), 0u);
-}
-
-TEST(WorkerFault, RealTaskErrorsStillWinOverInjection) {
-  vm::ThreadPool pool(4);
-  FaultPlan plan(1, "worker=1.0");
-  const ScopedFaultPlan install(&plan);
-  // Task 3 (the caller's own task) genuinely throws; the injected death of
-  // task 0 must not mask it.
-  EXPECT_THROW(pool.run_affine(4,
-                               [](std::size_t i) {
-                                 if (i == 3) {
-                                   throw std::runtime_error("real failure");
-                                 }
-                               }),
-               std::runtime_error);
-  // And with no real error, every injected death recovers.
-  std::vector<int> ran(4, 0);
-  pool.run_affine(4, [&](std::size_t i) { ran[i] += 1; });
-  EXPECT_EQ(std::accumulate(ran.begin(), ran.end(), 0), 4);
-  EXPECT_EQ(*std::max_element(ran.begin(), ran.end()), 1)
-      << "re-dispatch must execute the sacrificed task exactly once";
-  EXPECT_EQ(plan.fired(FaultSite::kWorkerFault), 2u);
-}
-
 // ---- 2e. cross-backend bit-identity under one plan --------------------------
 
-TEST(FaultRecovery, SerialAndParallelBackendsStayBitIdentical) {
+TEST(FaultRecovery, SerialAndSimdBackendsStayBitIdentical) {
   const WordVec targets = mixed_targets(4096, 128, 23);
-  const auto run = [&](const vm::MachineConfig& cfg) {
+  const auto run = [&](vm::MachineConfig cfg, vm::ScatterOrder order,
+                       bool fuse) {
+    cfg.scatter_order = order;
+    cfg.fuse = fuse;
     std::vector<Word> work(128, 0);
-    FaultPlan plan(31, "pool_alloc%4,els%3,worker%2");
+    FaultPlan plan(31, "pool_alloc%4,els%3");
     const ScopedFaultPlan install(&plan);
     VectorMachine m(cfg);
     const fol::Decomposition dec = fol::fol1_decompose(m, targets, work);
     return std::make_pair(dec.sets, std::vector<Word>(work.begin(),
                                                       work.end()));
   };
-  const auto serial = run(quiet_config());
-  const auto parallel2 = run(parallel_config(2));
-  const auto parallel8 = run(parallel_config(8, 64));
-  EXPECT_EQ(serial.first, parallel2.first);
-  EXPECT_EQ(serial.first, parallel8.first);
-  EXPECT_EQ(serial.second, parallel2.second)
-      << "memory images must match lane for lane";
-  EXPECT_EQ(serial.second, parallel8.second);
+  for (const vm::ScatterOrder order :
+       {vm::ScatterOrder::kForward, vm::ScatterOrder::kReverse,
+        vm::ScatterOrder::kShuffled}) {
+    for (const bool fuse : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "order=" << static_cast<int>(order)
+                                      << " fuse=" << fuse);
+      const auto serial = run(quiet_config(), order, fuse);
+      const auto simd = run(simd_config(), order, fuse);
+      EXPECT_EQ(serial.first, simd.first);
+      EXPECT_EQ(serial.second, simd.second)
+          << "memory images must match lane for lane";
+    }
+  }
 }
 
 TEST(FaultRecovery, EnvSeededSmoke) {
-  // CI drives this whole binary under FOLVEC_FAULT_SPEC; this test runs a
-  // composite workload under whatever plan the environment installed (or a
-  // representative local one when run standalone) and asserts end-to-end
+  // CI runs this binary under FOLVEC_FAULT_SPEC / FOLVEC_FAULT_SEED; this
+  // test runs a composite workload under that plan (or a representative
+  // local one when the variables are unset) and asserts end-to-end
   // correctness, not specific counters.
-  std::unique_ptr<FaultPlan> local;
-  if (faults() == nullptr) {
-    local = std::make_unique<FaultPlan>(123,
-                                        "pool_alloc%5,els%7,probe@2,worker%3");
+  std::unique_ptr<FaultPlan> plan = FaultPlan::from_env();
+  if (plan == nullptr) {
+    plan = std::make_unique<FaultPlan>(123, "pool_alloc%5,els%7,probe@2");
   }
-  const ScopedFaultPlan install(local != nullptr ? local.get() : faults());
+  const ScopedFaultPlan install(plan.get());
 
   const WordVec targets = mixed_targets(1024, 64, 29);
   std::vector<Word> work(64, 0);
-  VectorMachine m(parallel_config(4, 64));
+  VectorMachine m(simd_config());
   const fol::Decomposition dec = fol::fol1_decompose(m, targets, work);
   EXPECT_TRUE(fol::is_disjoint_cover(dec, targets.size()));
   EXPECT_TRUE(fol::sets_are_conflict_free(dec, targets));

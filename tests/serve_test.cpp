@@ -1,7 +1,7 @@
 // Differential tests for the serving layer (src/serve/).
 //
-// The pivotal claim: a ShardedMap — any shard count, any backend, any
-// worker count — is observationally identical to one reference
+// The pivotal claim: a ShardedMap — any shard count, either backend, any
+// scatter order, fused or not — is observationally identical to one reference
 // VectorHashMap driven serially. Sharding, Bloom short-circuits, and the
 // batch server's run splitting are all pure execution strategy; the
 // key-value semantics (including last-lane-wins on duplicates) must not
@@ -26,6 +26,7 @@
 #include "support/prng.h"
 #include "support/require.h"
 #include "vm/machine.h"
+#include "vm/simd_backend.h"
 
 namespace folvec::serve {
 namespace {
@@ -35,15 +36,11 @@ using vm::MachineConfig;
 using vm::Word;
 using vm::WordVec;
 
-MachineConfig backend_config(BackendKind kind, std::size_t workers) {
+MachineConfig backend_config(BackendKind kind) {
   MachineConfig cfg;
   cfg.backend = kind;
-  cfg.backend_threads = workers;
-  // Serve batches shard into short sub-batches; drop the grain so the
-  // parallel backends actually split them instead of degenerating to the
-  // serial path.
-  cfg.backend_grain = 8;
-  cfg.audit = false;  // audit pins parallel to serial; we want the real path
+  cfg.simd_level = vm::SimdLevel::kAuto;
+  cfg.audit = false;
   return cfg;
 }
 
@@ -83,7 +80,7 @@ std::vector<WorkloadOp> make_workload(std::uint64_t seed, std::size_t n) {
 /// reference every configuration must match.
 class ReferenceMap {
  public:
-  ReferenceMap() : machine_(backend_config(BackendKind::kSerial, 1)), map_(64) {}
+  ReferenceMap() : machine_(backend_config(BackendKind::kSerial)), map_(64) {}
 
   void upsert(std::span<const Word> keys, std::span<const Word> values) {
     map_.upsert_batch(machine_, keys, values);
@@ -155,29 +152,50 @@ void run_differential(ShardedMap& sharded, std::uint64_t seed,
 // ---- ShardedMap vs reference, across the full backend matrix ---------------
 
 struct DiffParam {
-  BackendKind backend;
-  std::size_t workers;
+  /// kScalar = the serial machine's scalar reference table; any other level
+  /// = the kSimd machine forced to that level's table.
+  vm::SimdLevel table;
+  vm::ScatterOrder order;
+  bool fuse;
   std::size_t shards;
 };
 
 std::string param_name(const testing::TestParamInfo<DiffParam>& info) {
-  const char* backend = nullptr;
-  switch (info.param.backend) {
-    case BackendKind::kSerial: backend = "serial"; break;
-    case BackendKind::kParallel: backend = "parallel"; break;
-    case BackendKind::kSimd: backend = "simd"; break;
-    case BackendKind::kParallelSimd: backend = "parallel_simd"; break;
-  }
-  return std::string(backend) + "_w" + std::to_string(info.param.workers) +
-         "_s" + std::to_string(info.param.shards);
+  static constexpr const char* kOrderNames[] = {"forward", "reverse",
+                                                "shuffled"};
+  const std::string table = info.param.table == vm::SimdLevel::kScalar
+                                ? "serial"
+                                : vm::simd_level_name(info.param.table);
+  return table + "_" +
+         kOrderNames[static_cast<std::size_t>(info.param.order)] +
+         (info.param.fuse ? "_fused" : "_unfused") + "_s" +
+         std::to_string(info.param.shards);
 }
 
-class ShardedDiffTest : public testing::TestWithParam<DiffParam> {};
+class ShardedDiffTest : public testing::TestWithParam<DiffParam> {
+ protected:
+  void SetUp() override {
+    if (!vm::simd_level_supported(GetParam().table)) {
+      GTEST_SKIP() << vm::simd_level_name(GetParam().table)
+                   << " is not available on this host/build";
+    }
+  }
+  static MachineConfig machine() {
+    const vm::SimdLevel table = GetParam().table;
+    MachineConfig cfg = backend_config(table == vm::SimdLevel::kScalar
+                                           ? BackendKind::kSerial
+                                           : BackendKind::kSimd);
+    cfg.simd_level = table;
+    cfg.scatter_order = GetParam().order;
+    cfg.fuse = GetParam().fuse;
+    return cfg;
+  }
+};
 
 TEST_P(ShardedDiffTest, MatchesReferenceMap) {
   ShardedMapConfig cfg;
   cfg.shards = GetParam().shards;
-  cfg.machine = backend_config(GetParam().backend, GetParam().workers);
+  cfg.machine = machine();
   ShardedMap sharded(cfg);
   run_differential(sharded, /*seed=*/41, /*n_ops=*/3000, /*batch_size=*/64);
 }
@@ -186,25 +204,28 @@ TEST_P(ShardedDiffTest, MatchesReferenceWithBloomDisabled) {
   ShardedMapConfig cfg;
   cfg.shards = GetParam().shards;
   cfg.bloom = false;
-  cfg.machine = backend_config(GetParam().backend, GetParam().workers);
+  cfg.machine = machine();
   ShardedMap sharded(cfg);
   run_differential(sharded, /*seed=*/43, /*n_ops=*/1500, /*batch_size=*/48);
   EXPECT_EQ(sharded.bloom_skips(), 0u);
 }
 
+/// Kernel table x ScatterOrder x fuse x shard count. The table axis is
+/// every table the build can compile, not just the widest one this host
+/// picks; tables the host cannot run are skipped.
 std::vector<DiffParam> diff_params() {
   std::vector<DiffParam> params;
-  for (const BackendKind backend :
-       {BackendKind::kSerial, BackendKind::kParallel, BackendKind::kSimd,
-        BackendKind::kParallelSimd}) {
-    const bool pooled = backend == BackendKind::kParallel ||
-                        backend == BackendKind::kParallelSimd;
-    for (const std::size_t workers :
-         pooled ? std::vector<std::size_t>{1, 2, 8}
-                : std::vector<std::size_t>{1}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                       std::size_t{8}}) {
-        params.push_back({backend, workers, shards});
+  for (const vm::SimdLevel table :
+       {vm::SimdLevel::kScalar, vm::SimdLevel::kNeon, vm::SimdLevel::kAvx2,
+        vm::SimdLevel::kAvx512}) {
+    for (const vm::ScatterOrder order :
+         {vm::ScatterOrder::kForward, vm::ScatterOrder::kReverse,
+          vm::ScatterOrder::kShuffled}) {
+      for (const bool fuse : {true, false}) {
+        for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                         std::size_t{8}}) {
+          params.push_back({table, order, fuse, shards});
+        }
       }
     }
   }

@@ -390,19 +390,35 @@ TEST_F(MachineTest, AuditDefaultParsesOffSpellingsCaseInsensitively) {
   }
 }
 
-TEST_F(MachineTest, BackendDefaultParsesNamesAndBooleanSpellings) {
+TEST_F(MachineTest, BackendDefaultParsesSerialAndSimd) {
   const ScopedEnv env("FOLVEC_BACKEND");
-  for (const char* serial : {"serial", "SERIAL", " Serial ", "0", "off",
-                             "false", "No"}) {
+  ::unsetenv("FOLVEC_BACKEND");
+  EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kSerial);
+  for (const char* serial : {"serial", "SERIAL", " Serial "}) {
     ::setenv("FOLVEC_BACKEND", serial, 1);
     EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kSerial)
         << '"' << serial << '"';
   }
-  for (const char* parallel : {"parallel", "Parallel", "1", "on", "true",
-                               "Yes"}) {
-    ::setenv("FOLVEC_BACKEND", parallel, 1);
-    EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kParallel)
-        << '"' << parallel << '"';
+  ::setenv("FOLVEC_BACKEND", "simd", 1);
+  EXPECT_EQ(MachineConfig::backend_default(), BackendKind::kSimd);
+}
+
+TEST_F(MachineTest, BackendDefaultRejectsEveryOtherSpelling) {
+  // The retired multi-worker spellings and the boolean ones fail loudly, so
+  // a stale variable never benchmarks something else.
+  const ScopedEnv env("FOLVEC_BACKEND");
+  for (const char* bad :
+       {"parallel", "Parallel", "parallel+simd", "simd+parallel", "1", "on",
+        "true", "Yes", "0", "off", "false", "No", "scalar", "avx2"}) {
+    ::setenv("FOLVEC_BACKEND", bad, 1);
+    try {
+      MachineConfig::backend_default();
+      ADD_FAILURE() << '"' << bad << "\" was accepted";
+    } catch (const PreconditionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("serial"), std::string::npos) << what;
+      EXPECT_NE(what.find("simd"), std::string::npos) << what;
+    }
   }
 }
 
@@ -414,12 +430,22 @@ TEST_F(MachineTest, BackendIntrospection) {
   const VectorMachine s(cfg);
   EXPECT_STREQ(s.backend_name(), "serial");
   EXPECT_EQ(s.backend_workers(), 1u);
-  cfg.backend = BackendKind::kParallel;
-  cfg.backend_threads = 3;
-  cfg.audit = false;
-  const VectorMachine p(cfg);
-  EXPECT_STREQ(p.backend_name(), "parallel");
-  EXPECT_EQ(p.backend_workers(), 3u);
+  cfg.backend = BackendKind::kSimd;
+  const VectorMachine v(cfg);
+  EXPECT_STREQ(v.backend_name(), "simd");
+  EXPECT_EQ(v.backend_workers(), 1u);
+}
+
+TEST_F(MachineTest, BackendThreadsAboveOneIsRejected) {
+  MachineConfig cfg;
+  for (const std::size_t threads : {0u, 1u}) {
+    cfg.backend_threads = threads;
+    EXPECT_NO_THROW(VectorMachine{cfg}) << threads;
+  }
+  for (const std::size_t threads : {2u, 8u}) {
+    cfg.backend_threads = threads;
+    EXPECT_THROW(VectorMachine{cfg}, PreconditionError) << threads;
+  }
 }
 
 TEST_F(MachineTest, CostAccumulatorCountsInstructionsAndElements) {

@@ -106,30 +106,18 @@ class Checker {
     const JsonValue* name = require(backend, "name", "backend");
     if (name != nullptr &&
         (!name->is_string() ||
-         (name->as_string() != "serial" && name->as_string() != "parallel"))) {
-      fail("backend.name must be \"serial\" or \"parallel\"");
+         (name->as_string() != "serial" && name->as_string() != "simd"))) {
+      fail("backend.name must be \"serial\" or \"simd\"");
     }
-    const JsonValue* workers = require(backend, "workers", "backend");
-    if (workers != nullptr &&
-        (!workers->is_number() || workers->as_number() < 1)) {
-      fail("backend.workers must be a number >= 1");
-    }
-    const JsonValue* requested = require(backend, "requested", "backend");
-    if (requested != nullptr && !requested->is_string()) {
-      fail("backend.requested must be a string");
-    }
-    const JsonValue* pinned = require(backend, "pinned", "backend");
-    if (pinned != nullptr && !pinned->is_bool()) {
-      fail("backend.pinned must be a boolean");
-    }
-    const JsonValue* reason = require(backend, "pin_reason", "backend");
-    if (pinned != nullptr && pinned->is_bool() && reason != nullptr) {
-      // The reason travels with the pin: null exactly when not pinned.
-      if (pinned->as_bool() && !reason->is_string()) {
-        fail("backend.pin_reason must name a reason when pinned");
-      }
-      if (!pinned->as_bool() && !reason->is_null()) {
-        fail("backend.pin_reason must be null when not pinned");
+    const JsonValue* level = require(backend, "simd_level", "backend");
+    if (level != nullptr) {
+      const bool known =
+          level->is_string() &&
+          (level->as_string() == "scalar" || level->as_string() == "neon" ||
+           level->as_string() == "avx2" || level->as_string() == "avx512");
+      if (!known) {
+        fail("backend.simd_level must be \"scalar\", \"neon\", \"avx2\" "
+             "or \"avx512\"");
       }
     }
   }
