@@ -23,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "fol/flat_sets.h"
 #include "support/status.h"
 #include "vm/machine.h"
 
@@ -30,11 +31,11 @@ namespace folvec::fol {
 
 /// Result of a FOL decomposition: `sets[j]` holds the lane positions
 /// (0-based indices into the original index vector) of parallel-processable
-/// set S_{j+1}. Theorems 1-5 of the paper guarantee the sets are disjoint,
-/// cover every lane, are minimal in number, and have non-increasing sizes
-/// (the latter for FOL1 only).
+/// set S_{j+1}; all sets share one flat lane array. Theorems 1-5 of the
+/// paper guarantee the sets are disjoint, cover every lane, are minimal in
+/// number, and have non-increasing sizes (the latter for FOL1 only).
 struct Decomposition {
-  std::vector<std::vector<std::size_t>> sets;
+  FlatSets sets;
 
   /// Lanes assigned by the adaptive scalar drain rather than by vector
   /// rounds (MachineConfig::adaptive; the trigger's thresholds are the
@@ -46,7 +47,8 @@ struct Decomposition {
   /// How the drained sets chain together, for consumers that process them
   /// in one pass instead of one set at a time. All three stay empty (0) when
   /// nothing drained. The drained sets are sets[drained_from..]; number
-  /// their lanes 0..drained_lanes-1 flat, in set order.
+  /// their lanes 0..drained_lanes-1 flat, in set order (the tail of
+  /// sets.lanes()).
   std::size_t drained_from = 0;
   /// Per flat drained lane: the flat index of the lane in the previous set
   /// that addresses the same area, or -1 in the first drained set.
@@ -58,11 +60,7 @@ struct Decomposition {
   std::size_t rounds() const { return sets.size(); }
 
   /// Total lanes across all sets.
-  std::size_t total_lanes() const {
-    std::size_t n = 0;
-    for (const auto& s : sets) n += s.size();
-    return n;
-  }
+  std::size_t total_lanes() const { return sets.lanes().size(); }
 };
 
 /// Decomposes `index_vector` (elements are indices into `work`, one work

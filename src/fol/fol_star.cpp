@@ -1,7 +1,6 @@
 #include "fol/fol_star.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -41,16 +40,23 @@ bool last_tuple_contested(std::span<const vm::PooledVec> remaining,
 /// Drains the remaining tuples greedily on the scalar unit: each tuple joins
 /// the earliest new set in which none of its addresses has been used yet,
 /// and self-conflicting tuples are forced out as trailing singletons (any
-/// multi-tuple set containing one would address an area twice). Returns the
-/// number of distinct addresses tracked.
-std::size_t drain_greedy(const detail::Remaining& rest, detail::Sets& sets,
-                         std::size_t& forced_singletons) {
-  const std::size_t base = sets.size();
+/// multi-tuple set containing one would address an area twice). The labels
+/// are dead once the rounds stop, so each address's work word holds the
+/// next new set free for it. One pass computes every tuple's set, a prefix
+/// sum turns the per-set counts into offsets, and one pass places the
+/// tuples. Returns the number of distinct addresses tracked.
+std::size_t drain_greedy(const detail::Remaining& rest, std::span<Word> work,
+                         FlatSets& sets, std::size_t& forced_singletons) {
+  constexpr std::size_t kSelfConflicting = static_cast<std::size_t>(-1);
   const std::size_t n_rest = rest.size();
   const std::span<const vm::PooledVec> lanes = rest.idx;
-  std::unordered_map<Word, std::size_t> next_free;
-  next_free.reserve(n_rest * lanes.size());
-  std::vector<std::size_t> self_conflicting;
+  for (const auto& lane : lanes) {
+    for (Word a : *lane) work[static_cast<std::size_t>(a)] = 0;
+  }
+  std::vector<std::size_t> set_of(n_rest);
+  std::vector<std::size_t> next;  // tuples per new set, then its cursor
+  std::size_t distinct = 0;
+  std::size_t n_self = 0;
   for (std::size_t p = 0; p < n_rest; ++p) {
     bool self_conflict = false;
     for (std::size_t a = 0; a < lanes.size() && !self_conflict; ++a) {
@@ -62,25 +68,43 @@ std::size_t drain_greedy(const detail::Remaining& rest, detail::Sets& sets,
       }
     }
     if (self_conflict) {
-      self_conflicting.push_back(p);
+      set_of[p] = kSelfConflicting;
+      ++n_self;
       continue;
     }
     std::size_t j = 0;
     for (const auto& lane : lanes) {
-      const auto it = next_free.find((*lane)[p]);
-      if (it != next_free.end()) j = std::max(j, it->second);
+      j = std::max(j, static_cast<std::size_t>(
+                          work[static_cast<std::size_t>((*lane)[p])]));
     }
     // j is at most one past the deepest set assigned so far, so this
     // creates at most one new (immediately non-empty) set.
-    while (base + j >= sets.size()) sets.emplace_back();
-    sets[base + j].push_back(static_cast<std::size_t>(rest.pos[p]));
-    for (const auto& lane : lanes) next_free[(*lane)[p]] = j + 1;
+    set_of[p] = j;
+    if (j == next.size()) next.push_back(0);
+    ++next[j];
+    for (const auto& lane : lanes) {
+      Word& next_free = work[static_cast<std::size_t>((*lane)[p])];
+      if (next_free == 0) ++distinct;
+      next_free = static_cast<Word>(j + 1);
+    }
   }
-  for (std::size_t p : self_conflicting) {
-    sets.push_back({static_cast<std::size_t>(rest.pos[p])});
-    ++forced_singletons;
+  std::size_t start = 0;
+  for (std::size_t& c : next) c = std::exchange(start, start + c);
+
+  const std::size_t tail_offset = sets.lanes().size();
+  const std::span<std::size_t> tail = sets.extend(n_rest);
+  std::size_t singleton = n_rest - n_self;
+  for (std::size_t p = 0; p < n_rest; ++p) {
+    const std::size_t f =
+        set_of[p] == kSelfConflicting ? singleton++ : next[set_of[p]]++;
+    tail[f] = static_cast<std::size_t>(rest.pos[p]);
   }
-  return next_free.size();
+  for (std::size_t end : next) sets.end_set(tail_offset + end);
+  for (std::size_t f = n_rest - n_self; f < n_rest; ++f) {
+    sets.end_set(tail_offset + f + 1);
+  }
+  forced_singletons += n_self;
+  return distinct;
 }
 
 }  // namespace
@@ -163,8 +187,8 @@ StarDecomposition fol_star_decompose(VectorMachine& m,
     }
     return n_ok;
   };
-  const auto drain = [&](const detail::Remaining& rest, std::span<Word>) {
-    return drain_greedy(rest, out.sets, out.forced_singletons);
+  const auto drain = [&](const detail::Remaining& rest, std::span<Word> w) {
+    return drain_greedy(rest, w, out.sets, out.forced_singletons);
   };
 
   const std::vector<std::span<const Word>> lanes(index_vectors.begin(),

@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "fol/fol1.h"
 #include "vm/machine.h"
@@ -29,7 +28,7 @@ namespace folvec::fol {
 
 struct StarDecomposition {
   /// sets[j] holds tuple positions (0-based) of parallel-processable set j.
-  std::vector<std::vector<std::size_t>> sets;
+  FlatSets sets;
   /// Rounds where the scalar last-tuple rewrite decided a contested address
   /// in the last tuple's favour (deadlock prevention) — counted whether or
   /// not other tuples survived the same round.

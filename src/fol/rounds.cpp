@@ -19,7 +19,8 @@ RoundsResult decompose_rounds(VectorMachine& m,
                               std::span<const std::span<const Word>>
                                   index_vectors,
                               std::span<Word> work, const RoundSpec& spec,
-                              Sets& sets, LabelRound label_round, Drain drain) {
+                              FlatSets& sets, LabelRound label_round,
+                              Drain drain) {
   RoundsResult res;
   const std::size_t num_lanes = index_vectors.size();
   const std::size_t n0 = index_vectors.front().size();
@@ -56,10 +57,12 @@ RoundsResult decompose_rounds(VectorMachine& m,
   vm::PooledVec assigned(pool, n0);  // kept half of the idx splits; unused
   m.iota_into(*pos, n0);
 
-  // The set collection grows by one push_back per round; reserve a
-  // round-count guess up front to skip the early reallocation ladder.
+  // Every assigned tuple lands in the one flat lane array, so reserving n0
+  // lanes up front makes it a single allocation; the end offsets grow by one
+  // per set, from a round-count guess.
   sets.reserve(spec.max_rounds != 0 ? spec.max_rounds
-                                    : std::min<std::size_t>(n0, 32));
+                                    : std::min<std::size_t>(n0, 32),
+               n0);
 
   Mask survived(0);
   while (!pos->empty()) {
@@ -85,9 +88,11 @@ RoundsResult decompose_rounds(VectorMachine& m,
     // vector. The kept half of the position split is this round's set; the
     // kept halves of the index splits are dead (those tuples are assigned).
     m.partition_into(*winners, *next_pos, *pos, survived);
-    std::vector<std::size_t>& set = sets.emplace_back();
-    set.reserve(winners->size());
-    for (Word w : *winners) set.push_back(static_cast<std::size_t>(w));
+    const std::span<std::size_t> set = sets.extend(winners->size());
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      set[i] = static_cast<std::size_t>((*winners)[i]);
+    }
+    sets.end_set(sets.lanes().size());
     for (std::size_t k = 0; k < num_lanes; ++k) {
       m.partition_into(*assigned, *next_idx[k], *idx[k], survived);
       std::swap(*idx[k], *next_idx[k]);
@@ -127,55 +132,57 @@ RoundsResult decompose_rounds(VectorMachine& m,
 
 std::size_t drain_by_occurrence(const Remaining& rest, std::span<Word> work,
                                 Decomposition& out) {
-  Sets& sets = out.sets;
-  const std::size_t base = sets.size();
+  FlatSets& sets = out.sets;
   const vm::WordVec& idx = *rest.idx.front();
   const std::size_t k = idx.size();
-  // Each drained address's work word holds its latest occurrence so far as
-  // (set ordinal << 32 | slot within the set), or -1 before the first;
-  // `at` keeps every lane's own pair, `prev_slot` its predecessor's slot.
   FOLVEC_CHECK(k <= std::numeric_limits<std::uint32_t>::max(),
-               "drain: too many lanes to pack a (set, slot) pair per word");
-  constexpr Word kSlotMask = 0xffffffff;
-  std::vector<Word> at(k);
-  std::vector<Word> prev_slot(k);
-  for (Word a : idx) work[static_cast<std::size_t>(a)] = -1;
-  for (std::size_t i = 0; i < k; ++i) {
-    Word& latest = work[static_cast<std::size_t>(idx[i])];
-    const std::size_t j =
-        latest < 0 ? 0 : static_cast<std::size_t>(latest >> 32) + 1;
-    if (base + j == sets.size()) sets.emplace_back();
-    std::vector<std::size_t>& set = sets[base + j];
-    prev_slot[i] = latest & kSlotMask;
-    latest = static_cast<Word>(j << 32 | set.size());
-    at[i] = latest;
-    set.push_back(static_cast<std::size_t>(rest.pos[i]));
-  }
+               "drain: too many lanes for a 32-bit occurrence ordinal");
 
-  // Number the drained lanes flat, in set order, and link each lane to its
-  // predecessor's flat index and each address to its last occurrence.
-  std::vector<Word> offset(sets.size() - base, 0);
-  for (std::size_t j = 1; j < offset.size(); ++j) {
-    offset[j] = offset[j - 1] + static_cast<Word>(sets[base + j - 1].size());
-  }
-  const auto flat = [&](Word pair) {
-    return offset[static_cast<std::size_t>(pair >> 32)] + (pair & kSlotMask);
-  };
-  out.drained_from = base;
-  out.drained_pred.assign(k, -1);
-  out.drained_last.resize(sets[base].size());
+  // Ordinal pass: each address's work word counts its occurrences so far,
+  // which numbers every lane's occurrence (its new set); `next` counts the
+  // lanes of each new set.
+  std::vector<std::uint32_t> ordinal(k);
+  std::vector<std::size_t> next;
+  for (Word a : idx) work[static_cast<std::size_t>(a)] = 0;
   for (std::size_t i = 0; i < k; ++i) {
-    const auto j = static_cast<std::size_t>(at[i] >> 32);
-    const Word slot = at[i] & kSlotMask;
-    if (j == 0) {
-      out.drained_last[static_cast<std::size_t>(slot)] =
-          flat(work[static_cast<std::size_t>(idx[i])]);
-    } else {
-      out.drained_pred[static_cast<std::size_t>(offset[j] + slot)] =
-          offset[j - 1] + prev_slot[i];
-    }
+    const auto j =
+        static_cast<std::uint32_t>(work[static_cast<std::size_t>(idx[i])]++);
+    ordinal[i] = j;
+    if (j == next.size()) next.push_back(0);
+    ++next[j];
   }
-  return out.drained_last.size();
+  // Prefix sum: `next` becomes each new set's first flat drained index.
+  std::size_t start = 0;
+  for (std::size_t& c : next) c = std::exchange(start, start + c);
+
+  // Placement pass, in lane order: lane i takes the next slot of its set.
+  // Its address's work word now holds the flat index of the address's latest
+  // placed occurrence — lane i's predecessor one set earlier. A first-set
+  // lane parks its address in drained_last (ordered as the first set), to be
+  // swapped for the address's last flat index once every lane is placed.
+  const std::size_t tail_offset = sets.lanes().size();
+  const std::span<std::size_t> tail = sets.extend(k);
+  const std::size_t first = next.size() > 1 ? next[1] : k;
+  out.drained_from = sets.size();
+  out.drained_pred.assign(k, -1);
+  out.drained_last.resize(first);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t f = next[ordinal[i]]++;
+    tail[f] = static_cast<std::size_t>(rest.pos[i]);
+    Word& latest = work[static_cast<std::size_t>(idx[i])];
+    if (ordinal[i] == 0) {
+      out.drained_last[f] = idx[i];
+    } else {
+      out.drained_pred[f] = latest;
+    }
+    latest = static_cast<Word>(f);
+  }
+  // Each cursor stopped at its set's end.
+  for (std::size_t end : next) sets.end_set(tail_offset + end);
+  for (Word& last : out.drained_last) {
+    last = work[static_cast<std::size_t>(last)];
+  }
+  return first;
 }
 
 }  // namespace folvec::fol::detail

@@ -23,8 +23,6 @@
 
 namespace folvec::fol::detail {
 
-using Sets = std::vector<std::vector<std::size_t>>;
-
 /// Adaptive drain trigger (MachineConfig::adaptive): a round whose
 /// survivors times kDrainCollapseDen fall below the lanes it started with,
 /// leaving at least kDrainMinRemaining tuples unassigned, hands the rest to
@@ -68,7 +66,7 @@ struct Remaining {
 /// returns their count (0 only on an ELS violation).
 using LabelRound = FnRef<std::size_t(const Remaining&, vm::Mask&)>;
 
-/// Appends every remaining tuple to the flavour's sets in one scalar pass
+/// Appends every remaining tuple to the flavour's sets in scalar passes
 /// and returns the number of distinct addresses it tracked
 /// (decompose_rounds charges the scalar chime from it). The second argument
 /// is the work area: its labels are dead once the rounds stop, so the drain
@@ -95,21 +93,25 @@ struct RoundsResult {
 };
 
 /// Decomposes the tuples of `index_vectors` (equal lengths, at least one
-/// tuple, every address indexing `work`) into `sets`. Labels are written
-/// into `work`, which is clobbered.
+/// tuple, every address indexing `work`) into `sets`: each round appends its
+/// survivors as the next set. Labels are written into `work`, which is
+/// clobbered.
 RoundsResult decompose_rounds(vm::VectorMachine& m,
                               std::span<const std::span<const vm::Word>>
                                   index_vectors,
                               std::span<vm::Word> work, const RoundSpec& spec,
-                              Sets& sets, LabelRound label_round, Drain drain);
+                              FlatSets& sets, LabelRound label_round,
+                              Drain drain);
 
 /// The FOL1 drain (L = 1): the j-th remaining occurrence of an address, in
 /// lane order, joins the j-th new set of `out.sets`. The sets stay disjoint,
 /// cover the rest, have non-increasing sizes, and their count is the maximum
 /// remaining multiplicity — every theorem of the pure rounds holds. Also
 /// records how the new sets chain together (Decomposition::drained_from,
-/// drained_pred, drained_last). Tracks each address's latest occurrence in
-/// its `work` word.
+/// drained_pred, drained_last). A counting sort by occurrence ordinal: one
+/// pass numbers each lane's occurrence in its address's `work` word and
+/// counts the lanes per ordinal, a prefix sum turns the counts into set
+/// offsets, and one placement pass writes every lane and its links.
 std::size_t drain_by_occurrence(const Remaining& rest, std::span<vm::Word> work,
                                 Decomposition& out);
 

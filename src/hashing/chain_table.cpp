@@ -96,7 +96,7 @@ void multi_hash_chain_insert(VectorMachine& m, ChainTable& t,
   const std::size_t vector_sets =
       dec.drained_lanes > 0 ? dec.drained_from : dec.sets.size();
   for (std::size_t j = 0; j < vector_sets; ++j) {
-    const std::vector<std::size_t>& set = dec.sets[j];
+    const std::span<const std::size_t> set = dec.sets[j];
     const std::size_t k = set.size();
     // Pack this set's keys and table entries (compress under the set mask
     // costs the same as building the mask + compressing; we charge the two
@@ -129,15 +129,12 @@ void multi_hash_chain_insert(VectorMachine& m, ChainTable& t,
     const std::size_t k = dec.drained_lanes;
     const std::size_t first = dec.sets[dec.drained_from].size();
     const auto base = static_cast<Word>(t.alloc_);
-    WordVec tail_keys;
-    WordVec tail_entries;
-    tail_keys.reserve(k);
-    tail_entries.reserve(k);
-    for (std::size_t j = dec.drained_from; j < dec.sets.size(); ++j) {
-      for (std::size_t lane : dec.sets[j]) {
-        tail_keys.push_back(key_vec[lane]);
-        tail_entries.push_back(hashed[lane]);
-      }
+    const std::span<const std::size_t> tail = dec.sets.lanes().last(k);
+    WordVec tail_keys(k);
+    WordVec tail_entries(k);
+    for (std::size_t f = 0; f < k; ++f) {
+      tail_keys[f] = key_vec[tail[f]];
+      tail_entries[f] = hashed[tail[f]];
     }
     // node.key := key
     m.store(t.node_key_, t.alloc_, tail_keys);

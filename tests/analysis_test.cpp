@@ -518,7 +518,7 @@ FuzzOutcome run_fuzz_workload(const MachineConfig& cfg, std::uint64_t seed) {
   for (Word& k : keys) k = static_cast<Word>(rng.next() % (n / 2));
   WordVec work(n, 0);
   const fol::Decomposition dec = fol::fol1_decompose(m, keys, work);
-  for (const std::vector<std::size_t>& set : dec.sets) {
+  for (const std::span<const std::size_t> set : dec.sets) {
     out.decomposition.insert(out.decomposition.end(), set.begin(), set.end());
   }
   m.retire_work(work);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "flat_layout_testing.h"
 #include "fol/invariants.h"
 #include "support/faultsim.h"
 #include "support/prng.h"
@@ -45,7 +46,7 @@ TEST(Fol1Test, DuplicateFreeInputYieldsSingleSet) {
   const WordVec v{4, 2, 7, 0, 5};
   const Decomposition d = decompose(v);
   ASSERT_EQ(d.rounds(), 1u);
-  EXPECT_EQ(d.sets[0], (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(d.sets, (FlatSets{{0, 1, 2, 3, 4}}));
 }
 
 TEST(Fol1Test, AllSameYieldsSingletonSets) {
@@ -75,17 +76,13 @@ TEST(Fol1Test, ForwardOrderPicksLastLanePerRound) {
   // is the highest lane, so round 0 winners are the last occurrences.
   const WordVec v{5, 5, 5};
   const Decomposition d = decompose(v, ScatterOrder::kForward);
-  EXPECT_EQ(d.sets[0], (std::vector<std::size_t>{2}));
-  EXPECT_EQ(d.sets[1], (std::vector<std::size_t>{1}));
-  EXPECT_EQ(d.sets[2], (std::vector<std::size_t>{0}));
+  EXPECT_EQ(d.sets, (FlatSets{{2}, {1}, {0}}));
 }
 
 TEST(Fol1Test, ReverseOrderPicksFirstLanePerRound) {
   const WordVec v{5, 5, 5};
   const Decomposition d = decompose(v, ScatterOrder::kReverse);
-  EXPECT_EQ(d.sets[0], (std::vector<std::size_t>{0}));
-  EXPECT_EQ(d.sets[1], (std::vector<std::size_t>{1}));
-  EXPECT_EQ(d.sets[2], (std::vector<std::size_t>{2}));
+  EXPECT_EQ(d.sets, (FlatSets{{0}, {1}, {2}}));
 }
 
 TEST(Fol1Test, PlainWrapperAllocatesItsOwnWork) {
@@ -185,6 +182,27 @@ TEST_P(Fol1SkewTest, HeavilySkewedMultiplicitiesStayMinimal) {
 
 INSTANTIATE_TEST_SUITE_P(HotSpotMultiplicity, Fol1SkewTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
+
+class Fol1FlatLayoutTest
+    : public ::testing::TestWithParam<flat_testing::FlatParam> {};
+
+TEST_P(Fol1FlatLayoutTest, DrainedSetsGroupByOccurrenceOrdinal) {
+  const auto [input, order, table] = GetParam();
+  const WordVec v = flat_testing::flat_input(input);
+  VectorMachine m(flat_testing::flat_config(order, table));
+  WordVec work(flat_testing::kAddresses, 0);
+  const Decomposition d = fol1_decompose(m, v, work);
+  flat_testing::expect_occurrence_drain(d, v,
+                                        flat_testing::input_drains(input));
+  // The drain charges a load and a store per distinct drained address.
+  EXPECT_EQ(m.cost().elements(vm::OpClass::kScalarMem),
+            2 * d.drained_last.size());
+  EXPECT_TRUE(satisfies_all_theorems(d, v));
+}
+
+INSTANTIATE_TEST_SUITE_P(DrainBoundary, Fol1FlatLayoutTest,
+                         flat_testing::kFlatParams,
+                         flat_testing::flat_param_name);
 
 }  // namespace
 }  // namespace folvec::fol

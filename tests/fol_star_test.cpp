@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <set>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
+#include "flat_layout_testing.h"
 #include "support/prng.h"
 
 namespace folvec::fol {
@@ -44,7 +46,7 @@ void expect_valid(const StarDecomposition& d,
   std::vector<char> seen(n, 0);
   std::size_t total = 0;
   for (std::size_t j = 0; j < d.sets.size(); ++j) {
-    const auto& set = d.sets[j];
+    const FlatSets::Set set = d.sets[j];
     std::set<Word> areas;
     for (std::size_t pos : set) {
       ASSERT_LT(pos, n);
@@ -134,8 +136,7 @@ TEST(FolStarTest, RescueCountedEvenWhenOtherTuplesSurviveAlongside) {
       decompose(lanes, vm::ScatterOrder::kForward);
   expect_valid(d, lanes);
   ASSERT_EQ(d.rounds(), 2u);
-  EXPECT_EQ(d.sets[0], (std::vector<std::size_t>{2, 3}));
-  EXPECT_EQ(d.sets[1], (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(d.sets, (FlatSets{{2, 3}, {0, 1}}));
   EXPECT_EQ(d.scalar_rescues, 1u);
   EXPECT_EQ(d.forced_singletons, 0u);
 }
@@ -151,8 +152,7 @@ TEST(FolStarTest, UncontestedSoleSurvivorIsNotChargedAsRescue) {
       decompose(lanes, vm::ScatterOrder::kForward);
   expect_valid(d, lanes);
   ASSERT_EQ(d.rounds(), 2u);
-  EXPECT_EQ(d.sets[0], (std::vector<std::size_t>{1, 2}));
-  EXPECT_EQ(d.sets[1], (std::vector<std::size_t>{0}));
+  EXPECT_EQ(d.sets, (FlatSets{{1, 2}, {0}}));
   EXPECT_EQ(d.scalar_rescues, 0u);
   EXPECT_EQ(d.forced_singletons, 0u);
 }
@@ -172,7 +172,7 @@ TEST(FolStarTest, SelfConflictingTupleBecomesForcedSingleton) {
   const std::vector<WordVec> lanes{WordVec{4}, WordVec{4}};
   const StarDecomposition d = decompose(lanes);
   ASSERT_EQ(d.rounds(), 1u);
-  EXPECT_EQ(d.sets[0], (std::vector<std::size_t>{0}));
+  EXPECT_EQ(d.sets, (FlatSets{{0}}));
   EXPECT_EQ(d.forced_singletons, 1u);
 }
 
@@ -258,6 +258,85 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ScatterOrder::kForward,
                                          ScatterOrder::kShuffled),
                        ::testing::Values(1, 2)));
+
+// ---- flat layout -----------------------------------------------------------
+
+/// The drain's greedy assignment, rebuilt on the host with a hash map: each
+/// tuple joins the earliest new set where none of its addresses is used
+/// yet; self-conflicting tuples follow as singletons, in tuple order.
+struct GreedyReference {
+  std::vector<std::vector<std::size_t>> sets;
+  std::size_t singletons = 0;
+  std::size_t distinct = 0;  // addresses of the tuples placed greedily
+};
+
+GreedyReference greedy_reference(std::span<const std::size_t> rest,
+                                 const std::vector<WordVec>& lanes) {
+  GreedyReference ref;
+  std::vector<std::size_t> self_conflicting;
+  std::unordered_map<Word, std::size_t> next_free;
+  for (std::size_t p : rest) {
+    std::set<Word> areas;
+    bool self_conflict = false;
+    for (const auto& lane : lanes) {
+      self_conflict |= !areas.insert(lane[p]).second;
+    }
+    if (self_conflict) {
+      self_conflicting.push_back(p);
+      continue;
+    }
+    std::size_t j = 0;
+    for (const auto& lane : lanes) j = std::max(j, next_free[lane[p]]);
+    if (j == ref.sets.size()) ref.sets.emplace_back();
+    ref.sets[j].push_back(p);
+    for (const auto& lane : lanes) next_free[lane[p]] = j + 1;
+  }
+  for (std::size_t p : self_conflicting) ref.sets.push_back({p});
+  ref.singletons = self_conflicting.size();
+  ref.distinct = next_free.size();
+  return ref;
+}
+
+class FolStarFlatLayoutTest
+    : public ::testing::TestWithParam<flat_testing::FlatParam> {};
+
+TEST_P(FolStarFlatLayoutTest, DrainedSetsFollowTheGreedyEarliestSet) {
+  // Lane 2 pairs each address with its neighbour (a ^ 1), so tuples also
+  // conflict across lanes; every 64th tuple addresses one area twice.
+  const auto [input, order, table] = GetParam();
+  const WordVec v = flat_testing::flat_input(input);
+  WordVec partner(v.size());
+  for (std::size_t p = 0; p < v.size(); ++p) {
+    partner[p] = p % 64 == 0 ? v[p] : (v[p] ^ 1);
+  }
+  const std::vector<WordVec> lanes{v, partner};
+  VectorMachine m(flat_testing::flat_config(order, table));
+  WordVec work(flat_testing::kAddresses, 0);
+  const StarDecomposition d = fol_star_decompose(m, lanes, work);
+  flat_testing::expect_flat_layout(d.sets, v.size());
+  expect_valid(d, lanes);
+  if (!flat_testing::input_drains(input)) {
+    EXPECT_EQ(d.drained_tuples, 0u);
+    return;
+  }
+  ASSERT_GT(d.drained_tuples, 0u);
+  const std::size_t from =
+      flat_testing::first_drained_set(d.sets, d.drained_tuples);
+  ASSERT_LE(from, d.sets.size());
+  const std::vector<std::size_t> rest =
+      flat_testing::drain_input(d.sets, from, v.size());
+  const GreedyReference ref = greedy_reference(rest, lanes);
+  EXPECT_EQ(flat_testing::nested_from(d.sets, from), ref.sets);
+  EXPECT_GE(d.forced_singletons, ref.singletons);
+  // Scalar memory charge: each label round re-stores the last tuple's L
+  // labels, and the drain charges a load and a store per distinct address.
+  EXPECT_EQ(m.cost().elements(vm::OpClass::kScalarMem),
+            from * lanes.size() + 2 * ref.distinct);
+}
+
+INSTANTIATE_TEST_SUITE_P(DrainBoundary, FolStarFlatLayoutTest,
+                         flat_testing::kFlatParams,
+                         flat_testing::flat_param_name);
 
 }  // namespace
 }  // namespace folvec::fol

@@ -19,7 +19,7 @@ using vm::VectorMachine;
 using vm::Word;
 using vm::WordVec;
 
-Decomposition make(std::vector<std::vector<std::size_t>> sets) {
+Decomposition make(FlatSets sets) {
   Decomposition d;
   d.sets = std::move(sets);
   return d;

@@ -9,6 +9,7 @@
 #include <map>
 #include <tuple>
 
+#include "flat_layout_testing.h"
 #include "fol/invariants.h"
 #include "support/prng.h"
 
@@ -54,9 +55,7 @@ TEST(OrderedFolTest, AllSameAssignsInLaneOrder) {
   const WordVec v{4, 4, 4};
   const Decomposition d = decompose_ordered(v, ScatterOrder::kShuffled);
   ASSERT_EQ(d.rounds(), 3u);
-  EXPECT_EQ(d.sets[0], (std::vector<std::size_t>{0}));
-  EXPECT_EQ(d.sets[1], (std::vector<std::size_t>{1}));
-  EXPECT_EQ(d.sets[2], (std::vector<std::size_t>{2}));
+  EXPECT_EQ(d.sets, (FlatSets{{0}, {1}, {2}}));
 }
 
 TEST(OrderedFolTest, SatisfiesPlainTheoremsToo) {
@@ -159,6 +158,28 @@ INSTANTIATE_TEST_SUITE_P(
                                          ScatterOrder::kReverse,
                                          ScatterOrder::kShuffled),
                        ::testing::Values(1, 2, 3)));
+
+class OrderedFlatLayoutTest
+    : public ::testing::TestWithParam<flat_testing::FlatParam> {};
+
+TEST_P(OrderedFlatLayoutTest, DrainedSetsGroupByOccurrenceOrdinal) {
+  const auto [input, order, table] = GetParam();
+  const WordVec v = flat_testing::flat_input(input);
+  VectorMachine m(flat_testing::flat_config(order, table));
+  WordVec work(flat_testing::kAddresses, 0);
+  const Decomposition d = fol1_decompose_ordered(m, v, work);
+  flat_testing::expect_occurrence_drain(d, v,
+                                        flat_testing::input_drains(input));
+  // The drain charges a load and a store per distinct drained address.
+  EXPECT_EQ(m.cost().elements(vm::OpClass::kScalarMem),
+            2 * d.drained_last.size());
+  EXPECT_TRUE(satisfies_all_theorems(d, v));
+  EXPECT_TRUE(occurrences_in_lane_order(d, v));
+}
+
+INSTANTIATE_TEST_SUITE_P(DrainBoundary, OrderedFlatLayoutTest,
+                         flat_testing::kFlatParams,
+                         flat_testing::flat_param_name);
 
 }  // namespace
 }  // namespace folvec::fol
