@@ -8,19 +8,8 @@ namespace folvec::analysis {
 namespace {
 
 constexpr std::size_t kMaxDiagnostics = 1024;
-constexpr std::size_t kMaxReleasedRanges = 1024;
 constexpr std::size_t kMaxClobberSpans = 128;
 constexpr std::size_t kMaxWindowWrites = 64;
-
-Verdict worst(Verdict a, Verdict b) {
-  if (a == Verdict::kProvenHazard || b == Verdict::kProvenHazard) {
-    return Verdict::kProvenHazard;
-  }
-  if (a == Verdict::kUnknown || b == Verdict::kUnknown) {
-    return Verdict::kUnknown;
-  }
-  return Verdict::kProvenSafe;
-}
 
 struct Footprint {
   const Word* b = nullptr;
@@ -254,30 +243,6 @@ void Analyzer::book_window_write(std::span<const Word> table,
   }
 }
 
-// ---- lifetime state ---------------------------------------------------------
-
-Verdict Analyzer::judge_lifetime(std::span<const Word> s) const {
-  if (s.empty()) return Verdict::kProvenSafe;
-  const Word* b = s.data();
-  const Word* e = b + s.size();
-  Verdict v = Verdict::kProvenSafe;
-  for (const Released& r : released_) {
-    if (e <= r.begin || b >= r.end) continue;
-    if (b >= r.begin && e <= r.end) return Verdict::kProvenHazard;
-    v = Verdict::kUnknown;
-  }
-  return v;
-}
-
-Verdict Analyzer::combine_lifetime(
-    std::initializer_list<std::span<const Word>> spans,
-    std::size_t line_hint) {
-  (void)line_hint;
-  Verdict v = Verdict::kProvenSafe;
-  for (const std::span<const Word> s : spans) v = worst(v, judge_lifetime(s));
-  return v;
-}
-
 // ---- accounting -------------------------------------------------------------
 
 void Analyzer::count_mem(const OpVerdicts& v, bool scatter_class) {
@@ -335,12 +300,6 @@ void Analyzer::report_hazards(const char* what, const OpVerdicts& v,
              std::string(what) +
                  ": reads addresses still holding stale labels from a closed "
                  "label round");
-  }
-  if (v[HazardClass::kLifetime] == Verdict::kProvenHazard) {
-    diagnose(HazardClass::kLifetime, node,
-             std::string(what) +
-                 ": operand storage was released to the buffer pool "
-                 "(use after release)");
   }
 }
 
@@ -679,7 +638,6 @@ OpVerdicts Analyzer::classify_gather(std::span<const Word> table,
   const Win* w = covering_window(table);
   v[HazardClass::kClobber] =
       judge_read_clobber(idxf, w != nullptr, clobber_overlap(table, idxf));
-  v[HazardClass::kLifetime] = combine_lifetime({table, idx}, line_);
   count_mem(v, false);
   return v;
 }
@@ -695,7 +653,6 @@ OpVerdicts Analyzer::classify_scatter(std::span<const Word> table,
   const Win* w = covering_window(table);
   v[HazardClass::kOverlap] = judge_scatter_overlap(
       idxf, valsf, w != nullptr ? w->kind : WindowCtx::kNone, masked, ordered);
-  v[HazardClass::kLifetime] = combine_lifetime({table, idx, vals}, line_);
   count_mem(v, true);
   return v;
 }
@@ -718,7 +675,6 @@ OpVerdicts Analyzer::classify_sge(std::span<const Word> table,
     v[HazardClass::kClobber] =
         judge_read_clobber(idxf, w != nullptr, clobber_overlap(table, idxf));
   }
-  v[HazardClass::kLifetime] = combine_lifetime({table, idx, vals}, line_);
   count_mem(v, true);
   return v;
 }
@@ -869,52 +825,6 @@ void Analyzer::on_window_close() {
   n.op = Opcode::kWindowClose;
   n.window = w.kind;
   record(std::move(n));
-}
-
-void Analyzer::on_buffer_release(const Word* base, std::size_t words) {
-  if (base == nullptr || words == 0) return;
-  const Word* end = base + words;
-  OpNode n;
-  n.op = Opcode::kBufferRelease;
-  n.lanes = words;
-  if (opts_.record_graph) {
-    // Name the values whose storage dies: fully contained ones in `inputs`,
-    // partially overlapping ones in `aux`.
-    for (const auto& [vb, ent] : values_) {
-      const Word* ve = vb + ent.len;
-      if (ve <= base || vb >= end) continue;
-      if (ent.node != kNoNode) {
-        if (vb >= base && ve <= end) {
-          n.inputs.push_back(ent.node);
-        } else {
-          n.aux.push_back(ent.node);
-        }
-      }
-    }
-  }
-  record(std::move(n));
-  invalidate(base, end);
-  released_.push_back(Released{base, end});
-  if (released_.size() > kMaxReleasedRanges) {
-    released_.erase(released_.begin(),
-                    released_.begin() +
-                        static_cast<std::ptrdiff_t>(kMaxReleasedRanges / 2));
-  }
-}
-
-void Analyzer::on_buffer_acquire(const Word* base, std::size_t words) {
-  if (base == nullptr || words == 0) return;
-  const Word* end = base + words;
-  released_.erase(std::remove_if(released_.begin(), released_.end(),
-                                 [&](const Released& r) {
-                                   return r.begin < end && r.end > base;
-                                 }),
-                  released_.end());
-  invalidate(base, end);
-}
-
-void Analyzer::on_buffer_freed(const Word* base, std::size_t words) {
-  on_buffer_acquire(base, words);
 }
 
 void Analyzer::on_retire_work(std::span<const Word> region) {

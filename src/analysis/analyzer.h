@@ -8,23 +8,20 @@
 //               through the matching facts.h function, remember the result
 //               facts keyed by the output's storage, and (when graph
 //               recording is on) append an OpNode with def/use edges.
-//   * classify_* — before a list-vector memory op executes: judge the four
+//   * classify_* — before a list-vector memory op executes: judge the three
 //               hazard classes (verdict.h) from the operand facts plus the
-//               window / clobber / lifetime state. The machine uses the
+//               window / clobber state. The machine uses the
 //               verdicts to elide ScatterCheck work (all-safe ops) or to
 //               veto execution (proven out-of-bounds ops in lint dry mode).
-//   * on_*    — environment events: ConflictWindow open/close, BufferPool
-//               acquire/release/free, retire_work. These drive the clobber
-//               and lifetime state machines.
+//   * on_*    — environment events: ConflictWindow open/close and
+//               retire_work. These drive the clobber state machine.
 //
 // Facts are keyed by storage address (base pointer + length). That is sound
 // for everything the machine itself produces — every mutation flows through
 // a hook that invalidates overlapping entries — but it makes one assumption
 // about the HOST program: storage of a machine-produced vector must not be
 // recycled into a different machine-visible vector behind the analyzer's
-// back (see "machine-visible dataflow" in docs/analysis.md). PooledVec
-// buffers, the one systematic recycler, are covered exactly via the
-// BufferPool hooks, which double as the use-after-release lifetime check.
+// back (see "machine-visible dataflow" in docs/analysis.md).
 //
 // The analyzer depends on no vm/ header (vm links against analysis, not the
 // reverse); operands arrive as raw spans.
@@ -173,9 +170,6 @@ class Analyzer {
   void on_window_open(std::span<const Word> table, WindowCtx kind,
                       const char* label);
   void on_window_close();
-  void on_buffer_release(const Word* base, std::size_t words);
-  void on_buffer_acquire(const Word* base, std::size_t words);
-  void on_buffer_freed(const Word* base, std::size_t words);
   void on_retire_work(std::span<const Word> region);
 
   // ---- elision accounting (the machine reports its decision) ---------------
@@ -213,10 +207,6 @@ class Analyzer {
     WindowCtx kind = WindowCtx::kNone;
     std::vector<ClobSpan> writes;
   };
-  struct Released {
-    const Word* begin = nullptr;
-    const Word* end = nullptr;
-  };
 
   // facts bookkeeping
   LaneFacts lookup(std::span<const Word> v) const;
@@ -240,11 +230,6 @@ class Analyzer {
   void book_window_write(std::span<const Word> table, const LaneFacts& idx,
                          bool masked);
 
-  // lifetime state
-  Verdict judge_lifetime(std::span<const Word> s) const;
-  Verdict combine_lifetime(std::initializer_list<std::span<const Word>> spans,
-                           std::size_t line_hint);
-
   void count_mem(const OpVerdicts& v, bool scatter_class);
   void diagnose(HazardClass cls, std::uint32_t node, const std::string& msg);
   void report_hazards(const char* what, const OpVerdicts& v,
@@ -257,7 +242,6 @@ class Analyzer {
   std::map<const std::uint8_t*, MaskEntry> masks_;
   std::vector<Win> windows_;
   std::vector<ClobSpan> clobbered_;
-  std::vector<Released> released_;
   std::map<const Word*, std::uint32_t> regions_;
   OpGraph graph_;
   Stats stats_;

@@ -29,8 +29,7 @@ constexpr const char* kOpcodeNames[kOpcodeCount] = {
     "store",         "store_strided", "fill",
     "scalar_store",  "gather",        "scatter",
     "scatter_ordered",                "scatter_gather_eq",
-    "window_open",   "window_close",  "buffer_release",
-    "retire_work",
+    "window_open",   "window_close",  "retire_work",
 };
 
 Opcode opcode_from_name(std::string_view name) {

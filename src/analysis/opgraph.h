@@ -6,8 +6,8 @@
 // vector/mask, with kSource nodes materialized lazily for values the
 // recorder never saw defined (host-built inputs). Audited tables are not
 // SSA values — scatters mutate them in place — so memory ops carry a
-// `region` id instead, and window open/close, buffer-release and
-// retire-work events are recorded as nodes in program order, which is
+// `region` id instead, and window open/close and retire-work events are
+// recorded as nodes in program order, which is
 // exactly what the offline replay (verifier.h) needs to reconstruct the
 // clobber state machine.
 //
@@ -83,7 +83,6 @@ enum class Opcode : std::uint8_t {
   kScatterGatherEq,
   kWindowOpen,
   kWindowClose,
-  kBufferRelease,
   kRetireWork,
 };
 inline constexpr std::size_t kOpcodeCount =
@@ -111,9 +110,7 @@ struct OpNode {
   /// def/use edges: producer node ids of the operand values, in operand
   /// order (memory ops: idx, then vals, then mask).
   std::vector<std::uint32_t> inputs;
-  /// Op-specific extra refs: kObserveRange names the annotated value;
-  /// kBufferRelease lists values whose storage only PARTIALLY overlaps the
-  /// released range (inputs carries the fully-dead ones).
+  /// Op-specific extra refs: kObserveRange names the annotated value.
   std::vector<std::uint32_t> aux;
   std::size_t lanes = 0;
   /// Scalar payloads: the scalar operand of *_scalar ops; iota's

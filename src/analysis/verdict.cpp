@@ -22,8 +22,6 @@ const char* hazard_class_name(HazardClass c) {
       return "overlap";
     case HazardClass::kClobber:
       return "clobber";
-    case HazardClass::kLifetime:
-      return "lifetime";
   }
   return "?";
 }

@@ -1,7 +1,7 @@
 // Per-op hazard verdicts and the judge functions that produce them.
 //
 // For every list-vector memory op (gather / scatter / scatter_ordered /
-// scatter_gather_eq) the verifier rules on four hazard classes, mirroring
+// scatter_gather_eq) the verifier rules on three hazard classes, mirroring
 // the runtime ScatterCheck taxonomy (vm/hazard.h):
 //
 //   kBounds   — an index lane outside [0, table_size)     (kOutOfBounds)
@@ -11,9 +11,6 @@
 //                                                          that kElsViolation audits)
 //   kClobber  — reading an address still holding stale labels from a closed
 //               label round                               (kClobberedWorkRead)
-//   kLifetime — an operand whose PooledVec storage was released back to the
-//               buffer pool (no runtime analogue: the auditor cannot see
-//               host allocator reuse, the analyzer can)
 //
 // Verdict semantics (the soundness contract, see docs/analysis.md):
 //
@@ -47,9 +44,8 @@ enum class HazardClass : std::uint8_t {
   kBounds = 0,
   kOverlap,
   kClobber,
-  kLifetime,
 };
-inline constexpr std::size_t kHazardClassCount = 4;
+inline constexpr std::size_t kHazardClassCount = 3;
 
 const char* verdict_name(Verdict v);
 const char* hazard_class_name(HazardClass c);
@@ -58,7 +54,7 @@ const char* hazard_class_name(HazardClass c);
 /// kClobber for a pure scatter) stay vacuously kProvenSafe.
 struct OpVerdicts {
   Verdict v[kHazardClassCount] = {Verdict::kProvenSafe, Verdict::kProvenSafe,
-                                  Verdict::kProvenSafe, Verdict::kProvenSafe};
+                                  Verdict::kProvenSafe};
 
   Verdict& operator[](HazardClass c) { return v[static_cast<std::size_t>(c)]; }
   Verdict operator[](HazardClass c) const {

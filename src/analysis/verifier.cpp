@@ -160,10 +160,6 @@ class Replay {
             idxf, in_window, overlap_for(n.region, idxf, n.table_size));
       }
     }
-    // Lifetime events are host-pointer-based and not replayable from a
-    // serialized graph; trust the recorded verdict.
-    v[HazardClass::kLifetime] = n.verdicts[HazardClass::kLifetime];
-
     ++result_.checked_ops;
     switch (v.overall()) {
       case Verdict::kProvenSafe:
@@ -318,7 +314,7 @@ class Replay {
         check(id, n);
         break;
       default:
-        break;  // masks, reductions, loads, buffer events: no replayed state
+        break;  // masks, reductions, loads: no replayed state
     }
     facts_[id] = f;
   }

@@ -9,10 +9,8 @@
 // Because judges and transfer functions are shared, the replayed verdicts
 // must MATCH the verdicts recorded in the graph — any divergence is reported
 // as a mismatch and means either a corrupted graph or an analyzer bug (the
-// analysis tests assert zero mismatches on round-tripped graphs). The one
-// exception is the lifetime class: pool release/acquire events are keyed by
-// host pointers the serialized graph cannot carry, so replay trusts the
-// recorded lifetime verdicts verbatim.
+// analysis tests assert zero mismatches on round-tripped graphs). Every
+// hazard class is replayed; none is trusted from the recording.
 //
 // This is what folvec_lint runs after a dry execution, and what downstream
 // tooling can run on a "folvec-opgraph-v1" JSON document without any

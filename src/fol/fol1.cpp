@@ -31,7 +31,7 @@ Decomposition fol1_decompose(VectorMachine& m,
   // whose label survived. count_true charges its reduce either way, but the
   // fused kernel's cached popcount lets it skip the host-side scan.
   const auto label_round = [&](const detail::Remaining& rest, Mask& survived) {
-    m.scatter_gather_eq_into(survived, work, *rest.idx[0], rest.pos);
+    m.scatter_gather_eq_into(survived, work, rest.idx[0], rest.pos);
     std::size_t n_survived = m.count_true(survived);
     if (n_survived > 0) return n_survived;
     // An empty round means a contested work word holds none of the written
@@ -44,7 +44,7 @@ Decomposition fol1_decompose(VectorMachine& m,
     std::size_t retries = 0;
     while (n_survived == 0 && retries < kMaxElsRetries) {
       ++retries;
-      m.scatter_gather_eq_into(survived, work, *rest.idx[0], rest.pos);
+      m.scatter_gather_eq_into(survived, work, rest.idx[0], rest.pos);
       n_survived = m.count_true(survived);
     }
     telemetry::count("fol1.els_round_retries", retries);
@@ -80,16 +80,6 @@ Decomposition fol1_decompose(VectorMachine& m,
     }
   }
   return out;
-}
-
-Status fol1_try_decompose(VectorMachine& m, std::span<const Word> index_vector,
-                          std::span<Word> work, Decomposition& out) {
-  try {
-    out = fol1_decompose(m, index_vector, work);
-    return Status::ok();
-  } catch (const RecoverableError& e) {
-    return e.status();
-  }
 }
 
 Decomposition fol1_decompose_plain(std::span<const Word> index_vector) {

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "fol/flat_sets.h"
-#include "support/status.h"
 #include "vm/machine.h"
 
 namespace folvec::fol {
@@ -76,15 +75,6 @@ struct Decomposition {
 Decomposition fol1_decompose(vm::VectorMachine& m,
                              std::span<const vm::Word> index_vector,
                              std::span<vm::Word> work);
-
-/// Status-returning form of fol1_decompose: recoverable exhaustion (a
-/// capped buffer pool running dry, an injected fault the machine could not
-/// absorb) comes back as a non-ok Status with `out` untouched, instead of
-/// unwinding through the caller's batch. Precondition and internal errors
-/// still throw — they mean "bug", not "data".
-Status fol1_try_decompose(vm::VectorMachine& m,
-                          std::span<const vm::Word> index_vector,
-                          std::span<vm::Word> work, Decomposition& out);
 
 /// Convenience wrapper: decomposes a plain index vector with no caller-
 /// provided machine or work area. Allocates a work array of max(index)+1

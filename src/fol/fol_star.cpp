@@ -7,7 +7,6 @@
 #include "fol/rounds.h"
 #include "support/require.h"
 #include "telemetry/metrics.h"
-#include "vm/buffer_pool.h"
 #include "vm/checker.h"
 
 namespace folvec::fol {
@@ -24,14 +23,14 @@ namespace {
 /// deadlock-avoidance scalar re-store rather than on being conflict-free.
 /// Host-side accounting only: issues no machine instructions, so the chime
 /// cost of the decomposition is unchanged.
-bool last_tuple_contested(std::span<const vm::PooledVec> remaining,
+bool last_tuple_contested(std::span<const WordVec> remaining,
                           std::size_t n) {
   if (n < 2) return false;
   std::unordered_set<Word> last_addrs;
-  for (const auto& lane : remaining) last_addrs.insert((*lane)[n - 1]);
+  for (const auto& lane : remaining) last_addrs.insert(lane[n - 1]);
   for (const auto& lane : remaining) {
     for (std::size_t p = 0; p + 1 < n; ++p) {
-      if (last_addrs.count((*lane)[p]) != 0) return true;
+      if (last_addrs.count(lane[p]) != 0) return true;
     }
   }
   return false;
@@ -49,9 +48,9 @@ std::size_t drain_greedy(const detail::Remaining& rest, std::span<Word> work,
                          FlatSets& sets, std::size_t& forced_singletons) {
   constexpr std::size_t kSelfConflicting = static_cast<std::size_t>(-1);
   const std::size_t n_rest = rest.size();
-  const std::span<const vm::PooledVec> lanes = rest.idx;
+  const std::span<const WordVec> lanes = rest.idx;
   for (const auto& lane : lanes) {
-    for (Word a : *lane) work[static_cast<std::size_t>(a)] = 0;
+    for (Word a : lane) work[static_cast<std::size_t>(a)] = 0;
   }
   std::vector<std::size_t> set_of(n_rest);
   std::vector<std::size_t> next;  // tuples per new set, then its cursor
@@ -61,7 +60,7 @@ std::size_t drain_greedy(const detail::Remaining& rest, std::span<Word> work,
     bool self_conflict = false;
     for (std::size_t a = 0; a < lanes.size() && !self_conflict; ++a) {
       for (std::size_t b = a + 1; b < lanes.size(); ++b) {
-        if ((*lanes[a])[p] == (*lanes[b])[p]) {
+        if (lanes[a][p] == lanes[b][p]) {
           self_conflict = true;
           break;
         }
@@ -75,7 +74,7 @@ std::size_t drain_greedy(const detail::Remaining& rest, std::span<Word> work,
     std::size_t j = 0;
     for (const auto& lane : lanes) {
       j = std::max(j, static_cast<std::size_t>(
-                          work[static_cast<std::size_t>((*lane)[p])]));
+                          work[static_cast<std::size_t>(lane[p])]));
     }
     // j is at most one past the deepest set assigned so far, so this
     // creates at most one new (immediately non-empty) set.
@@ -83,7 +82,7 @@ std::size_t drain_greedy(const detail::Remaining& rest, std::span<Word> work,
     if (j == next.size()) next.push_back(0);
     ++next[j];
     for (const auto& lane : lanes) {
-      Word& next_free = work[static_cast<std::size_t>((*lane)[p])];
+      Word& next_free = work[static_cast<std::size_t>(lane[p])];
       if (next_free == 0) ++distinct;
       next_free = static_cast<Word>(j + 1);
     }
@@ -127,12 +126,10 @@ StarDecomposition fol_star_decompose(VectorMachine& m,
   telemetry::count("fol_star.tuples", n0);
 
   // Globally-unique labels: tuple position p, lane k gets label k*n0 + p.
-  // The per-lane label and readback vectors are pooled like the control
-  // vectors, so steady-state rounds allocate nothing.
-  std::vector<vm::PooledVec> labels;
-  labels.reserve(num_lanes);
-  for (std::size_t k = 0; k < num_lanes; ++k) labels.emplace_back(m.pool(), n0);
-  vm::PooledVec readback(m.pool(), n0);
+  // The per-lane label and readback vectors are refilled in place each
+  // round, like the control vectors.
+  std::vector<WordVec> labels(num_lanes);
+  WordVec readback;
   const auto lane_offset = [n0](std::size_t k) {
     return static_cast<Word>(k) * static_cast<Word>(n0);
   };
@@ -140,7 +137,7 @@ StarDecomposition fol_star_decompose(VectorMachine& m,
   Mask lane_ok;
   Mask tuple_next;
   const auto label_round = [&](const detail::Remaining& rest, Mask& tuple_ok) {
-    const std::span<const vm::PooledVec> remaining = rest.idx;
+    const std::span<const WordVec> remaining = rest.idx;
     const std::size_t n = rest.size();
     // Step 1: compute every lane's labels, then scatter them, then re-write
     // the last tuple's labels with scalar stores, in lane order, so the
@@ -148,24 +145,24 @@ StarDecomposition fol_star_decompose(VectorMachine& m,
     // sit between the scatters and the readbacks, so the fused
     // scatter_gather_eq kernel does not apply to this algorithm.)
     for (std::size_t k = 0; k < num_lanes; ++k) {
-      m.add_scalar_into(*labels[k], rest.pos, lane_offset(k));
+      m.add_scalar_into(labels[k], rest.pos, lane_offset(k));
     }
     for (std::size_t k = 0; k < num_lanes; ++k) {
-      m.scatter(work, *remaining[k], *labels[k]);
+      m.scatter(work, remaining[k], labels[k]);
     }
     for (std::size_t k = 0; k < num_lanes; ++k) {
-      const auto target = static_cast<std::size_t>((*remaining[k])[n - 1]);
+      const auto target = static_cast<std::size_t>(remaining[k][n - 1]);
       m.scalar_store(work, target, lane_offset(k) + rest.pos[n - 1]);
     }
 
     // Step 2: a tuple survives only if every lane's label survived: each
     // lane's label compare folds into the running conjunction.
     for (std::size_t k = 0; k < num_lanes; ++k) {
-      m.gather_into(*readback, work, *remaining[k]);
+      m.gather_into(readback, work, remaining[k]);
       if (k == 0) {
-        m.eq_into(tuple_ok, *readback, *labels[k]);
+        m.eq_into(tuple_ok, readback, labels[k]);
       } else {
-        m.eq_into(lane_ok, *readback, *labels[k]);
+        m.eq_into(lane_ok, readback, labels[k]);
         m.mask_and_into(tuple_next, tuple_ok, lane_ok);
         std::swap(tuple_ok, tuple_next);
       }

@@ -3,7 +3,6 @@
 #include "fol/rounds.h"
 #include "support/require.h"
 #include "telemetry/metrics.h"
-#include "vm/buffer_pool.h"
 
 namespace folvec::fol {
 
@@ -25,18 +24,17 @@ Decomposition fol1_decompose_ordered(VectorMachine& m,
   // store wins deterministically, so each contested work word ends up
   // holding its earliest remaining occurrence's label. (Fused
   // scatter_gather_eq does not apply — the ordered scatter has its own
-  // survivor rule.) The scratch vectors are pooled like the control vectors.
-  const std::size_t n0 = index_vector.size();
-  vm::PooledVec rev_idx(m.pool(), n0);
-  vm::PooledVec rev_labels(m.pool(), n0);
-  vm::PooledVec readback(m.pool(), n0);
+  // survivor rule.) The scratch vectors are refilled in place each round.
+  vm::WordVec rev_idx;
+  vm::WordVec rev_labels;
+  vm::WordVec readback;
   const auto label_round = [&](const detail::Remaining& rest, Mask& survived) {
-    const vm::WordVec& idx = *rest.idx[0];
-    m.reverse_into(*rev_idx, idx);
-    m.reverse_into(*rev_labels, rest.pos);
-    m.scatter_ordered(work, *rev_idx, *rev_labels);
-    m.gather_into(*readback, work, idx);
-    m.eq_into(survived, *readback, rest.pos);
+    const vm::WordVec& idx = rest.idx[0];
+    m.reverse_into(rev_idx, idx);
+    m.reverse_into(rev_labels, rest.pos);
+    m.scatter_ordered(work, rev_idx, rev_labels);
+    m.gather_into(readback, work, idx);
+    m.eq_into(survived, readback, rest.pos);
     return m.count_true(survived);
   };
   // The ordered survivor rule makes the occurrence drain an exact replay of
@@ -71,20 +69,20 @@ std::size_t replay_journal(VectorMachine& m, std::span<const Word> targets,
                  "journal targets/values must have equal length");
   const vm::AlgoSpan span(m, "replay_journal");
   const Decomposition dec = fol1_decompose_ordered(m, targets, work);
-  // One pooled pair of staging vectors serves every set; the per-set resize
+  // One pair of staging vectors serves every set; the per-set resize
   // never reallocates once the largest set has been seen.
-  vm::PooledVec idx(m.pool(), targets.size());
-  vm::PooledVec val(m.pool(), targets.size());
+  vm::WordVec idx;
+  vm::WordVec val;
   for (const auto& set : dec.sets) {
-    idx->resize(set.size());
-    val->resize(set.size());
+    idx.resize(set.size());
+    val.resize(set.size());
     for (std::size_t i = 0; i < set.size(); ++i) {
-      (*idx)[i] = targets[set[i]];
-      (*val)[i] = values[set[i]];
+      idx[i] = targets[set[i]];
+      val[i] = values[set[i]];
     }
     // Conflict-free within the set (Lemma 2), so the plain ELS scatter is
     // safe here; ordering across sets is what preserves replay order.
-    m.scatter(table, *idx, *val);
+    m.scatter(table, idx, val);
   }
   return dec.rounds();
 }

@@ -39,23 +39,18 @@ RoundsResult decompose_rounds(VectorMachine& m,
   // Step 0 (preprocessing): labels derive from the tuple positions, the
   // "most easily computable" unique labels per the paper's footnote 6.
   // Positions stay attached to their tuples across rounds so the sets report
-  // original tuple numbers. Every control vector comes from the machine's
-  // buffer pool: after the first round the loop is allocation-free.
-  vm::BufferPool& pool = m.pool();
-  std::vector<vm::PooledVec> idx;
-  std::vector<vm::PooledVec> next_idx;
-  idx.reserve(num_lanes);
-  next_idx.reserve(num_lanes);
+  // original tuple numbers. The control vectors are refilled in place by the
+  // *_into primitives, so after the first round their capacity is reused.
+  std::vector<vm::WordVec> idx(num_lanes);
+  std::vector<vm::WordVec> next_idx(num_lanes);
   for (std::size_t k = 0; k < num_lanes; ++k) {
-    idx.emplace_back(pool, n0);
-    next_idx.emplace_back(pool, n0);
-    m.copy_into(*idx[k], index_vectors[k]);
+    m.copy_into(idx[k], index_vectors[k]);
   }
-  vm::PooledVec pos(pool, n0);
-  vm::PooledVec next_pos(pool, n0);
-  vm::PooledVec winners(pool, n0);
-  vm::PooledVec assigned(pool, n0);  // kept half of the idx splits; unused
-  m.iota_into(*pos, n0);
+  vm::WordVec pos;
+  vm::WordVec next_pos;
+  vm::WordVec winners;
+  vm::WordVec assigned;  // kept half of the idx splits; unused
+  m.iota_into(pos, n0);
 
   // Every assigned tuple lands in the one flat lane array, so reserving n0
   // lanes up front makes it a single allocation; the end offsets grow by one
@@ -65,19 +60,19 @@ RoundsResult decompose_rounds(VectorMachine& m,
                n0);
 
   Mask survived(0);
-  while (!pos->empty()) {
+  while (!pos.empty()) {
     if (spec.max_rounds != 0 && sets.size() == spec.max_rounds) {
-      res.unassigned = pos->size();
+      res.unassigned = pos.size();
       break;
     }
     FOLVEC_CHECK(sets.size() < n0,
                  "FOL failed to terminate within N rounds; the scatter "
                  "substrate violates the ELS condition");
     const vm::AlgoSpan round_span(m, "round", sets.size());
-    const std::size_t n = pos->size();
+    const std::size_t n = pos.size();
 
     // Steps 1+2 (writing labels, detection of overwriting).
-    const std::size_t n_survived = label_round(Remaining{idx, *pos}, survived);
+    const std::size_t n_survived = label_round(Remaining{idx, pos}, survived);
     FOLVEC_CHECK(n_survived > 0,
                  "FOL round produced an empty set: a contested work word "
                  "holds none of the written labels (ELS violation)");
@@ -87,27 +82,27 @@ RoundsResult decompose_rounds(VectorMachine& m,
     // Step 3 (updating control variables): one partition per control
     // vector. The kept half of the position split is this round's set; the
     // kept halves of the index splits are dead (those tuples are assigned).
-    m.partition_into(*winners, *next_pos, *pos, survived);
-    const std::span<std::size_t> set = sets.extend(winners->size());
+    m.partition_into(winners, next_pos, pos, survived);
+    const std::span<std::size_t> set = sets.extend(winners.size());
     for (std::size_t i = 0; i < set.size(); ++i) {
-      set[i] = static_cast<std::size_t>((*winners)[i]);
+      set[i] = static_cast<std::size_t>(winners[i]);
     }
     sets.end_set(sets.lanes().size());
     for (std::size_t k = 0; k < num_lanes; ++k) {
-      m.partition_into(*assigned, *next_idx[k], *idx[k], survived);
-      std::swap(*idx[k], *next_idx[k]);
+      m.partition_into(assigned, next_idx[k], idx[k], survived);
+      std::swap(idx[k], next_idx[k]);
     }
-    std::swap(*pos, *next_pos);
+    std::swap(pos, next_pos);
 
     // Adaptive degradation (Theorems 5-6): a collapsing surviving fraction
     // on a large remainder signals the quadratic tail — e.g. every lane
     // addressing one area runs N rounds of N-lane scatters. The drain
     // assigns that tail in one O(k) scalar pass instead.
     if (m.config().adaptive && spec.max_rounds == 0 &&
-        pos->size() >= kDrainMinRemaining &&
+        pos.size() >= kDrainMinRemaining &&
         n_survived * kDrainCollapseDen < n) {
-      const std::size_t k = pos->size();
-      const std::size_t distinct = drain(Remaining{idx, *pos}, work);
+      const std::size_t k = pos.size();
+      const std::size_t distinct = drain(Remaining{idx, pos}, work);
       // Scalar chime: one pass over the k drained tuples (an ALU op per
       // address for the bookkeeping, a load+store pair per distinct address,
       // one branch for the loop) — O(k) against the vector path's
@@ -133,7 +128,7 @@ RoundsResult decompose_rounds(VectorMachine& m,
 std::size_t drain_by_occurrence(const Remaining& rest, std::span<Word> work,
                                 Decomposition& out) {
   FlatSets& sets = out.sets;
-  const vm::WordVec& idx = *rest.idx.front();
+  const vm::WordVec& idx = rest.idx.front();
   const std::size_t k = idx.size();
   FOLVEC_CHECK(k <= std::numeric_limits<std::uint32_t>::max(),
                "drain: too many lanes for a 32-bit occurrence ordinal");

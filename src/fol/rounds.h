@@ -6,7 +6,7 @@
 // survived as the next parallel-processable set, and loop on the rest. They
 // differ only in how a round decides its survivors and in how the adaptive
 // scalar drain assigns a collapsing tail, so those two steps are callables;
-// everything else — the pooled control vectors, the conflict window, the
+// everything else — the control vectors, the conflict window, the
 // per-round partitions, termination, the drain trigger and the round
 // telemetry — is written once here.
 #pragma once
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "fol/fol1.h"
-#include "vm/buffer_pool.h"
 #include "vm/machine.h"
 
 namespace folvec::fol::detail {
@@ -56,7 +55,7 @@ class FnRef<R(Args...)> {
 /// The unassigned tuples at the start of a round (or of the drain): idx[k]
 /// holds lane k's addresses, pos the tuples' original positions.
 struct Remaining {
-  std::span<const vm::PooledVec> idx;
+  std::span<const vm::WordVec> idx;
   const vm::WordVec& pos;
 
   std::size_t size() const { return pos.size(); }

@@ -16,6 +16,7 @@ ChainTable::ChainTable(std::size_t table_size, std::size_t capacity,
     : head_(table_size, kNil),
       node_key_(capacity, 0),
       node_next_(capacity, kNil),
+      work_(table_size, 0),
       cost_(cost) {
   FOLVEC_REQUIRE(table_size > 0, "table size must be positive");
 }
@@ -83,12 +84,11 @@ void multi_hash_chain_insert(VectorMachine& m, ChainTable& t,
   const auto size = static_cast<Word>(t.head_.size());
 
   // FOL processes 1-2 (Figure 7): decompose the hashed index vector into
-  // conflict-free sets. The label work area is a dedicated word per table
-  // entry, as in the figure's "work areas for labels".
+  // conflict-free sets. The label work area is the table's word per entry,
+  // as in the figure's "work areas for labels".
   const WordVec key_vec = m.copy(keys);
   const WordVec hashed = m.mod_scalar(key_vec, size);
-  WordVec work(t.head_.size(), 0);
-  const fol::Decomposition dec = fol::fol1_decompose(m, hashed, work);
+  const fol::Decomposition dec = fol::fol1_decompose(m, hashed, t.work_);
 
   // Main processing, one parallel-processable set at a time: allocate the
   // set's nodes contiguously, link them in front of their chains. The
@@ -152,7 +152,7 @@ void multi_hash_chain_insert(VectorMachine& m, ChainTable& t,
     m.scatter(t.head_, last_entries, m.add_scalar(last, base));
     t.alloc_ += k;
   }
-  m.retire_work(work);
+  m.retire_work(t.work_);
 }
 
 }  // namespace folvec::hashing

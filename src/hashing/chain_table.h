@@ -63,6 +63,10 @@ class ChainTable {
   std::vector<vm::Word> head_;       ///< chain head per table entry (kNil empty)
   std::vector<vm::Word> node_key_;   ///< pool: key of node i
   std::vector<vm::Word> node_next_;  ///< pool: next link of node i (kNil end)
+  /// FOL1's label work area, one word per table entry, reused by every
+  /// multi_hash_chain_insert call: the label round writes each word it reads
+  /// back, and the drain resets each word it uses.
+  std::vector<vm::Word> work_;
   std::size_t alloc_ = 0;            ///< pool watermark
   mutable vm::ScalarCost cost_;
 };

@@ -5,7 +5,6 @@
 
 #include "support/require.h"
 #include "telemetry/metrics.h"
-#include "vm/buffer_pool.h"
 #include "vm/checker.h"
 
 namespace folvec::sorting {
@@ -103,25 +102,23 @@ AddressCalcStats address_calc_sort_vector(VectorMachine& m,
   std::vector<Word> c(static_cast<std::size_t>(3 * n));
   m.fill(c, unentered);
 
-  // Pass-loop working vectors are pooled; steady-state passes allocate only
-  // masks and the expression temporaries of phase B.
-  vm::BufferPool& pool = m.pool();
-  const std::size_t n0 = data.size();
-  vm::PooledVec work(pool, n0);
-  vm::PooledVec probed(pool, n0);
-  vm::PooledVec shift_vals(pool, n0);
-  vm::PooledVec shift_idx(pool, n0);
-  vm::PooledVec scratch(pool, n0);
-  vm::PooledVec ids(pool, n0);
-  vm::PooledVec next_hv(pool, n0);
-  vm::PooledVec next_a(pool, n0);
-  vm::PooledVec assigned(pool, n0);  // kept half of the phase-E split; unused
+  // Pass-loop working vectors are refilled in place; steady-state passes
+  // allocate only masks and the expression temporaries of phase B.
+  WordVec work;
+  WordVec probed;
+  WordVec shift_vals;
+  WordVec shift_idx;
+  WordVec scratch;
+  WordVec ids;
+  WordVec next_hv;
+  WordVec next_a;
+  WordVec assigned;  // kept half of the phase-E split; unused
 
   WordVec a = m.copy(data);
   // A: spreading-function "hash" of every datum at once.
   WordVec hv;
-  m.mul_scalar_into(*scratch, a, 2 * n);
-  m.div_scalar_into(hv, *scratch, vmax);
+  m.mul_scalar_into(scratch, a, 2 * n);
+  m.div_scalar_into(hv, scratch, vmax);
 
   while (!a.empty()) {
     const vm::AlgoSpan pass_span(m, "pass", stats.outer_passes);
@@ -130,13 +127,13 @@ AddressCalcStats address_calc_sort_vector(VectorMachine& m,
     // B: advance lanes whose slot holds a value <= their datum. The loop is
     // all-vector; each pass moves only the still-colliding lanes.
     for (;;) {
-      m.gather_into(*probed, c, hv);
-      const Mask uninsertable = m.le(*probed, a);
+      m.gather_into(probed, c, hv);
+      const Mask uninsertable = m.le(probed, a);
       if (m.count_true(uninsertable) == 0) break;
       ++stats.probe_steps;
-      m.add_scalar_into(*scratch, hv, 1);
-      m.select_into(*next_hv, uninsertable, *scratch, hv);
-      std::swap(hv, *next_hv);
+      m.add_scalar_into(scratch, hv, 1);
+      m.select_into(next_hv, uninsertable, scratch, hv);
+      std::swap(hv, next_hv);
     }
 
     // C: overwrite-and-check with negated lane identifiers (-1..-nrest,
@@ -144,14 +141,14 @@ AddressCalcStats address_calc_sort_vector(VectorMachine& m,
     // identifier survived. The claim is one fused scatter_gather_eq; every
     // claimed slot gets exactly one winner, so the masked data scatter below
     // overwrites every label the round left.
-    m.gather_into(*work, c, hv);  // save displaced originals
-    m.iota_into(*scratch, a.size(), 1);
-    m.negate_into(*ids, *scratch);
+    m.gather_into(work, c, hv);  // save displaced originals
+    m.iota_into(scratch, a.size(), 1);
+    m.negate_into(ids, scratch);
     Mask entered;
     {
       const vm::ConflictWindow window(m, c, vm::WindowKind::kLabelRound,
                                       "address-calc id claim");
-      entered = m.scatter_gather_eq(c, hv, *ids);
+      entered = m.scatter_gather_eq(c, hv, ids);
     }
     m.scatter_masked(c, hv, a, entered);
 
@@ -161,28 +158,28 @@ AddressCalcStats address_calc_sort_vector(VectorMachine& m,
     // another winner's fresh value simply carries it along.
     Mask displaced;
     Mask to_shift;
-    m.ne_scalar_into(displaced, *work, unentered);
+    m.ne_scalar_into(displaced, work, unentered);
     m.mask_and_into(to_shift, entered, displaced);
-    m.compress_into(*shift_vals, *work, to_shift);
-    m.compress_into(*scratch, hv, to_shift);
-    m.add_scalar_into(*shift_idx, *scratch, 1);
-    while (!shift_vals->empty()) {
+    m.compress_into(shift_vals, work, to_shift);
+    m.compress_into(scratch, hv, to_shift);
+    m.add_scalar_into(shift_idx, scratch, 1);
+    while (!shift_vals.empty()) {
       ++stats.shift_steps;
-      m.gather_into(*probed, c, *shift_idx);
-      m.scatter(c, *shift_idx, *shift_vals);
-      const Mask nonempty = m.ne_scalar(*probed, unentered);
-      m.compress_into(*shift_vals, *probed, nonempty);
-      m.compress_into(*scratch, *shift_idx, nonempty);
-      m.add_scalar_into(*shift_idx, *scratch, 1);
+      m.gather_into(probed, c, shift_idx);
+      m.scatter(c, shift_idx, shift_vals);
+      const Mask nonempty = m.ne_scalar(probed, unentered);
+      m.compress_into(shift_vals, probed, nonempty);
+      m.compress_into(scratch, shift_idx, nonempty);
+      m.add_scalar_into(shift_idx, scratch, 1);
     }
 
     // E: pack the lanes that lost the identifier check for the next pass:
     // one partition per control vector, keeping only the rejected halves
     // (replacing the old mask_not + two compresses).
-    m.partition_into(*assigned, *next_hv, hv, entered);
-    m.partition_into(*assigned, *next_a, a, entered);
-    std::swap(hv, *next_hv);
-    std::swap(a, *next_a);
+    m.partition_into(assigned, next_hv, hv, entered);
+    m.partition_into(assigned, next_a, a, entered);
+    std::swap(hv, next_hv);
+    std::swap(a, next_a);
   }
 
   // F: pack the occupied slots of C back into `data`.

@@ -6,7 +6,6 @@
 #include "sorting/scan.h"
 #include "support/require.h"
 #include "telemetry/metrics.h"
-#include "vm/buffer_pool.h"
 
 namespace folvec::sorting {
 
@@ -84,16 +83,16 @@ DistCountStats dist_count_sort_vector(VectorMachine& m, std::span<Word> data,
     for (std::size_t lane : dec.sets[j]) set_keys[j].push_back(keys[lane]);
   }
 
-  // Per-set scratch vectors are pooled and refilled in place, so the two
-  // shared-update phases allocate nothing per set.
-  vm::PooledVec c(m.pool(), data.size());
-  vm::PooledVec pos(m.pool(), data.size());
+  // Per-set scratch vectors are refilled in place, so the two shared-update
+  // phases allocate nothing per set once the largest set has been seen.
+  WordVec c;
+  WordVec pos;
 
   // Histogram: per-set gather-increment-scatter.
   for (const WordVec& sk : set_keys) {
-    m.gather_into(*c, count, sk);
-    m.add_scalar_into(*pos, *c, 1);
-    m.scatter(count, sk, *pos);
+    m.gather_into(c, count, sk);
+    m.add_scalar_into(pos, c, 1);
+    m.scatter(count, sk, pos);
   }
 
   // count[v] := number of elements <= v.
@@ -103,10 +102,10 @@ DistCountStats dist_count_sort_vector(VectorMachine& m, std::span<Word> data,
   // group and decrement the group counter.
   std::vector<Word> out(data.size());
   for (const WordVec& sk : set_keys) {
-    m.gather_into(*c, count, sk);
-    m.add_scalar_into(*pos, *c, -1);
-    m.scatter(out, *pos, sk);
-    m.scatter(count, sk, *pos);
+    m.gather_into(c, count, sk);
+    m.add_scalar_into(pos, c, -1);
+    m.scatter(out, pos, sk);
+    m.scatter(count, sk, pos);
   }
 
   m.store(data, 0, m.load(out, 0, out.size()));

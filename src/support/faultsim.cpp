@@ -25,8 +25,6 @@ std::uint64_t mix(std::uint64_t seed, std::uint64_t site,
 
 const char* fault_site_name(FaultSite site) {
   switch (site) {
-    case FaultSite::kPoolAlloc:
-      return "pool_alloc";
     case FaultSite::kElsViolation:
       return "els";
     case FaultSite::kProbeSaturation:
@@ -67,7 +65,7 @@ FaultPlan::FaultPlan(std::uint64_t seed, std::string_view spec)
       }
     }
     FOLVEC_REQUIRE(site >= 0,
-                   "unknown fault site (expected pool_alloc, els or probe)");
+                   "unknown fault site (expected els or probe)");
 
     SiteRule& rule = rules_[static_cast<std::size_t>(site)];
     char* parse_end = nullptr;

@@ -1,10 +1,10 @@
 // Deterministic fault injection for the recovery paths.
 //
-// Every recovery path in this repo (pool-pressure degradation, ELS-violation
-// absorption, probe-cycle growth) is exercised by injecting its fault on
-// purpose. The injection must be *deterministic*: the serial and simd
-// backends are contractually bit-identical, and a fault plan that fired on
-// wall-clock time or a global RNG would break that between two runs.
+// Every recovery path in this repo (ELS-violation absorption, probe-cycle
+// growth) is exercised by injecting its fault on purpose. The injection
+// must be *deterministic*: the serial and simd backends are contractually
+// bit-identical, and a fault plan that fired on wall-clock time or a global
+// RNG would break that between two runs.
 // FaultPlan therefore derives every decision from (seed, site, per-site
 // check index) — all three of which are identical across backends and
 // reruns — and all draws happen on the issuing thread.
@@ -15,9 +15,9 @@
 //   <site>@<k>      fire exactly once, on the k-th check (1-based)
 //   <site>%<k>      fire on every k-th check
 //
-// with sites: pool_alloc | els | probe. Example:
+// with sites: els | probe. Example:
 //
-//   FOLVEC_FAULT_SEED=42 FOLVEC_FAULT_SPEC='pool_alloc%5,els@2,probe=0.01'
+//   FOLVEC_FAULT_SEED=42 FOLVEC_FAULT_SPEC='els@2,probe=0.01'
 //
 // This lives in folvec_support and deliberately has no telemetry dependency
 // (telemetry links against support); the injection *sites* — which all live
@@ -35,14 +35,13 @@
 namespace folvec {
 
 enum class FaultSite : std::uint8_t {
-  kPoolAlloc = 0,    ///< BufferPool::acquire allocation failure
-  kElsViolation,     ///< scatter stores an amalgam (ELS condition broken)
-  kProbeSaturation,  ///< open-addressing probe cycle saturates
+  kElsViolation = 0,  ///< scatter stores an amalgam (ELS condition broken)
+  kProbeSaturation,   ///< open-addressing probe cycle saturates
 };
 
-inline constexpr std::size_t kFaultSiteCount = 3;
+inline constexpr std::size_t kFaultSiteCount = 2;
 
-/// Spec name of a site: "pool_alloc", "els", "probe".
+/// Spec name of a site: "els", "probe".
 const char* fault_site_name(FaultSite site);
 
 /// A deterministic per-site fault schedule. Thread-safe: the per-site check

@@ -7,11 +7,11 @@
 //
 // Data-dependent exhaustion is different. A hash table can fill up, a
 // key-dependent probe cycle can saturate while free slots remain (see the
-// gcd note in hashing/open_table.h), a capped buffer pool can run dry —
-// all on well-formed input, purely as a function of the data. The ROADMAP's
-// production north-star requires these states to return to the caller for
-// graceful degradation (grow, rehash, drain, shed load) instead of
-// unwinding the whole batch. This header gives them a first-class type:
+// gcd note in hashing/open_table.h) — both on well-formed input, purely as
+// a function of the data. The ROADMAP's production north-star requires
+// these states to return to the caller for graceful degradation (grow,
+// rehash, drain, shed load) instead of unwinding the whole batch. This
+// header gives them a first-class type:
 //
 //   * StatusCode / Status — value-style reporting for the try_* entry
 //     points (no unwinding at all on the failure path);
@@ -37,8 +37,6 @@ enum class StatusCode : std::uint8_t {
   /// hashing/open_table.h), or fault injection forced the condition.
   /// Recover by growing to a size whose probe cycles cover the table.
   kProbeCycleSaturated,
-  /// A capped BufferPool could not serve an acquire within its word limit.
-  kPoolExhausted,
   /// Catch-all for wrapped non-recoverable failures.
   kInternal,
 };
@@ -51,8 +49,6 @@ inline const char* status_code_name(StatusCode code) {
       return "TableFull";
     case StatusCode::kProbeCycleSaturated:
       return "ProbeCycleSaturated";
-    case StatusCode::kPoolExhausted:
-      return "PoolExhausted";
     case StatusCode::kInternal:
       return "Internal";
   }

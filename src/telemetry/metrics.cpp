@@ -12,12 +12,11 @@ namespace {
 
 std::atomic<MetricsRegistry*> g_metrics{nullptr};
 
-/// Namespaces that describe the host-execution machinery (buffer pool,
-/// backend identity, the fault-injection harness) rather than the modeled
+/// Namespaces that describe the host-execution machinery (backend
+/// identity, the fault-injection harness) rather than the modeled
 /// computation; excluded from the deterministic view.
 bool is_host_namespace(std::string_view name) {
-  return name.rfind("pool.", 0) == 0 || name.rfind("backend.", 0) == 0 ||
-         name.rfind("fault.", 0) == 0;
+  return name.rfind("backend.", 0) == 0 || name.rfind("fault.", 0) == 0;
 }
 
 }  // namespace

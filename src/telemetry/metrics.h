@@ -14,12 +14,11 @@
 //
 // Determinism contract: counters, gauges, and histograms carry *modeled*
 // quantities and must be bit-identical for the same program on either
-// execution backend — EXCEPT the "pool.", "backend." and "fault."
-// namespaces, which describe the host-execution machinery itself. Measured
-// host time always goes into the separate `timings` section, and
-// non-numeric facts (backend names, SIMD levels) into `labels`. The
-// MetricsSnapshot::deterministic() view drops timings, labels, and the
-// host namespaces; tests/backend_diff_test.cpp asserts it is identical
+// execution backend — EXCEPT the "backend." and "fault." namespaces, which
+// describe the host-execution machinery itself. Measured host time always
+// goes into the separate `timings` section, and non-numeric facts (backend
+// names, SIMD levels) into `labels`. The MetricsSnapshot::deterministic()
+// view drops timings, labels, and the host namespaces; tests/backend_diff_test.cpp asserts it is identical
 // between the scalar table and the widest SIMD table.
 #pragma once
 
@@ -136,7 +135,7 @@ struct MetricsSnapshot {
   std::map<std::string, std::string> labels;
 
   /// The backend-independent view: counters/gauges/histograms minus the
-  /// "pool.", "backend." and "fault." namespaces; no timings, no labels.
+  /// "backend." and "fault." namespaces; no timings, no labels.
   /// Identical across execution backends for the same program.
   MetricsSnapshot deterministic() const;
 

@@ -44,8 +44,7 @@ VectorMachine::VectorMachine(const MachineConfig& config)
       shuffle_rng_(config.shuffle_seed),
       kernels_(config.backend == BackendKind::kSimd
                    ? &simd_kernels_for(simd_resolve_level(config.simd_level))
-                   : &simd_kernels_scalar()),
-      pool_(std::make_unique<BufferPool>()) {
+                   : &simd_kernels_scalar()) {
   FOLVEC_REQUIRE(config_.backend_threads <= 1,
                  "backend_threads must be 0 or 1: every instruction runs on "
                  "the issuing thread");
@@ -54,13 +53,11 @@ VectorMachine::VectorMachine(const MachineConfig& config)
   }
   if (config_.analysis) {
     analyzer_ = std::make_unique<analysis::Analyzer>();
-    pool_->set_analyzer(analyzer_.get());
   }
 }
 
 VectorMachine::~VectorMachine() {
-  // A moved-from machine has no pool (and nothing to report).
-  if (pool_ != nullptr) flush_telemetry();
+  if (live_.on) flush_telemetry();
 }
 
 VectorMachine::VectorMachine(VectorMachine&&) noexcept = default;
@@ -109,18 +106,6 @@ void VectorMachine::flush_telemetry() const {
     }
     if (as.vetoed != 0) r->add("analysis.vetoed", as.vetoed);
   }
-  // Buffer-pool behaviour is host allocator reuse, not machine semantics,
-  // so it reports in the excluded-from-determinism "pool." namespace.
-  const BufferPool::Stats& ps = pool_->stats();
-  if (ps.acquires != 0) {
-    r->add("pool.buffer.acquires", ps.acquires);
-    r->add("pool.buffer.hits", ps.hits);
-    r->add("pool.buffer.misses", ps.misses);
-    r->add("pool.buffer.releases", ps.releases);
-    r->add("pool.buffer.discards", ps.discards);
-    r->observe("pool.buffer.peak_held_words", ps.peak_held_words);
-    if (ps.fault_drops != 0) r->add("pool.buffer.fault_drops", ps.fault_drops);
-  }
   // Backend identity lives in the excluded-from-determinism "backend."
   // namespace: it legitimately differs between serial and simd runs.
   r->label("backend.name", backend_name());
@@ -136,6 +121,11 @@ const char* VectorMachine::backend_name() const {
 }
 
 SimdLevel VectorMachine::active_simd_level() const { return kernels_->level; }
+
+const BufferPool& VectorMachine::pool() const {
+  static const BufferPool kNone;
+  return kNone;
+}
 
 const SimdKernels& VectorMachine::kernels() {
   if (config_.backend == BackendKind::kSimd) ++simd_dispatches_;

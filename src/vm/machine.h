@@ -230,10 +230,9 @@ class VectorMachine {
   /// the allocation are not flagged. No-op without audit; free.
   void retire_work(std::span<const Word> region);
 
-  /// The machine's vector-register buffer pool (see buffer_pool.h).
-  /// Steady-state round loops acquire their working vectors here and feed
-  /// them to the *_into primitives so repeated rounds allocate nothing.
-  BufferPool& pool() { return *pool_; }
+  /// Both counters always 0. Kept only because perfbench still reads it; it
+  /// goes in the next benchmark change.
+  const BufferPool& pool() const;
 
   // ---- vector generation -------------------------------------------------
 
@@ -401,8 +400,8 @@ class VectorMachine {
   //
   // Same semantics, op class and chime as the value-returning primitive;
   // `out` is resized to the result length and its capacity is reused, so a
-  // pool-acquired buffer makes repeated rounds allocation-free. `out` must
-  // not alias any input span.
+  // round loop that refills the same vectors allocates only in its first
+  // round. `out` must not alias any input span.
 
   void iota_into(WordVec& out, std::size_t n, Word start = 0, Word step = 1);
   void copy_into(WordVec& out, std::span<const Word> v);
@@ -566,15 +565,23 @@ class VectorMachine {
   CostAccumulator cost_;
   Xoshiro256 shuffle_rng_;
   std::unique_ptr<ScatterChecker> checker_;
-  // Declared before pool_: the pool's destructor fires release hooks into
-  // the analyzer, so the analyzer must still be alive when pool_ dies.
   std::unique_ptr<analysis::Analyzer> analyzer_;
   /// The table every lane loop runs through (a function-local static of
   /// simd_kernels_scalar / simd_kernels_for).
   const SimdKernels* kernels_;
   /// Lane-kernel table dispatches (counted on kSimd only).
   std::size_t simd_dispatches_ = 0;
-  std::unique_ptr<BufferPool> pool_;
+  /// Cleared in a machine that was moved from, whose destructor then has
+  /// nothing to report.
+  struct Live {
+    bool on = true;
+    Live() = default;
+    Live(Live&& o) noexcept : on(std::exchange(o.on, false)) {}
+    Live& operator=(Live&& o) noexcept {
+      on = std::exchange(o.on, false);
+      return *this;
+    }
+  } live_;
 };
 
 /// RAII algorithm span: a chime-carrying telemetry span scoped to one

@@ -19,7 +19,6 @@
 #include "analysis/verifier.h"
 #include "fol/fol1.h"
 #include "support/prng.h"
-#include "vm/buffer_pool.h"
 #include "vm/checker.h"
 #include "vm/machine.h"
 
@@ -297,6 +296,38 @@ TEST(AnalysisMachineTest, GraphJsonRoundTripReplaysIdentically) {
   EXPECT_EQ(parsed.hazard_ops, live.hazard_ops);
 }
 
+TEST(AnalysisMachineTest, VerifierReplaysEveryHazardClass) {
+  // No class is trusted from the recording: a tampered verdict in any one
+  // class of a checked op is reported as a mismatch.
+  VectorMachine m(analyzed());
+  m.analyzer()->set_record_graph(true);
+  WordVec table(16, 0);
+  const WordVec idx = m.iota(16);
+  m.scatter(table, idx, m.iota(16, 100));
+  EXPECT_EQ(m.gather(table, idx).size(), 16u);
+  const OpGraph& recorded = m.analyzer()->graph();
+  ASSERT_TRUE(analysis::verify(recorded).clean());
+
+  for (std::size_t c = 0; c < analysis::kHazardClassCount; ++c) {
+    const auto cls = static_cast<HazardClass>(c);
+    for (std::size_t id = 0; id < recorded.nodes.size(); ++id) {
+      const analysis::Opcode op = recorded.nodes[id].op;
+      if (op != analysis::Opcode::kGather &&
+          !analysis::opcode_scatter_class(op)) {
+        continue;
+      }
+      OpGraph tampered = recorded;
+      tampered.nodes[id].verdicts[cls] = Verdict::kUnknown;
+      const analysis::ReplayResult r = analysis::verify(tampered);
+      ASSERT_EQ(r.mismatches.size(), 1u)
+          << analysis::hazard_class_name(cls) << " on node " << id;
+      EXPECT_NE(r.mismatches[0].find(analysis::hazard_class_name(cls)),
+                std::string::npos)
+          << r.mismatches[0];
+    }
+  }
+}
+
 TEST(AnalysisMachineTest, MalformedGraphJsonIsRejected) {
   EXPECT_THROW(OpGraph::from_json("not json"), PreconditionError);
   EXPECT_THROW(OpGraph::from_json("{\"schema\": \"something-else\"}"),
@@ -392,37 +423,6 @@ TEST(AnalysisSeededTest, ClobberUnknownWithoutIndexFacts) {
   EXPECT_EQ(m.hazards().count(HazardKind::kClobberedWorkRead), 0u);
 }
 
-TEST(AnalysisSeededTest, LifetimeHazardOnReleasedPoolBuffer) {
-  VectorMachine m(analyzed());
-  WordVec buf = m.pool().acquire(4);
-  const std::span<const Word> stale(buf.data(), 4);
-  m.pool().release(std::move(buf));  // parked: storage alive, contents dead
-  m.gather(stale, m.iota(2));
-  const Analyzer::Stats& st = m.analyzer()->stats();
-  EXPECT_GE(verdicts_of(st, HazardClass::kLifetime, Verdict::kProvenHazard),
-            1u);
-  ASSERT_FALSE(m.analyzer()->diagnostics().empty());
-  EXPECT_EQ(m.analyzer()->diagnostics().back().cls, HazardClass::kLifetime);
-}
-
-TEST(AnalysisSeededTest, LifetimeUnknownOnPartialOverlapAndClearedOnReuse) {
-  Analyzer a;
-  WordVec table(16, 0);
-  WordVec idx{0};
-  a.on_buffer_release(table.data() + 8, 4);
-  // The table span straddles the released range: partial overlap only.
-  OpVerdicts v = a.classify_gather(table, idx, /*masked=*/false);
-  EXPECT_EQ(v[HazardClass::kLifetime], Verdict::kUnknown);
-  // Fully inside the released range: proven use-after-release.
-  v = a.classify_gather(std::span<const Word>(table.data() + 8, 4), idx,
-                        false);
-  EXPECT_EQ(v[HazardClass::kLifetime], Verdict::kProvenHazard);
-  // Reacquisition makes the storage live again.
-  a.on_buffer_acquire(table.data() + 8, 4);
-  v = a.classify_gather(table, idx, false);
-  EXPECT_EQ(v[HazardClass::kLifetime], Verdict::kProvenSafe);
-}
-
 // ---- audit elision ----------------------------------------------------------
 
 TEST(AnalysisElisionTest, ElisionPreservesOutputsAndSkipsLaneWork) {
@@ -457,6 +457,22 @@ TEST(AnalysisElisionTest, ClobberDetectionSurvivesElidedRounds) {
   EXPECT_GE(m.analyzer()->stats().elided_instructions, 1u);
   m.gather(work, m.iota(4));
   EXPECT_GE(m.hazards().count(HazardKind::kClobberedWorkRead), 1u);
+}
+
+TEST(AnalysisElisionTest, RepeatedFol1OnOneMachineStaysHazardFree) {
+  // The round loops' working vectors are fresh locals on every call; a
+  // second decomposition over the same work area must audit clean and
+  // reproduce the first.
+  VectorMachine m(analyzed());
+  WordVec work(8, 0);
+  const WordVec keys{5, 1, 5, 7, 0, 1, 5, 2, 7, 7, 3, 5};
+  const fol::Decomposition first = fol::fol1_decompose(m, keys, work);
+  m.retire_work(work);
+  const fol::Decomposition second = fol::fol1_decompose(m, keys, work);
+  m.retire_work(work);
+  EXPECT_EQ(second.sets, first.sets);
+  EXPECT_TRUE(m.hazards().empty());
+  EXPECT_EQ(m.analyzer()->stats().mem_hazard, 0u);
 }
 
 TEST(AnalysisElisionTest, Fol1DistinctKeysProveMostScatterOps) {

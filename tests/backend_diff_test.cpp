@@ -20,7 +20,6 @@
 #include "support/prng.h"
 #include "telemetry/metrics.h"
 #include "telemetry/spans.h"
-#include "vm/buffer_pool.h"
 #include "vm/checker.h"
 #include "vm/machine.h"
 #include "vm/simd_backend.h"
@@ -484,7 +483,7 @@ TEST(TelemetryDeterminismTest, MetricsIdenticalAcrossBackends) {
 
 TEST(TelemetryDeterminismTest, FullSnapshotSeparatesHostOnlyNamespaces) {
   // The raw (non-deterministic view) simd snapshot is allowed to differ
-  // from serial ONLY via timings, labels, and the pool./backend. namespaces.
+  // from serial ONLY via timings, labels, and the backend. namespace.
   for (const TelemetryCell cell : telemetry_cells()) {
     const telemetry::MetricsSnapshot serial =
         run_with_metrics(BackendKind::kSerial, cell);
@@ -493,7 +492,7 @@ TEST(TelemetryDeterminismTest, FullSnapshotSeparatesHostOnlyNamespaces) {
     EXPECT_EQ(simd.labels.at("backend.name"), "simd");
     EXPECT_EQ(serial.labels.at("backend.name"), "serial");
     for (const auto& [name, value] : simd.counters) {
-      if (name.starts_with("pool.") || name.starts_with("backend.")) continue;
+      if (name.starts_with("backend.")) continue;
       ASSERT_TRUE(serial.counters.contains(name)) << name;
       EXPECT_EQ(serial.counters.at(name), value) << name;
     }
@@ -536,7 +535,7 @@ VectorMachine make_fused_machine(ScatterOrder order, SimdLevel table,
   return VectorMachine(cfg);
 }
 
-/// Exercises the fused entry points plus their pooled *_into variants and
+/// Exercises the fused entry points plus their *_into variants and
 /// one full FOL1 decomposition; returns a flat digest of every result and
 /// final memory image. Scatters sit inside ConflictWindows so the script is
 /// audit-clean.
@@ -586,15 +585,19 @@ WordVec run_fused_script(VectorMachine& m, const Inputs& in) {
   emit(kept2);
   emit(rejected2);
 
-  // Pooled destination-passing round trip.
-  PooledVec buf(m.pool(), 0);
-  PooledVec buf2(m.pool(), 0);
-  m.gather_into(*buf, in.table, in.idx);
-  emit(*buf);
-  m.add_scalar_into(*buf2, *buf, 11);
-  emit(*buf2);
-  m.compress_into(*buf, in.a, in.mask);
-  emit(*buf);
+  // Destination-passing round trip through one reused vector: each *_into
+  // refills it in place, and a refill within its capacity keeps its storage.
+  WordVec buf;
+  m.gather_into(buf, in.table, in.idx);
+  emit(buf);
+  const Word* storage = buf.data();
+  m.compress_into(buf, in.a, in.mask);
+  emit(buf);
+  m.add_scalar_into(kept2, buf, 11);
+  emit(kept2);
+  m.gather_into(buf, in.table, in.idx);
+  EXPECT_EQ(buf.data(), storage) << "a refill within capacity reallocated";
+  emit(buf);
 
   // Algorithm level: a duplicate-heavy FOL1 decomposition runs the fused
   // round loop end to end (or its unfused reference under fuse=false).

@@ -12,6 +12,7 @@
 #include "fol/invariants.h"
 #include "support/faultsim.h"
 #include "support/prng.h"
+#include "vm/buffer_pool.h"
 
 namespace folvec::fol {
 namespace {
@@ -130,6 +131,40 @@ TEST(Fol1Test, WorkAreaContentsNeedNoInitialization) {
   const Decomposition d = fol1_decompose(m, v, work);
   EXPECT_EQ(d.rounds(), 2u);
   EXPECT_TRUE(satisfies_all_theorems(d, v));
+}
+
+TEST(Fol1Test, RepeatedDecompositionsOnOneMachineAreIdentical) {
+  // The round loops keep no state on the machine between calls: the same
+  // input decomposes to the same sets at the same modeled charge each time.
+  VectorMachine m;
+  const WordVec v{3, 1, 3, 0, 2, 1, 3, 0, 3, 3, 1, 2};
+  WordVec work(4, 0);
+  const Decomposition first = fol1_decompose(m, v, work);
+  const std::uint64_t first_instructions = m.cost().total_instructions();
+  const std::uint64_t first_elements = m.cost().total_elements();
+  EXPECT_TRUE(satisfies_all_theorems(first, v));
+  for (int rep = 1; rep < 3; ++rep) {
+    m.cost().reset();
+    const Decomposition again = fol1_decompose(m, v, work);
+    EXPECT_EQ(again.sets, first.sets) << "repeat " << rep;
+    EXPECT_EQ(m.cost().total_instructions(), first_instructions);
+    EXPECT_EQ(m.cost().total_elements(), first_elements);
+  }
+  EXPECT_EQ(m.pool().stats().acquires, 0u);
+  EXPECT_EQ(m.pool().stats().hits, 0u);
+}
+
+TEST(Fol1Test, ShrinkingAndGrowingInputsOnOneMachineMatchFreshMachines) {
+  VectorMachine m;
+  WordVec work(16, 0);
+  Xoshiro256 rng(23);
+  for (const std::size_t n : {200u, 17u, 0u, 1u, 96u}) {
+    WordVec v(n);
+    for (auto& x : v) x = rng.in_range(0, 15);
+    const Decomposition reused = fol1_decompose(m, v, work);
+    EXPECT_EQ(reused.sets, decompose(v).sets) << "n = " << n;
+    EXPECT_TRUE(satisfies_all_theorems(reused, v)) << "n = " << n;
+  }
 }
 
 // ---- property sweeps -------------------------------------------------------

@@ -217,6 +217,23 @@ TEST(FolStarTest, MaxRoundsOneReturnsOnlyFirstSet) {
   }
 }
 
+TEST(FolStarTest, RepeatedDecompositionsOnOneMachineAreIdentical) {
+  VectorMachine m;
+  const std::vector<WordVec> lanes{{0, 1, 2, 3, 1, 0}, {1, 2, 3, 0, 4, 4}};
+  WordVec work(5, 0);
+  const StarDecomposition first = fol_star_decompose(m, lanes, work);
+  const std::uint64_t first_instructions = m.cost().total_instructions();
+  expect_valid(first, lanes);
+  for (int rep = 1; rep < 3; ++rep) {
+    m.cost().reset();
+    const StarDecomposition again = fol_star_decompose(m, lanes, work);
+    EXPECT_EQ(again.sets, first.sets) << "repeat " << rep;
+    EXPECT_EQ(again.scalar_rescues, first.scalar_rescues);
+    EXPECT_EQ(again.forced_singletons, first.forced_singletons);
+    EXPECT_EQ(m.cost().total_instructions(), first_instructions);
+  }
+}
+
 TEST(FolStarTest, MaxRoundsZeroAssignsEverything) {
   VectorMachine m;
   WordVec work(4, 0);

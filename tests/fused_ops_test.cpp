@@ -1,16 +1,12 @@
-// Unit tests for the PR's vm-layer building blocks: the Mask popcount
-// cache, the BufferPool free lists, and the fused scatter_gather_eq /
-// partition semantics (including the masked variant and the chime model's
-// fused-vs-chained accounting).
+// Unit tests for the vm-layer building blocks: the Mask popcount cache and
+// the fused scatter_gather_eq / partition semantics (including the masked
+// variant and the chime model's fused-vs-chained accounting).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "support/prng.h"
-#include "support/status.h"
-#include "vm/buffer_pool.h"
 #include "vm/cost_model.h"
 #include "vm/machine.h"
 
@@ -175,148 +171,6 @@ TEST(MaskTest, PopcountCacheFuzzAgainstReferenceScan) {
     ASSERT_TRUE(mask.has_popcount());
     ASSERT_EQ(mask.size(), ref.size());
   }
-}
-
-// ---- BufferPool -------------------------------------------------------------
-
-TEST(BufferPoolTest, BucketOfBoundaries) {
-  // bucket_of is floor(log2(capacity)) with 0 mapped to bucket 0; the
-  // power-of-two edges are exactly where an off-by-one would misplace a
-  // vector into a bucket acquire() never scans.
-  EXPECT_EQ(BufferPool::bucket_of(0), 0u);
-  EXPECT_EQ(BufferPool::bucket_of(1), 0u);
-  EXPECT_EQ(BufferPool::bucket_of(2), 1u);
-  EXPECT_EQ(BufferPool::bucket_of(3), 1u);
-  EXPECT_EQ(BufferPool::bucket_of(4), 2u);
-  EXPECT_EQ(BufferPool::bucket_of(7), 2u);
-  EXPECT_EQ(BufferPool::bucket_of(8), 3u);
-  EXPECT_EQ(BufferPool::bucket_of((std::size_t{1} << 16) - 1), 15u);
-  EXPECT_EQ(BufferPool::bucket_of(std::size_t{1} << 16), 16u);
-  EXPECT_EQ(BufferPool::bucket_of((std::size_t{1} << 16) + 1), 16u);
-  EXPECT_EQ(BufferPool::bucket_of(static_cast<std::size_t>(-1)), 63u);
-}
-
-TEST(BufferPoolTest, UndersizedSameBucketCandidateIsSkipped) {
-  // Capacity 6 parks in bucket 2 ([4, 8)); acquire(7) scans that bucket but
-  // must reject the too-small candidate and allocate fresh instead of
-  // handing back six words for a seven-word request.
-  BufferPool pool;
-  BufferPool::WordVec small;
-  small.reserve(6);
-  pool.release(std::move(small));
-  BufferPool::WordVec v = pool.acquire(7);
-  EXPECT_EQ(v.size(), 7u);
-  EXPECT_GE(v.capacity(), 7u);
-  EXPECT_EQ(pool.stats().misses, 1u);
-  EXPECT_EQ(pool.stats().hits, 0u);
-}
-
-TEST(BufferPoolTest, WordLimitThrowsRecoverableAndReleaseRestoresHeadroom) {
-  BufferPool pool;
-  pool.set_limit_words(16);
-  BufferPool::WordVec a = pool.acquire(8);
-  EXPECT_GE(pool.stats().outstanding_words, 8u);
-  try {
-    BufferPool::WordVec b = pool.acquire(16);  // 8 + 16 > 16
-    FAIL() << "capped acquire should throw";
-  } catch (const RecoverableError& e) {
-    EXPECT_EQ(e.code(), StatusCode::kPoolExhausted);
-  }
-  // The failed acquire left accounting intact; releasing the outstanding
-  // vector restores enough headroom for the same request to succeed.
-  pool.release(std::move(a));
-  BufferPool::WordVec b = pool.acquire(16);
-  EXPECT_EQ(b.size(), 16u);
-  pool.set_limit_words(0);  // unlimited again
-  BufferPool::WordVec c = pool.acquire(4096);
-  EXPECT_EQ(c.size(), 4096u);
-}
-
-
-TEST(BufferPoolTest, AcquireAfterReleaseReusesStorage) {
-  BufferPool pool;
-  BufferPool::WordVec v = pool.acquire(100);
-  EXPECT_EQ(v.size(), 100u);
-  const auto* raw = v.data();
-  pool.release(std::move(v));
-  BufferPool::WordVec w = pool.acquire(80);  // same bucket, capacity fits
-  EXPECT_EQ(w.size(), 80u);
-  EXPECT_EQ(w.data(), raw);
-  EXPECT_EQ(pool.stats().acquires, 2u);
-  EXPECT_EQ(pool.stats().hits, 1u);
-  EXPECT_EQ(pool.stats().misses, 1u);
-}
-
-TEST(BufferPoolTest, AcquireProbesTheNextBucketUp) {
-  BufferPool pool;
-  BufferPool::WordVec big = pool.acquire(200);  // capacity >= 200
-  pool.release(std::move(big));
-  // 140 needs bucket ceil(log2(140)) = 8; the released capacity sits in
-  // bucket floor(log2(cap)) which is within one step up.
-  BufferPool::WordVec v = pool.acquire(140);
-  EXPECT_EQ(v.size(), 140u);
-  EXPECT_EQ(pool.stats().hits, 1u);
-}
-
-TEST(BufferPoolTest, BucketCapAndHeldWordAccounting) {
-  BufferPool pool;
-  std::vector<BufferPool::WordVec> vs;
-  for (std::size_t i = 0; i < BufferPool::kMaxPerBucket + 2; ++i) {
-    vs.push_back(pool.acquire(64));
-  }
-  for (auto& v : vs) pool.release(std::move(v));
-  EXPECT_EQ(pool.stats().releases, BufferPool::kMaxPerBucket);
-  EXPECT_EQ(pool.stats().discards, 2u);
-  EXPECT_GT(pool.stats().held_words, 0u);
-  EXPECT_EQ(pool.stats().peak_held_words, pool.stats().held_words);
-  pool.trim();
-  EXPECT_EQ(pool.stats().held_words, 0u);
-  EXPECT_GT(pool.stats().peak_held_words, 0u);
-}
-
-TEST(BufferPoolTest, ZeroSizedAcquireIsSafe) {
-  BufferPool pool;
-  BufferPool::WordVec v = pool.acquire(0);
-  EXPECT_TRUE(v.empty());
-  pool.release(std::move(v));  // capacity 0: discarded, not bucketed
-  EXPECT_EQ(pool.stats().discards, 1u);
-}
-
-TEST(BufferPoolTest, PooledVecReleasesOnDestruction) {
-  BufferPool pool;
-  {
-    PooledVec v(pool, 32);
-    EXPECT_EQ(v->size(), 32u);
-    (*v)[0] = 7;
-  }
-  EXPECT_EQ(pool.stats().releases, 1u);
-  const PooledVec w(pool, 16);
-  EXPECT_EQ(pool.stats().hits, 1u);
-}
-
-TEST(BufferPoolTest, SteadyStateFol1RoundsHitThePool) {
-  // Two decompositions on one machine: the second should be served almost
-  // entirely from buffers the first released.
-  VectorMachine m;
-  const WordVec idx{3, 1, 3, 0, 2, 1, 3, 0};
-  WordVec work(5, 0);
-  {
-    WordVec v(idx.begin(), idx.end());
-    (void)m.gather(work, v);  // warm nothing; just exercise the machine
-  }
-  const auto run = [&] {
-    WordVec v(idx.begin(), idx.end());
-    // fol1 lives in another library; emulate its pooled round here.
-    PooledVec a(m.pool(), v.size());
-    PooledVec b(m.pool(), v.size());
-    m.copy_into(*a, v);
-    m.iota_into(*b, v.size());
-  };
-  run();
-  const std::uint64_t misses_after_first = m.pool().stats().misses;
-  run();
-  EXPECT_EQ(m.pool().stats().misses, misses_after_first);
-  EXPECT_GT(m.pool().stats().hits, 0u);
 }
 
 // ---- fused ops: semantics ---------------------------------------------------

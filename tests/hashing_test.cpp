@@ -578,6 +578,39 @@ TEST(DrainedChainInsertTest, DrainThresholdBatchesMatchScalarMultiset) {
   }
 }
 
+TEST(DrainedChainInsertTest, ReusedWorkAreaIsHazardFreeAndMatchesFreshWork) {
+  // The table keeps one label work area across calls. Two inserts into one
+  // table on an audited machine record no hazard, and link the chains that
+  // a fresh zeroed work area per call links. The second batch drains.
+  constexpr std::size_t kTableSize = 4099;
+  const std::vector<std::vector<Word>> batches = {
+      shared_keys(4096, Sharing::kNOver64Keys, 71),
+      shared_keys(4096, Sharing::kTwoKeys, 72)};
+  MachineConfig cfg;
+  cfg.audit = true;
+  VectorMachine m(cfg);
+  VectorMachine m_oracle(cfg);
+  ChainTable t(kTableSize, 2 * 4096);
+  OracleChains oracle(t);
+  for (const std::vector<Word>& keys : batches) {
+    multi_hash_chain_insert(m, t, keys);
+    WordVec hashed(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      hashed[i] = mod_hash(keys[i], static_cast<Word>(kTableSize));
+    }
+    WordVec work(kTableSize, 0);
+    oracle.link(fol::fol1_decompose(m_oracle, hashed, work), keys);
+  }
+  EXPECT_TRUE(m.hazards().empty()) << m.hazards().to_string();
+  ASSERT_EQ(t.entered(), oracle.key.size());
+  EXPECT_TRUE(std::equal(t.heads().begin(), t.heads().end(),
+                         oracle.head.begin()));
+  EXPECT_TRUE(std::equal(t.node_keys().begin(), t.node_keys().end(),
+                         oracle.key.begin()));
+  EXPECT_TRUE(std::equal(t.node_links().begin(), t.node_links().end(),
+                         oracle.next.begin()));
+}
+
 TEST(DrainedChainInsertTest, InstructionCountIndependentOfDrainedSets) {
   // distinct = 1 drains 4095 singleton sets, distinct = 8 about 512 sets of
   // 8; the tail link issues the same instructions for both.

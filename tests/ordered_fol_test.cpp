@@ -81,6 +81,21 @@ TEST(OrderedFolTest, OrderHoldsRegardlessOfMachineScatterMode) {
   }
 }
 
+TEST(OrderedFolTest, RepeatedDecompositionsOnOneMachineAreIdentical) {
+  VectorMachine m;
+  const WordVec v{2, 0, 2, 2, 1, 0, 2, 1};
+  WordVec work(3, 0);
+  const Decomposition first = fol1_decompose_ordered(m, v, work);
+  const std::uint64_t first_instructions = m.cost().total_instructions();
+  EXPECT_TRUE(occurrences_in_lane_order(first, v));
+  for (int rep = 1; rep < 3; ++rep) {
+    m.cost().reset();
+    const Decomposition again = fol1_decompose_ordered(m, v, work);
+    EXPECT_EQ(again.sets, first.sets) << "repeat " << rep;
+    EXPECT_EQ(m.cost().total_instructions(), first_instructions);
+  }
+}
+
 TEST(ReplayJournalTest, LastWritePerCellWins) {
   // A journal where later entries overwrite earlier ones; sequential replay
   // must leave the LAST value in each cell.

@@ -2,9 +2,9 @@
 // degradation. Three contracts under test:
 //
 //   1. Taxonomy — data-dependent exhaustion (TableFull,
-//      ProbeCycleSaturated, PoolExhausted) surfaces as Status /
-//      RecoverableError, distinct from the logic_error bug classes.
-//   2. Injection — every FaultSite (pool_alloc, els, probe) can be fired
+//      ProbeCycleSaturated) surfaces as Status / RecoverableError, distinct
+//      from the logic_error bug classes.
+//   2. Injection — every FaultSite (els, probe) can be fired
 //      deterministically from a seeded FaultPlan, every site recovers
 //      without process-level unwinding, and recovery is bit-identical
 //      across the serial and simd backends.
@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -33,7 +34,6 @@
 #include "support/require.h"
 #include "support/status.h"
 #include "telemetry/metrics.h"
-#include "vm/buffer_pool.h"
 #include "vm/machine.h"
 
 namespace folvec {
@@ -86,7 +86,22 @@ TEST(StatusTaxonomy, CodesNamesAndEquality) {
   EXPECT_EQ(full.to_string(), "TableFull: 67 slots");
   EXPECT_EQ(full, Status(StatusCode::kTableFull, "different message"));
   EXPECT_FALSE(full == Status(StatusCode::kProbeCycleSaturated, ""));
-  EXPECT_STREQ(status_code_name(StatusCode::kPoolExhausted), "PoolExhausted");
+  EXPECT_STREQ(status_code_name(StatusCode::kInternal), "Internal");
+}
+
+TEST(StatusTaxonomy, EveryCodeHasADistinctName) {
+  const StatusCode codes[] = {StatusCode::kOk, StatusCode::kTableFull,
+                              StatusCode::kProbeCycleSaturated,
+                              StatusCode::kInternal};
+  std::vector<std::string> names;
+  for (const StatusCode code : codes) {
+    const std::string name = status_code_name(code);
+    EXPECT_NE(name, "Unknown");
+    EXPECT_EQ(std::count(names.begin(), names.end(), name), 0) << name;
+    names.push_back(name);
+  }
+  EXPECT_STREQ(status_code_name(static_cast<StatusCode>(std::size(codes))),
+               "Unknown");
 }
 
 TEST(StatusTaxonomy, RecoverableErrorIsNotALogicError) {
@@ -213,11 +228,13 @@ TEST(FaultPlanTest, SpecGrammar) {
   EXPECT_FALSE(once.fires(FaultSite::kElsViolation));
   EXPECT_EQ(once.checks(FaultSite::kElsViolation), 4u);
   EXPECT_EQ(once.fired(FaultSite::kElsViolation), 1u);
-  EXPECT_EQ(once.checks(FaultSite::kPoolAlloc), 0u);
+  EXPECT_EQ(once.checks(FaultSite::kProbeSaturation), 0u);
 
-  FaultPlan every(1, "pool_alloc%2");
+  FaultPlan every(1, "probe%2");
   int fired = 0;
-  for (int i = 0; i < 10; ++i) fired += every.fires(FaultSite::kPoolAlloc);
+  for (int i = 0; i < 10; ++i) {
+    fired += every.fires(FaultSite::kProbeSaturation);
+  }
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(every.total_fired(), 5u);
 
@@ -258,15 +275,41 @@ TEST(FaultPlanTest, SitesDrawIndependentStreams) {
   // Checking one site must not shift another site's decisions: how often a
   // site is checked depends on the workload, and recovery would stop being
   // reproducible if site streams were entangled.
-  FaultPlan lone(9, "els=0.5");
-  FaultPlan mixed(9, "els=0.5,probe=0.5,pool_alloc%3");
+  FaultPlan lone_els(9, "els=0.5");
+  FaultPlan lone_probe(9, "probe=0.5");
+  FaultPlan mixed(9, "els=0.5,probe=0.5");
+  int probe_checks = 0;
   for (int i = 0; i < 64; ++i) {
-    if (i % 3 == 0) mixed.fires(FaultSite::kProbeSaturation);
-    if (i % 2 == 0) mixed.fires(FaultSite::kPoolAlloc);
-    EXPECT_EQ(lone.fires(FaultSite::kElsViolation),
+    if (i % 3 == 0) {
+      EXPECT_EQ(lone_probe.fires(FaultSite::kProbeSaturation),
+                mixed.fires(FaultSite::kProbeSaturation))
+          << "at probe check " << probe_checks;
+      ++probe_checks;
+    }
+    EXPECT_EQ(lone_els.fires(FaultSite::kElsViolation),
               mixed.fires(FaultSite::kElsViolation))
         << "at els check " << i;
   }
+}
+
+TEST(FaultPlanTest, EverySiteNameParsesAndFiresOnlyItsSite) {
+  for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
+    const auto site = static_cast<FaultSite>(i);
+    FaultPlan plan(1, std::string(fault_site_name(site)) + "%1");
+    for (int check = 0; check < 4; ++check) {
+      EXPECT_TRUE(plan.fires(site)) << fault_site_name(site);
+      for (std::size_t j = 0; j < kFaultSiteCount; ++j) {
+        if (j == i) continue;
+        EXPECT_FALSE(plan.fires(static_cast<FaultSite>(j)))
+            << fault_site_name(static_cast<FaultSite>(j)) << " under "
+            << plan.spec();
+      }
+    }
+    EXPECT_EQ(plan.fired(site), 4u);
+    EXPECT_EQ(plan.total_fired(), 4u);
+  }
+  EXPECT_STRNE(fault_site_name(FaultSite::kElsViolation),
+               fault_site_name(FaultSite::kProbeSaturation));
 }
 
 TEST(FaultPlanTest, MalformedSpecsAreRejected) {
@@ -277,53 +320,12 @@ TEST(FaultPlanTest, MalformedSpecsAreRejected) {
   EXPECT_THROW(FaultPlan(1, "els@0"), PreconditionError);
   EXPECT_THROW(FaultPlan(1, "els%0"), PreconditionError);
   EXPECT_THROW(FaultPlan(1, "els@abc"), PreconditionError);
+  EXPECT_THROW(FaultPlan(1, "pool_alloc=0.25"), PreconditionError);
   EXPECT_NO_THROW(FaultPlan(1, ""));
-  EXPECT_NO_THROW(FaultPlan(1, "els@1, probe%2\npool_alloc=0.25"));
+  EXPECT_NO_THROW(FaultPlan(1, "els@1, probe%2\n"));
 }
 
-// ---- 2a. pool_alloc site ----------------------------------------------------
-
-TEST(PoolAllocFault, AcquireDegradesAndResultIsUnchanged) {
-  const WordVec targets = mixed_targets(512, 64, 11);
-  std::vector<Word> work(64, 0);
-  VectorMachine clean(quiet_config());
-  const fol::Decomposition expected = fol::fol1_decompose(clean, targets, work);
-
-  telemetry::MetricsRegistry reg;
-  const telemetry::ScopedMetrics scoped(reg);
-  FaultPlan plan(3, "pool_alloc%3");
-  const ScopedFaultPlan install(&plan);
-  std::fill(work.begin(), work.end(), 0);
-  VectorMachine m(quiet_config());
-  const fol::Decomposition dec = fol::fol1_decompose(m, targets, work);
-
-  EXPECT_EQ(dec.sets, expected.sets)
-      << "pool faults are allocator pressure, never semantics";
-  EXPECT_GT(plan.fired(FaultSite::kPoolAlloc), 0u);
-  EXPECT_GT(counter(reg, "fault.injected.pool_alloc"), 0u);
-  EXPECT_EQ(counter(reg, "fault.injected.pool_alloc"),
-            counter(reg, "fault.recovered.pool_alloc"));
-  EXPECT_EQ(m.pool().stats().fault_drops, plan.fired(FaultSite::kPoolAlloc));
-}
-
-TEST(PoolExhausted, CappedPoolSurfacesStatusAndRecoversWhenRaised) {
-  const WordVec targets = mixed_targets(256, 32, 5);
-  std::vector<Word> work(32, 0);
-  VectorMachine m(quiet_config());
-  m.pool().set_limit_words(64);  // far below the six n-sized working vectors
-  fol::Decomposition dec;
-  const Status st = fol::fol1_try_decompose(m, targets, work, dec);
-  EXPECT_EQ(st.code(), StatusCode::kPoolExhausted);
-  EXPECT_EQ(dec.rounds(), 0u) << "failed decompose must not touch out";
-
-  // Graceful degradation: raise the cap and the same machine succeeds.
-  m.pool().set_limit_words(0);
-  std::fill(work.begin(), work.end(), 0);
-  EXPECT_TRUE(fol::fol1_try_decompose(m, targets, work, dec).is_ok());
-  EXPECT_TRUE(fol::satisfies_all_theorems(dec, targets));
-}
-
-// ---- 2b. els site -----------------------------------------------------------
+// ---- 2a. els site -----------------------------------------------------------
 
 TEST(ElsFault, SingleViolationYieldsValidDecomposition) {
   telemetry::MetricsRegistry reg;
@@ -394,7 +396,7 @@ TEST(ElsFault, FusedAndUnfusedConsumeIdenticalDrawStreams) {
   EXPECT_EQ(fused.second, unfused.second);
 }
 
-// ---- 2c. probe site ---------------------------------------------------------
+// ---- 2b. probe site ---------------------------------------------------------
 
 TEST(ProbeFault, UpsertBatchRecoversByRehash) {
   telemetry::MetricsRegistry reg;
@@ -431,7 +433,7 @@ TEST(ProbeFault, ScalarInsertOrGrowAbsorbsInjection) {
   EXPECT_EQ(counter(reg, "fault.recovered.probe"), 1u);
 }
 
-// ---- 2e. cross-backend bit-identity under one plan --------------------------
+// ---- 2c. cross-backend bit-identity under one plan --------------------------
 
 TEST(FaultRecovery, SerialAndSimdBackendsStayBitIdentical) {
   const WordVec targets = mixed_targets(4096, 128, 23);
@@ -440,7 +442,7 @@ TEST(FaultRecovery, SerialAndSimdBackendsStayBitIdentical) {
     cfg.scatter_order = order;
     cfg.fuse = fuse;
     std::vector<Word> work(128, 0);
-    FaultPlan plan(31, "pool_alloc%4,els%3");
+    FaultPlan plan(31, "els%3");
     const ScopedFaultPlan install(&plan);
     VectorMachine m(cfg);
     const fol::Decomposition dec = fol::fol1_decompose(m, targets, work);
@@ -469,7 +471,7 @@ TEST(FaultRecovery, EnvSeededSmoke) {
   // correctness, not specific counters.
   std::unique_ptr<FaultPlan> plan = FaultPlan::from_env();
   if (plan == nullptr) {
-    plan = std::make_unique<FaultPlan>(123, "pool_alloc%5,els%7,probe@2");
+    plan = std::make_unique<FaultPlan>(123, "els%7,probe@2");
   }
   const ScopedFaultPlan install(plan.get());
 

@@ -147,6 +147,25 @@ TEST(AddressCalcVectorTest, BoundaryValues) {
   EXPECT_EQ(data, (WordVec{0, 0, 50, 99, 99}));
 }
 
+TEST(AddressCalcVectorTest, RepeatedSortsOnOneMachineAgree) {
+  VectorMachine m;
+  const WordVec input = random_keys(120, kVmax, 6);
+  WordVec expected = input;
+  std::sort(expected.begin(), expected.end());
+  WordVec first = input;
+  const AddressCalcStats s1 = address_calc_sort_vector(m, first, kVmax);
+  const std::uint64_t first_instructions = m.cost().total_instructions();
+  EXPECT_EQ(first, expected);
+  m.cost().reset();
+  WordVec second = input;
+  const AddressCalcStats s2 = address_calc_sort_vector(m, second, kVmax);
+  EXPECT_EQ(second, expected);
+  EXPECT_EQ(s2.outer_passes, s1.outer_passes);
+  EXPECT_EQ(s2.probe_steps, s1.probe_steps);
+  EXPECT_EQ(s2.shift_steps, s1.shift_steps);
+  EXPECT_EQ(m.cost().total_instructions(), first_instructions);
+}
+
 // ---- distribution counting sort -------------------------------------------------
 
 TEST(DistCountScalarTest, SortsRandomData) {
@@ -193,6 +212,23 @@ TEST(DistCountVectorTest, LargeRangeSmallN) {
   std::sort(expected.begin(), expected.end());
   dist_count_sort_vector(m, data, 1 << 16);
   EXPECT_EQ(data, expected);
+}
+
+TEST(DistCountVectorTest, RepeatedSortsOnOneMachineAgree) {
+  VectorMachine m;
+  const WordVec input = random_keys(150, 40, 8);
+  WordVec expected = input;
+  std::sort(expected.begin(), expected.end());
+  WordVec first = input;
+  const DistCountStats s1 = dist_count_sort_vector(m, first, 40);
+  const std::uint64_t first_instructions = m.cost().total_instructions();
+  EXPECT_EQ(first, expected);
+  m.cost().reset();
+  WordVec second = input;
+  const DistCountStats s2 = dist_count_sort_vector(m, second, 40);
+  EXPECT_EQ(second, expected);
+  EXPECT_EQ(s2.fol_rounds, s1.fol_rounds);
+  EXPECT_EQ(m.cost().total_instructions(), first_instructions);
 }
 
 TEST(DistCountVectorTest, RejectsOutOfRange) {

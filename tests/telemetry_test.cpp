@@ -290,12 +290,12 @@ TEST(MetricsRegistryTest, ConcurrentRecordingIsExact) {
 MetricsSnapshot sample_snapshot() {
   MetricsRegistry r;
   r.add("fol1.rounds", 3);
-  r.add("pool.jobs", 9);
+  r.add("fault.injected.els", 9);
   r.add("backend.simd.dispatch.avx2", 1);
-  r.gauge_max("pool.buffer.peak_held_words", 8);
+  r.gauge_max("backend.simd.width", 8);
   r.gauge_max("fol1.depth", 2);
   r.observe("fol1.set_size", 100);
-  r.observe("pool.imbalance", 5);
+  r.observe("fault.burst", 5);
   r.time_add("vm.op.v.arith.wall_seconds", 0.5);
   r.label("backend.name", "simd");
   return r.snapshot();
@@ -304,12 +304,12 @@ MetricsSnapshot sample_snapshot() {
 TEST(MetricsSnapshotTest, DeterministicViewDropsHostState) {
   const MetricsSnapshot det = sample_snapshot().deterministic();
   EXPECT_TRUE(det.counters.contains("fol1.rounds"));
-  EXPECT_FALSE(det.counters.contains("pool.jobs"));
+  EXPECT_FALSE(det.counters.contains("fault.injected.els"));
   EXPECT_FALSE(det.counters.contains("backend.simd.dispatch.avx2"));
   EXPECT_TRUE(det.gauges.contains("fol1.depth"));
-  EXPECT_FALSE(det.gauges.contains("pool.buffer.peak_held_words"));
+  EXPECT_FALSE(det.gauges.contains("backend.simd.width"));
   EXPECT_TRUE(det.histograms.contains("fol1.set_size"));
-  EXPECT_FALSE(det.histograms.contains("pool.imbalance"));
+  EXPECT_FALSE(det.histograms.contains("fault.burst"));
   EXPECT_TRUE(det.timings.empty());
   EXPECT_TRUE(det.labels.empty());
 }

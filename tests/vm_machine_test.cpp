@@ -9,9 +9,11 @@
 #include <cstdlib>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "support/faultsim.h"
 #include "support/prng.h"
+#include "vm/buffer_pool.h"
 
 namespace folvec::vm {
 namespace {
@@ -458,6 +460,129 @@ TEST_F(MachineTest, CostAccumulatorCountsInstructionsAndElements) {
   EXPECT_EQ(m.cost().elements(OpClass::kScalarMem), 3u);
   m.cost().reset();
   EXPECT_EQ(m.cost().total_instructions(), 0u);
+}
+
+// ---- destination-passing (*_into) primitives --------------------------------
+
+TEST_F(MachineTest, IntoRefillWithinCapacityKeepsStorage) {
+  // The round loops keep their working vectors as plain locals that the
+  // *_into forms refill in place; a refill that fits must not reallocate.
+  const WordVec table{10, 20, 30, 40, 50, 60, 70, 80};
+  WordVec out;
+  m_.iota_into(out, 8);
+  EXPECT_EQ(out, (WordVec{0, 1, 2, 3, 4, 5, 6, 7}));
+  const Word* storage = out.data();
+  m_.gather_into(out, table, WordVec{7, 0, 7});
+  EXPECT_EQ(out, (WordVec{80, 10, 80}));
+  EXPECT_EQ(m_.compress_into(out, table, Mask{1, 0, 0, 1, 0, 1, 0, 0}), 3u);
+  EXPECT_EQ(out, (WordVec{10, 40, 60}));
+  m_.add_scalar_into(out, table, 1);
+  EXPECT_EQ(out, (WordVec{11, 21, 31, 41, 51, 61, 71, 81}));
+  m_.copy_into(out, WordVec{5, 6});
+  EXPECT_EQ(out, (WordVec{5, 6}));
+  EXPECT_EQ(out.data(), storage);
+}
+
+TEST_F(MachineTest, IntoFromEmptySourcesEmptiesTheDestination) {
+  const WordVec table{1, 2, 3};
+  WordVec out{9, 9, 9, 9};
+  m_.gather_into(out, table, WordVec{});
+  EXPECT_TRUE(out.empty());
+  out.assign(4, 9);
+  m_.copy_into(out, WordVec{});
+  EXPECT_TRUE(out.empty());
+  out.assign(4, 9);
+  m_.iota_into(out, 0);
+  EXPECT_TRUE(out.empty());
+  out.assign(4, 9);
+  EXPECT_EQ(m_.compress_into(out, table, Mask(3)), 0u);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(MachineIntoTest, IntoFormsMatchValueFormsAndTheirCharges) {
+  const WordVec table{4, 8, 15, 16, 23, 42};
+  const WordVec idx{5, 0, 5, 2};
+  const Mask keep{1, 0, 1, 1, 0, 1};
+  VectorMachine by_value;
+  const WordVec g = by_value.gather(table, idx);
+  const WordVec c = by_value.compress(table, keep);
+  const WordVec a = by_value.add_scalar(g, 3);
+  const WordVec r = by_value.reverse(c);
+
+  VectorMachine into;
+  WordVec out;
+  into.gather_into(out, table, idx);
+  EXPECT_EQ(out, g);
+  into.compress_into(out, table, keep);
+  EXPECT_EQ(out, c);
+  WordVec sum;
+  into.add_scalar_into(sum, g, 3);
+  EXPECT_EQ(sum, a);
+  into.reverse_into(sum, c);
+  EXPECT_EQ(sum, r);
+
+  for (std::size_t i = 0; i < kOpClassCount; ++i) {
+    const auto cls = static_cast<OpClass>(i);
+    EXPECT_EQ(into.cost().instructions(cls), by_value.cost().instructions(cls))
+        << "op class " << i;
+    EXPECT_EQ(into.cost().elements(cls), by_value.cost().elements(cls))
+        << "op class " << i;
+  }
+}
+
+// ---- telemetry --------------------------------------------------------------
+
+TEST(MachineTelemetryTest, PoolShimCountersStayZero) {
+  VectorMachine m;
+  WordVec a;
+  WordVec b;
+  for (int i = 0; i < 4; ++i) {
+    m.iota_into(a, 64);
+    m.add_scalar_into(b, a, 1);
+    (void)m.gather(b, m.iota(16));
+  }
+  EXPECT_EQ(m.pool().stats().acquires, 0u);
+  EXPECT_EQ(m.pool().stats().hits, 0u);
+}
+
+TEST(MachineTelemetryTest, FlushPublishesNoPoolNamespace) {
+  telemetry::MetricsRegistry reg;
+  const telemetry::ScopedMetrics scoped(reg);
+  {
+    VectorMachine m;
+    WordVec a;
+    WordVec b;
+    m.iota_into(a, 32);
+    m.compress_into(b, a, Mask(32, 1));
+  }
+  const telemetry::MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("vm.machines"), 1u);
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_FALSE(name.starts_with("pool.")) << name;
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    EXPECT_FALSE(name.starts_with("pool.")) << name;
+  }
+}
+
+TEST(MachineTelemetryTest, MovedFromMachineReportsNothing) {
+  telemetry::MetricsRegistry reg;
+  const telemetry::ScopedMetrics scoped(reg);
+  {
+    VectorMachine source;
+    EXPECT_EQ(source.iota(8).size(), 8u);
+    VectorMachine moved(std::move(source));
+    VectorMachine assigned;
+    assigned = std::move(moved);
+  }
+  // Three machines were destroyed; only the one holding the state reports.
+  const telemetry::MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("vm.machines"), 1u);
+  std::uint64_t instructions = 0;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.ends_with(".instructions")) instructions += value;
+  }
+  EXPECT_EQ(instructions, 1u);
 }
 
 }  // namespace
