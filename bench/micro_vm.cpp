@@ -132,10 +132,19 @@ BENCHMARK(BM_MachineCompress)->Arg(1 << 14);
 // serial backend, once on the SIMD backend (runtime-dispatched to the best
 // ISA the host offers, or forced via FOLVEC_SIMD_LEVEL). Rows pair up as
 // BM_Prim*/serial/N vs BM_Prim*/simd/N; the ratio is the host-side speedup
-// of the intrinsics lane loops over the scalar lane loops for that one
+// of that ISA table's entry (a hand-written kernel, or the shared lane loop
+// compiled under the ISA's flags) over the scalar table's loop for that one
 // instruction, free of any algorithm-level effects.
 
 using folvec::vm::BackendKind;
+
+/// Vector lengths of the prim rows: 1, 4096 and 32768 bracket the mean
+/// arithmetic vector lengths of the serve, bulk_load and symbol_intern
+/// perfbench workloads (about 1, 4.9k and 26k lanes); 2^14 is the
+/// historical row.
+void prim_lengths(benchmark::internal::Benchmark* b) {
+  b->Arg(1)->Arg(4096)->Arg(1 << 14)->Arg(32768);
+}
 
 VectorMachine backend_machine(BackendKind kind) {
   folvec::vm::MachineConfig cfg;
@@ -156,8 +165,9 @@ void BM_PrimAdd(benchmark::State& state, BackendKind kind) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_PrimAdd, serial, BackendKind::kSerial)->Arg(1 << 14);
-BENCHMARK_CAPTURE(BM_PrimAdd, simd, BackendKind::kSimd)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_PrimAdd, serial, BackendKind::kSerial)
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimAdd, simd, BackendKind::kSimd)->Apply(prim_lengths);
 
 void BM_PrimAddScalar(benchmark::State& state, BackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -172,8 +182,9 @@ void BM_PrimAddScalar(benchmark::State& state, BackendKind kind) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK_CAPTURE(BM_PrimAddScalar, serial, BackendKind::kSerial)
-    ->Arg(1 << 14);
-BENCHMARK_CAPTURE(BM_PrimAddScalar, simd, BackendKind::kSimd)->Arg(1 << 14);
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimAddScalar, simd, BackendKind::kSimd)
+    ->Apply(prim_lengths);
 
 void BM_PrimCmpLt(benchmark::State& state, BackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -186,8 +197,9 @@ void BM_PrimCmpLt(benchmark::State& state, BackendKind kind) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_PrimCmpLt, serial, BackendKind::kSerial)->Arg(1 << 14);
-BENCHMARK_CAPTURE(BM_PrimCmpLt, simd, BackendKind::kSimd)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_PrimCmpLt, serial, BackendKind::kSerial)
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimCmpLt, simd, BackendKind::kSimd)->Apply(prim_lengths);
 
 void BM_PrimSelect(benchmark::State& state, BackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -207,8 +219,9 @@ void BM_PrimSelect(benchmark::State& state, BackendKind kind) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_PrimSelect, serial, BackendKind::kSerial)->Arg(1 << 14);
-BENCHMARK_CAPTURE(BM_PrimSelect, simd, BackendKind::kSimd)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_PrimSelect, serial, BackendKind::kSerial)
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimSelect, simd, BackendKind::kSimd)->Apply(prim_lengths);
 
 void BM_PrimGather(benchmark::State& state, BackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -223,8 +236,9 @@ void BM_PrimGather(benchmark::State& state, BackendKind kind) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_PrimGather, serial, BackendKind::kSerial)->Arg(1 << 14);
-BENCHMARK_CAPTURE(BM_PrimGather, simd, BackendKind::kSimd)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_PrimGather, serial, BackendKind::kSerial)
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimGather, simd, BackendKind::kSimd)->Apply(prim_lengths);
 
 void BM_PrimScatter(benchmark::State& state, BackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -241,8 +255,10 @@ void BM_PrimScatter(benchmark::State& state, BackendKind kind) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_PrimScatter, serial, BackendKind::kSerial)->Arg(1 << 14);
-BENCHMARK_CAPTURE(BM_PrimScatter, simd, BackendKind::kSimd)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_PrimScatter, serial, BackendKind::kSerial)
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimScatter, simd, BackendKind::kSimd)
+    ->Apply(prim_lengths);
 
 void BM_PrimScatterGatherEq(benchmark::State& state, BackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -259,9 +275,9 @@ void BM_PrimScatterGatherEq(benchmark::State& state, BackendKind kind) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK_CAPTURE(BM_PrimScatterGatherEq, serial, BackendKind::kSerial)
-    ->Arg(1 << 14);
+    ->Apply(prim_lengths);
 BENCHMARK_CAPTURE(BM_PrimScatterGatherEq, simd, BackendKind::kSimd)
-    ->Arg(1 << 14);
+    ->Apply(prim_lengths);
 
 void BM_PrimCompress(benchmark::State& state, BackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -280,8 +296,10 @@ void BM_PrimCompress(benchmark::State& state, BackendKind kind) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK_CAPTURE(BM_PrimCompress, serial, BackendKind::kSerial)->Arg(1 << 14);
-BENCHMARK_CAPTURE(BM_PrimCompress, simd, BackendKind::kSimd)->Arg(1 << 14);
+BENCHMARK_CAPTURE(BM_PrimCompress, serial, BackendKind::kSerial)
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimCompress, simd, BackendKind::kSimd)
+    ->Apply(prim_lengths);
 
 void BM_PrimReduceSum(benchmark::State& state, BackendKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -294,8 +312,83 @@ void BM_PrimReduceSum(benchmark::State& state, BackendKind kind) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK_CAPTURE(BM_PrimReduceSum, serial, BackendKind::kSerial)
-    ->Arg(1 << 14);
-BENCHMARK_CAPTURE(BM_PrimReduceSum, simd, BackendKind::kSimd)->Arg(1 << 14);
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimReduceSum, simd, BackendKind::kSimd)
+    ->Apply(prim_lengths);
+
+void BM_PrimAndScalar(benchmark::State& state, BackendKind kind) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  VectorMachine m = backend_machine(kind);
+  const WordVec a = random_keys(n, 1 << 20, 44);
+  WordVec out;
+  for (auto _ : state) {
+    m.and_scalar_into(out, a, 0xFFFF);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_PrimAndScalar, serial, BackendKind::kSerial)
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimAndScalar, simd, BackendKind::kSimd)
+    ->Apply(prim_lengths);
+
+void BM_PrimCmpEq(benchmark::State& state, BackendKind kind) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  VectorMachine m = backend_machine(kind);
+  const WordVec a = random_keys(n, 4, 45);
+  const WordVec b = random_keys(n, 4, 46);
+  folvec::vm::Mask out;
+  for (auto _ : state) {
+    m.eq_into(out, a, b);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_PrimCmpEq, serial, BackendKind::kSerial)
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimCmpEq, simd, BackendKind::kSimd)
+    ->Apply(prim_lengths);
+
+void BM_PrimMaskAnd(benchmark::State& state, BackendKind kind) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  VectorMachine m = backend_machine(kind);
+  const auto a_words = random_keys(n, 2, 47);
+  const auto b_words = random_keys(n, 2, 48);
+  folvec::vm::Mask a(n);
+  folvec::vm::Mask b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = static_cast<std::uint8_t>(a_words[i]);
+    b[i] = static_cast<std::uint8_t>(b_words[i]);
+  }
+  folvec::vm::Mask out;
+  for (auto _ : state) {
+    m.mask_and_into(out, a, b);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_PrimMaskAnd, serial, BackendKind::kSerial)
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimMaskAnd, simd, BackendKind::kSimd)
+    ->Apply(prim_lengths);
+
+void BM_PrimReduceMin(benchmark::State& state, BackendKind kind) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  VectorMachine m = backend_machine(kind);
+  const WordVec v = random_keys(n, 1 << 20, 49);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m.reduce_min(v));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK_CAPTURE(BM_PrimReduceMin, serial, BackendKind::kSerial)
+    ->Apply(prim_lengths);
+BENCHMARK_CAPTURE(BM_PrimReduceMin, simd, BackendKind::kSimd)
+    ->Apply(prim_lengths);
 
 void BM_Fol1UniqueLanes(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -34,7 +34,7 @@ Footprint footprint(std::span<const Word> table, const LaneFacts& idx) {
 
 // ---- facts bookkeeping ------------------------------------------------------
 
-LaneFacts Analyzer::lookup(std::span<const Word> v) const {
+LaneFacts Analyzer::lookup(std::span<const Word> v) {
   LaneFacts f = LaneFacts::unknown(v.size());
   if (v.empty()) {
     f.distinct = true;
@@ -46,6 +46,12 @@ LaneFacts Analyzer::lookup(std::span<const Word> v) const {
   --it;
   const ValueEntry& ent = it->second;
   if (v.data() + v.size() > it->first + ent.len) return f;
+  const auto offset = static_cast<std::size_t>(v.data() - it->first);
+  if (!std::equal(v.begin(), v.end(),
+                  ent.lanes.begin() + static_cast<std::ptrdiff_t>(offset))) {
+    values_.erase(it);
+    return f;
+  }
   // v is a contained subspan: interval, distinctness and sortedness all
   // restrict to subsets; tightness only survives an exact match (the lanes
   // attaining the endpoints may lie outside the subspan).
@@ -60,7 +66,8 @@ void Analyzer::remember(std::span<const Word> out, const LaneFacts& f,
                         std::uint32_t node) {
   if (out.empty()) return;
   invalidate(out.data(), out.data() + out.size());
-  values_.emplace(out.data(), ValueEntry{out.size(), f, node});
+  values_.emplace(out.data(), ValueEntry{out.size(), f, node,
+                                         {out.begin(), out.end()}});
 }
 
 void Analyzer::invalidate(const Word* begin, const Word* end) {
@@ -82,6 +89,11 @@ void Analyzer::invalidate(const Word* begin, const Word* end) {
 std::uint32_t Analyzer::value_node(std::span<const Word> v) {
   if (!opts_.record_graph) return kNoNode;
   auto it = values_.find(v.data());
+  if (it != values_.end() && it->second.len == v.size() &&
+      !std::equal(v.begin(), v.end(), it->second.lanes.begin())) {
+    values_.erase(it);
+    it = values_.end();
+  }
   if (it != values_.end() && it->second.len == v.size()) {
     if (it->second.node == kNoNode) {
       OpNode src;
@@ -772,7 +784,7 @@ void Analyzer::rec_sge(std::span<const std::uint8_t> out,
 
 bool Analyzer::proven_index_range(std::span<const Word> idx,
                                   std::size_t table_size, Word* lo, Word* hi,
-                                  bool* exact) const {
+                                  bool* exact) {
   const LaneFacts f = lookup(idx);
   if (f.lanes == 0) {
     *lo = 0;

@@ -16,12 +16,13 @@
 //   * on_*    — environment events: ConflictWindow open/close and
 //               retire_work. These drive the clobber state machine.
 //
-// Facts are keyed by storage address (base pointer + length). That is sound
-// for everything the machine itself produces — every mutation flows through
-// a hook that invalidates overlapping entries — but it makes one assumption
-// about the HOST program: storage of a machine-produced vector must not be
-// recycled into a different machine-visible vector behind the analyzer's
-// back (see "machine-visible dataflow" in docs/analysis.md).
+// Facts are keyed by storage address (base pointer + length), and each entry
+// keeps a copy of the lanes it describes. Every mutation the machine makes
+// flows through a hook that invalidates overlapping entries; a mutation the
+// HOST makes (rewriting a vector, or reusing a freed vector's storage for a
+// new one) is caught by the copy: an entry is trusted only while the queried
+// lanes still equal it, so stale facts read as unknown, never as false (see
+// "machine-visible dataflow" in docs/analysis.md).
 //
 // The analyzer depends on no vm/ header (vm links against analysis, not the
 // reverse); operands arrive as raw spans.
@@ -163,7 +164,7 @@ class Analyzer {
   /// lo/hi, clamped to the table) only when the range is proven in bounds;
   /// `exact` reports whether the lanes provably cover every address in it.
   bool proven_index_range(std::span<const Word> idx, std::size_t table_size,
-                          Word* lo, Word* hi, bool* exact) const;
+                          Word* lo, Word* hi, bool* exact);
 
   // ---- environment events --------------------------------------------------
 
@@ -189,6 +190,10 @@ class Analyzer {
     std::size_t len = 0;
     LaneFacts facts;
     std::uint32_t node = kNoNode;
+    /// The lanes the facts describe, as remembered. The host may rewrite a
+    /// vector, or the allocator may hand a freed one's storage to another,
+    /// so an entry is trusted only while the queried lanes still match.
+    std::vector<Word> lanes;
   };
   struct MaskEntry {
     std::size_t len = 0;
@@ -209,7 +214,9 @@ class Analyzer {
   };
 
   // facts bookkeeping
-  LaneFacts lookup(std::span<const Word> v) const;
+  /// Facts of v; unknown when no entry covers v or the covering entry's
+  /// lanes no longer match v (then the entry is dropped).
+  LaneFacts lookup(std::span<const Word> v);
   void remember(std::span<const Word> out, const LaneFacts& f,
                 std::uint32_t node);
   void invalidate(const Word* begin, const Word* end);

@@ -8,8 +8,13 @@
 // any host and the dispatcher (simd_backend.h) picks a table the CPU
 // actually supports.
 //
-// The scalar table is the reference implementation: every entry populated,
-// and kSerial machines run it; kSimd machines run a resolved ISA table.
+// Each lane loop is written once, in lane_loops.h. The scalar table is the
+// reference implementation: every entry is that header's loop, and kSerial
+// machines run it; kSimd machines run a resolved ISA table. The AVX2 and
+// AVX-512 tables take the same loops, vectorized under their own flags, for
+// every entry where that measures no slower than hand intrinsics; their
+// remaining entries are intrinsics that measure faster or that no plain
+// loop compiles to (gathers, compress, scatter, conflict detection).
 // In an ISA table an entry may be null ("this level has no profitable
 // lowering for the op"); simd_kernels_for fills those from the scalar table
 // when it resolves the level, so the table a machine runs is total. Only

@@ -1,18 +1,22 @@
 // AVX2 SimdKernels: 4 x int64 lanes per __m256i.
 //
-// Compiled with -mavx2 only (see src/vm/CMakeLists.txt); nothing here runs
-// unless the runtime dispatcher saw the AVX2 CPUID bit. Notable lowerings:
+// Compiled with -mavx2 and the vectorizing cost model (see
+// src/vm/CMakeLists.txt); nothing here runs unless the runtime dispatcher saw
+// the AVX2 CPUID bit. The arithmetic, all nine compares, mask_and/mask_or and
+// the reductions are lane_loops.h's loops, vectorized under these flags. The
+// kernels below are the entries whose compiled loop measured slower, or that
+// need an instruction a plain loop does not compile to:
 //
-//   * 64-bit multiply: AVX2 has no VPMULLQ, so it is composed from three
-//     VPMULUDQ 32x32 partial products (low*low + ((low*high + high*low)
-//     << 32)) — bit-identical to wrap-around 64-bit multiplication.
-//   * arithmetic shift right: no VPSRAQ either; a logical shift ORed with
-//     sign-fill bits (sign mask shifted left by 64-k) reproduces it.
+//   * arithmetic shift right: no VPSRAQ; a logical shift ORed with sign-fill
+//     bits (sign mask shifted left by 64-k) beats the compiler's emulation.
+//   * mask_not / select / from_mask / iota / count_true: a byte compare,
+//     mask-byte expansion, a running index vector and PSADBW byte sums.
+//   * gather / gather_masked / load_strided / match_eq: VPGATHERQQ.
 //   * compress: the classic movemask -> 4-bit-key permutation-LUT pack
 //     (VPERMD on 32-bit pairs); groups too close to the end of the exactly
 //     sized destination fall back to scalar stores.
-//   * scatter / conflict detection: none in AVX2 — entries stay null, so
-//     callers take the serialized-duplicate fallback.
+//   * div/mod, scatter, conflict detection: null, so callers run the scalar
+//     table's loops.
 //
 // Mask bytes cross the vector/scalar boundary through MOVMSKPD on the
 // 64-bit compare results (one bit per lane).
@@ -24,6 +28,8 @@
 
 #include <bit>
 #include <cstring>
+
+#include "vm/lane_loops.h"
 
 namespace folvec::vm {
 
@@ -69,82 +75,6 @@ inline void store_bits(std::uint8_t* o, unsigned bits) {
   o[3] = static_cast<std::uint8_t>((bits >> 3U) & 1U);
 }
 
-void k_add(Word* o, const Word* a, const Word* b, std::size_t lo,
-           std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store4(o + i, _mm256_add_epi64(load4(a + i), load4(b + i)));
-  }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
-                             static_cast<std::uint64_t>(b[i]));
-  }
-}
-
-void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
-           std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store4(o + i, _mm256_sub_epi64(load4(a + i), load4(b + i)));
-  }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) -
-                             static_cast<std::uint64_t>(b[i]));
-  }
-}
-
-void k_mul(Word* o, const Word* a, const Word* b, std::size_t lo,
-           std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store4(o + i, mul64(load4(a + i), load4(b + i)));
-  }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) *
-                             static_cast<std::uint64_t>(b[i]));
-  }
-}
-
-void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  const __m256i vs = _mm256_set1_epi64x(s);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store4(o + i, _mm256_add_epi64(load4(a + i), vs));
-  }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
-                             static_cast<std::uint64_t>(s));
-  }
-}
-
-void k_mul_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  const __m256i vs = _mm256_set1_epi64x(s);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) store4(o + i, mul64(load4(a + i), vs));
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) *
-                             static_cast<std::uint64_t>(s));
-  }
-}
-
-void k_and_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  const __m256i vs = _mm256_set1_epi64x(s);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store4(o + i, _mm256_and_si256(load4(a + i), vs));
-  }
-  for (; i < hi; ++i) o[i] = a[i] & s;
-}
-
-void k_or_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  const __m256i vs = _mm256_set1_epi64x(s);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store4(o + i, _mm256_or_si256(load4(a + i), vs));
-  }
-  for (; i < hi; ++i) o[i] = a[i] | s;
-}
-
 void k_shr_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
   // Arithmetic >> k from logical >> k plus sign fill: AVX2 has no VPSRAQ.
   const int k = static_cast<int>(s);
@@ -160,140 +90,6 @@ void k_shr_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
     store4(o + i, _mm256_or_si256(logical, _mm256_sll_epi64(sign, fill_cnt)));
   }
   for (; i < hi; ++i) o[i] = a[i] >> k;
-}
-
-void k_neg(Word* o, const Word* a, Word /*s*/, std::size_t lo,
-           std::size_t hi) {
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store4(o + i, _mm256_sub_epi64(zero, load4(a + i)));
-  }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(std::uint64_t{0} -
-                             static_cast<std::uint64_t>(a[i]));
-  }
-}
-
-void k_cmp_eq(std::uint8_t* o, const Word* a, const Word* b, std::size_t lo,
-              std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store_bits(o + i, lane_bits(_mm256_cmpeq_epi64(load4(a + i),
-                                                   load4(b + i))));
-  }
-  for (; i < hi; ++i) o[i] = a[i] == b[i] ? 1 : 0;
-}
-
-void k_cmp_ne(std::uint8_t* o, const Word* a, const Word* b, std::size_t lo,
-              std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store_bits(o + i, ~lane_bits(_mm256_cmpeq_epi64(load4(a + i),
-                                                    load4(b + i))) &
-                          0xFU);
-  }
-  for (; i < hi; ++i) o[i] = a[i] != b[i] ? 1 : 0;
-}
-
-void k_cmp_le(std::uint8_t* o, const Word* a, const Word* b, std::size_t lo,
-              std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    // a <= b is NOT (a > b).
-    store_bits(o + i, ~lane_bits(_mm256_cmpgt_epi64(load4(a + i),
-                                                    load4(b + i))) &
-                          0xFU);
-  }
-  for (; i < hi; ++i) o[i] = a[i] <= b[i] ? 1 : 0;
-}
-
-void k_cmp_lt(std::uint8_t* o, const Word* a, const Word* b, std::size_t lo,
-              std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store_bits(o + i, lane_bits(_mm256_cmpgt_epi64(load4(b + i),
-                                                   load4(a + i))));
-  }
-  for (; i < hi; ++i) o[i] = a[i] < b[i] ? 1 : 0;
-}
-
-void k_cmp_eq_s(std::uint8_t* o, const Word* a, Word s, std::size_t lo,
-                std::size_t hi) {
-  const __m256i vs = _mm256_set1_epi64x(s);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store_bits(o + i, lane_bits(_mm256_cmpeq_epi64(load4(a + i), vs)));
-  }
-  for (; i < hi; ++i) o[i] = a[i] == s ? 1 : 0;
-}
-
-void k_cmp_ne_s(std::uint8_t* o, const Word* a, Word s, std::size_t lo,
-                std::size_t hi) {
-  const __m256i vs = _mm256_set1_epi64x(s);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store_bits(o + i, ~lane_bits(_mm256_cmpeq_epi64(load4(a + i), vs)) & 0xFU);
-  }
-  for (; i < hi; ++i) o[i] = a[i] != s ? 1 : 0;
-}
-
-void k_cmp_le_s(std::uint8_t* o, const Word* a, Word s, std::size_t lo,
-                std::size_t hi) {
-  const __m256i vs = _mm256_set1_epi64x(s);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store_bits(o + i, ~lane_bits(_mm256_cmpgt_epi64(load4(a + i), vs)) & 0xFU);
-  }
-  for (; i < hi; ++i) o[i] = a[i] <= s ? 1 : 0;
-}
-
-void k_cmp_lt_s(std::uint8_t* o, const Word* a, Word s, std::size_t lo,
-                std::size_t hi) {
-  const __m256i vs = _mm256_set1_epi64x(s);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store_bits(o + i, lane_bits(_mm256_cmpgt_epi64(vs, load4(a + i))));
-  }
-  for (; i < hi; ++i) o[i] = a[i] < s ? 1 : 0;
-}
-
-void k_cmp_ge_s(std::uint8_t* o, const Word* a, Word s, std::size_t lo,
-                std::size_t hi) {
-  const __m256i vs = _mm256_set1_epi64x(s);
-  std::size_t i = lo;
-  for (; i + 4 <= hi; i += 4) {
-    store_bits(o + i, ~lane_bits(_mm256_cmpgt_epi64(vs, load4(a + i))) & 0xFU);
-  }
-  for (; i < hi; ++i) o[i] = a[i] >= s ? 1 : 0;
-}
-
-void k_mask_and(std::uint8_t* o, const std::uint8_t* a, const std::uint8_t* b,
-                std::size_t lo, std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 32 <= hi; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o + i),
-                        _mm256_and_si256(va, vb));
-  }
-  for (; i < hi; ++i) o[i] = static_cast<std::uint8_t>(a[i] & b[i]);
-}
-
-void k_mask_or(std::uint8_t* o, const std::uint8_t* a, const std::uint8_t* b,
-               std::size_t lo, std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 32 <= hi; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(o + i),
-                        _mm256_or_si256(va, vb));
-  }
-  for (; i < hi; ++i) o[i] = static_cast<std::uint8_t>(a[i] | b[i]);
 }
 
 void k_mask_not(std::uint8_t* o, const std::uint8_t* a, std::size_t lo,
@@ -398,62 +194,6 @@ void k_load_strided(Word* o, const Word* table, std::size_t offset,
     }
   }
   for (; i < hi; ++i) o[i] = table[offset + i * stride];
-}
-
-Word k_reduce_sum(const Word* v, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) acc = _mm256_add_epi64(acc, load4(v + i));
-  alignas(32) Word lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  // Wrap-around addition is associative and commutative, so any summation
-  // order is bit-identical to the serial left fold.
-  Word total = static_cast<Word>(
-      static_cast<std::uint64_t>(lanes[0]) +
-      static_cast<std::uint64_t>(lanes[1]) +
-      static_cast<std::uint64_t>(lanes[2]) +
-      static_cast<std::uint64_t>(lanes[3]));
-  for (; i < n; ++i) {
-    total = static_cast<Word>(static_cast<std::uint64_t>(total) +
-                              static_cast<std::uint64_t>(v[i]));
-  }
-  return total;
-}
-
-inline __m256i min64(__m256i a, __m256i b) {
-  return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
-}
-
-inline __m256i max64(__m256i a, __m256i b) {
-  return _mm256_blendv_epi8(b, a, _mm256_cmpgt_epi64(a, b));
-}
-
-Word k_reduce_min(const Word* v, std::size_t n) {
-  Word best = v[0];
-  std::size_t i = 0;
-  if (n >= 4) {
-    __m256i acc = load4(v);
-    for (i = 4; i + 4 <= n; i += 4) acc = min64(acc, load4(v + i));
-    alignas(32) Word lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    for (const Word x : lanes) best = x < best ? x : best;
-  }
-  for (; i < n; ++i) best = v[i] < best ? v[i] : best;
-  return best;
-}
-
-Word k_reduce_max(const Word* v, std::size_t n) {
-  Word best = v[0];
-  std::size_t i = 0;
-  if (n >= 4) {
-    __m256i acc = load4(v);
-    for (i = 4; i + 4 <= n; i += 4) acc = max64(acc, load4(v + i));
-    alignas(32) Word lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-    for (const Word x : lanes) best = x > best ? x : best;
-  }
-  for (; i < n; ++i) best = v[i] > best ? v[i] : best;
-  return best;
 }
 
 std::size_t k_count_true(const std::uint8_t* m, std::size_t n) {
@@ -586,33 +326,34 @@ std::size_t k_match_eq(std::uint8_t* out, const Word* table, const Word* idx,
 }  // namespace
 
 const SimdKernels& simd_kernels_avx2() {
+  using Loops = LaneLoops<SimdLevel::kAvx2>;
   static const SimdKernels k = {
       SimdLevel::kAvx2,
       "avx2",
-      k_add,
-      k_sub,
-      k_mul,
-      k_add_s,
-      k_mul_s,
-      k_and_s,
-      k_or_s,
+      Loops::add,
+      Loops::sub,
+      Loops::mul,
+      Loops::add_s,
+      Loops::mul_s,
+      Loops::and_s,
+      Loops::or_s,
       k_shr_s,
-      k_neg,
+      Loops::neg,
       // Magic-multiply div/mod needs a 64-bit mulhi; without AVX-512's
       // mask registers the four-piece emulation loses to the serial loop.
       nullptr,
       nullptr,
-      k_cmp_eq,
-      k_cmp_ne,
-      k_cmp_le,
-      k_cmp_lt,
-      k_cmp_eq_s,
-      k_cmp_ne_s,
-      k_cmp_le_s,
-      k_cmp_lt_s,
-      k_cmp_ge_s,
-      k_mask_and,
-      k_mask_or,
+      Loops::cmp_eq,
+      Loops::cmp_ne,
+      Loops::cmp_le,
+      Loops::cmp_lt,
+      Loops::cmp_eq_s,
+      Loops::cmp_ne_s,
+      Loops::cmp_le_s,
+      Loops::cmp_lt_s,
+      Loops::cmp_ge_s,
+      Loops::mask_and,
+      Loops::mask_or,
       k_mask_not,
       k_select,
       k_from_mask,
@@ -620,9 +361,9 @@ const SimdKernels& simd_kernels_avx2() {
       k_gather,
       k_gather_masked,
       k_load_strided,
-      k_reduce_sum,
-      k_reduce_min,
-      k_reduce_max,
+      Loops::reduce_sum,
+      Loops::reduce_min,
+      Loops::reduce_max,
       k_count_true,
       k_compress,
       k_partition,

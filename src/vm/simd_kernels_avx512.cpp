@@ -1,10 +1,16 @@
 // AVX-512 SimdKernels: 8 x int64 lanes per __m512i.
 //
-// Compiled with -mavx512f -mavx512cd -mavx512dq -mavx512bw -mavx512vl (see
-// src/vm/CMakeLists.txt); the runtime dispatcher only hands this table out
-// when all five CPUID bits are present. This is the level where the
-// interesting hardware shows up:
+// Compiled with -mavx512f -mavx512cd -mavx512dq -mavx512bw -mavx512vl and the
+// vectorizing cost model (see src/vm/CMakeLists.txt); the runtime dispatcher
+// only hands this table out when all five CPUID bits are present. The
+// arithmetic, the two-vector compares, mask_and/mask_or and the reductions
+// are lane_loops.h's loops, vectorized under these flags. The kernels below
+// are the entries whose compiled loop measured slower (scalar-operand
+// compares, mask_not, select, from_mask, iota, count_true), or that need an
+// instruction a plain loop does not compile to:
 //
+//   * div/mod by an invariant scalar: a magic-multiply high product replaces
+//     the divide (no SIMD level has a 64-bit integer divide).
 //   * ordered scatter: VPSCATTERQQ architecturally resolves overlapping
 //     stores LSB-to-MSB, so issuing 8-lane blocks in ascending order IS the
 //     forward ELS traversal, and descending blocks with lane-reversed
@@ -29,6 +35,8 @@
 #include <immintrin.h>
 
 #include <bit>
+
+#include "vm/lane_loops.h"
 
 namespace folvec::vm {
 
@@ -61,107 +69,6 @@ inline __mmask8 reverse_mask(__mmask8 k) {
   x = ((x & 0xCCU) >> 2) | ((x & 0x33U) << 2);
   x = ((x & 0xAAU) >> 1) | ((x & 0x55U) << 1);
   return static_cast<__mmask8>(x);
-}
-
-void k_add(Word* o, const Word* a, const Word* b, std::size_t lo,
-           std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    store8(o + i, _mm512_add_epi64(load8(a + i), load8(b + i)));
-  }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
-                             static_cast<std::uint64_t>(b[i]));
-  }
-}
-
-void k_sub(Word* o, const Word* a, const Word* b, std::size_t lo,
-           std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    store8(o + i, _mm512_sub_epi64(load8(a + i), load8(b + i)));
-  }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) -
-                             static_cast<std::uint64_t>(b[i]));
-  }
-}
-
-void k_mul(Word* o, const Word* a, const Word* b, std::size_t lo,
-           std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    store8(o + i, _mm512_mullo_epi64(load8(a + i), load8(b + i)));
-  }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) *
-                             static_cast<std::uint64_t>(b[i]));
-  }
-}
-
-void k_add_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  const __m512i vs = _mm512_set1_epi64(s);
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    store8(o + i, _mm512_add_epi64(load8(a + i), vs));
-  }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) +
-                             static_cast<std::uint64_t>(s));
-  }
-}
-
-void k_mul_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  const __m512i vs = _mm512_set1_epi64(s);
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    store8(o + i, _mm512_mullo_epi64(load8(a + i), vs));
-  }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(static_cast<std::uint64_t>(a[i]) *
-                             static_cast<std::uint64_t>(s));
-  }
-}
-
-void k_and_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  const __m512i vs = _mm512_set1_epi64(s);
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    store8(o + i, _mm512_and_si512(load8(a + i), vs));
-  }
-  for (; i < hi; ++i) o[i] = a[i] & s;
-}
-
-void k_or_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  const __m512i vs = _mm512_set1_epi64(s);
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    store8(o + i, _mm512_or_si512(load8(a + i), vs));
-  }
-  for (; i < hi; ++i) o[i] = a[i] | s;
-}
-
-void k_shr_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
-  const int k = static_cast<int>(s);
-  const __m128i cnt = _mm_cvtsi32_si128(k);
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    store8(o + i, _mm512_sra_epi64(load8(a + i), cnt));
-  }
-  for (; i < hi; ++i) o[i] = a[i] >> k;
-}
-
-void k_neg(Word* o, const Word* a, Word /*s*/, std::size_t lo,
-           std::size_t hi) {
-  const __m512i zero = _mm512_setzero_si512();
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    store8(o + i, _mm512_sub_epi64(zero, load8(a + i)));
-  }
-  for (; i < hi; ++i) {
-    o[i] = static_cast<Word>(std::uint64_t{0} -
-                             static_cast<std::uint64_t>(a[i]));
-  }
 }
 
 // ---- div/mod by a positive scalar: magic-multiply lowering ------------------
@@ -316,46 +223,6 @@ void k_mod_s(Word* o, const Word* a, Word s, std::size_t lo, std::size_t hi) {
   }
 }
 
-void k_cmp_eq(std::uint8_t* o, const Word* a, const Word* b, std::size_t lo,
-              std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    bytes_from_mask(o + i, _mm512_cmpeq_epi64_mask(load8(a + i),
-                                                   load8(b + i)));
-  }
-  for (; i < hi; ++i) o[i] = a[i] == b[i] ? 1 : 0;
-}
-
-void k_cmp_ne(std::uint8_t* o, const Word* a, const Word* b, std::size_t lo,
-              std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    bytes_from_mask(o + i, _mm512_cmpneq_epi64_mask(load8(a + i),
-                                                    load8(b + i)));
-  }
-  for (; i < hi; ++i) o[i] = a[i] != b[i] ? 1 : 0;
-}
-
-void k_cmp_le(std::uint8_t* o, const Word* a, const Word* b, std::size_t lo,
-              std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    bytes_from_mask(o + i, _mm512_cmple_epi64_mask(load8(a + i),
-                                                   load8(b + i)));
-  }
-  for (; i < hi; ++i) o[i] = a[i] <= b[i] ? 1 : 0;
-}
-
-void k_cmp_lt(std::uint8_t* o, const Word* a, const Word* b, std::size_t lo,
-              std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    bytes_from_mask(o + i, _mm512_cmplt_epi64_mask(load8(a + i),
-                                                   load8(b + i)));
-  }
-  for (; i < hi; ++i) o[i] = a[i] < b[i] ? 1 : 0;
-}
-
 void k_cmp_eq_s(std::uint8_t* o, const Word* a, Word s, std::size_t lo,
                 std::size_t hi) {
   const __m512i vs = _mm512_set1_epi64(s);
@@ -404,28 +271,6 @@ void k_cmp_ge_s(std::uint8_t* o, const Word* a, Word s, std::size_t lo,
     bytes_from_mask(o + i, _mm512_cmpge_epi64_mask(load8(a + i), vs));
   }
   for (; i < hi; ++i) o[i] = a[i] >= s ? 1 : 0;
-}
-
-void k_mask_and(std::uint8_t* o, const std::uint8_t* a, const std::uint8_t* b,
-                std::size_t lo, std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 64 <= hi; i += 64) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    _mm512_storeu_si512(o + i, _mm512_and_si512(va, vb));
-  }
-  for (; i < hi; ++i) o[i] = static_cast<std::uint8_t>(a[i] & b[i]);
-}
-
-void k_mask_or(std::uint8_t* o, const std::uint8_t* a, const std::uint8_t* b,
-               std::size_t lo, std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 64 <= hi; i += 64) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    _mm512_storeu_si512(o + i, _mm512_or_si512(va, vb));
-  }
-  for (; i < hi; ++i) o[i] = static_cast<std::uint8_t>(a[i] | b[i]);
 }
 
 void k_mask_not(std::uint8_t* o, const std::uint8_t* a, std::size_t lo,
@@ -521,50 +366,6 @@ void k_load_strided(Word* o, const Word* table, std::size_t offset,
     }
   }
   for (; i < hi; ++i) o[i] = table[offset + i * stride];
-}
-
-Word k_reduce_sum(const Word* v, std::size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) acc = _mm512_add_epi64(acc, load8(v + i));
-  // Wrap-around addition is fully reassociable, so the horizontal fold is
-  // bit-identical to the serial left fold.
-  Word total = _mm512_reduce_add_epi64(acc);
-  for (; i < n; ++i) {
-    total = static_cast<Word>(static_cast<std::uint64_t>(total) +
-                              static_cast<std::uint64_t>(v[i]));
-  }
-  return total;
-}
-
-Word k_reduce_min(const Word* v, std::size_t n) {
-  Word best = v[0];
-  std::size_t i = 0;
-  if (n >= 8) {
-    __m512i acc = load8(v);
-    for (i = 8; i + 8 <= n; i += 8) {
-      acc = _mm512_min_epi64(acc, load8(v + i));
-    }
-    const Word m = _mm512_reduce_min_epi64(acc);
-    best = m < best ? m : best;
-  }
-  for (; i < n; ++i) best = v[i] < best ? v[i] : best;
-  return best;
-}
-
-Word k_reduce_max(const Word* v, std::size_t n) {
-  Word best = v[0];
-  std::size_t i = 0;
-  if (n >= 8) {
-    __m512i acc = load8(v);
-    for (i = 8; i + 8 <= n; i += 8) {
-      acc = _mm512_max_epi64(acc, load8(v + i));
-    }
-    const Word m = _mm512_reduce_max_epi64(acc);
-    best = m > best ? m : best;
-  }
-  for (; i < n; ++i) best = v[i] > best ? v[i] : best;
-  return best;
 }
 
 std::size_t k_count_true(const std::uint8_t* m, std::size_t n) {
@@ -758,31 +559,32 @@ void k_conflict_rank(Word* rank, const Word* idx, std::size_t n,
 }  // namespace
 
 const SimdKernels& simd_kernels_avx512() {
+  using Loops = LaneLoops<SimdLevel::kAvx512>;
   static const SimdKernels k = {
       SimdLevel::kAvx512,
       "avx512",
-      k_add,
-      k_sub,
-      k_mul,
-      k_add_s,
-      k_mul_s,
-      k_and_s,
-      k_or_s,
-      k_shr_s,
-      k_neg,
+      Loops::add,
+      Loops::sub,
+      Loops::mul,
+      Loops::add_s,
+      Loops::mul_s,
+      Loops::and_s,
+      Loops::or_s,
+      Loops::shr_s,
+      Loops::neg,
       k_div_s,
       k_mod_s,
-      k_cmp_eq,
-      k_cmp_ne,
-      k_cmp_le,
-      k_cmp_lt,
+      Loops::cmp_eq,
+      Loops::cmp_ne,
+      Loops::cmp_le,
+      Loops::cmp_lt,
       k_cmp_eq_s,
       k_cmp_ne_s,
       k_cmp_le_s,
       k_cmp_lt_s,
       k_cmp_ge_s,
-      k_mask_and,
-      k_mask_or,
+      Loops::mask_and,
+      Loops::mask_or,
       k_mask_not,
       k_select,
       k_from_mask,
@@ -790,9 +592,9 @@ const SimdKernels& simd_kernels_avx512() {
       k_gather,
       k_gather_masked,
       k_load_strided,
-      k_reduce_sum,
-      k_reduce_min,
-      k_reduce_max,
+      Loops::reduce_sum,
+      Loops::reduce_min,
+      Loops::reduce_max,
       k_count_true,
       k_compress,
       k_partition,

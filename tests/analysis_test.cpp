@@ -448,6 +448,23 @@ TEST(AnalysisElisionTest, ElisionPreservesOutputsAndSkipsLaneWork) {
   EXPECT_GE(elided_st.elided_lanes, 4u * 64u);
 }
 
+TEST(AnalysisElisionTest, HostRewriteDropsStaleFacts) {
+  // Facts are keyed by storage address. A host rewrite of a vector the
+  // machine produced must not leave its old facts in force: iota's
+  // "distinct" would prove this 64-way collision duplicate-free and elide
+  // the audit that catches it.
+  VectorMachine m(analyzed(/*elide=*/true, /*audit_throw=*/false));
+  WordVec idx;
+  m.iota_into(idx, 64);
+  std::fill(idx.begin(), idx.end(), 5);
+  WordVec table(64, 0);
+  WordVec vals(64);
+  std::iota(vals.begin(), vals.end(), 100);
+  m.scatter(table, idx, vals);
+  EXPECT_EQ(m.hazards().count(HazardKind::kUnsanctionedDuplicate), 1u);
+  EXPECT_EQ(m.analyzer()->stats().elided_instructions, 0u);
+}
+
 TEST(AnalysisElisionTest, ClobberDetectionSurvivesElidedRounds) {
   // The elided FOL round books its write footprint as an interval instead
   // of per-address marks; the stale-label read must still be caught.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -23,6 +24,7 @@
 #include "vm/checker.h"
 #include "vm/machine.h"
 #include "vm/simd_backend.h"
+#include "vm/simd_kernels.h"
 
 namespace folvec::vm {
 namespace {
@@ -924,28 +926,126 @@ TEST(SimdMixedLevelTest, AllSupportedLevelsProduceOneDigest) {
   }
 }
 
-TEST(SimdMixedLevelTest, TinyVectorReductionsMatchSerialOnEveryTable) {
-  // Vectors shorter than one register, and just past one or two: the
-  // reductions run only their tail loop or a single vector step, and must
-  // still agree with the scalar reference table.
-  MachineConfig serial_cfg;
-  serial_cfg.backend = BackendKind::kSerial;
-  VectorMachine serial(serial_cfg);
+TEST(SimdMixedLevelTest, LaneKernelsMatchScalarAtEdgeLengthsOnEveryTable) {
+  // A compiled or hand-written lane loop has a prologue, a vector body and
+  // a tail; these lengths put the end of the span on both sides of one, two
+  // and four 256/512-bit blocks and of a 32- or 64-byte mask block, which
+  // the fuzz lengths never pin. The lanes hold INT64_MIN/INT64_MAX, so every
+  // wrap-around path runs. Each table must match the scalar reference table
+  // entry for entry over [lo, n) and leave the lanes outside it untouched.
+  constexpr Word kMax = std::numeric_limits<Word>::max();
+  constexpr Word kMin = std::numeric_limits<Word>::min();
+  constexpr Word kSentinel = 0x5e5e;
+  const Word extremes[] = {kMin, kMax, kMin + 1, kMax - 1, -1, 0, 1};
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  for (const std::size_t edge :
+       {std::size_t{32}, std::size_t{64}, std::size_t{128}}) {
+    for (std::size_t n = edge - 1; n <= edge + 1; ++n) lengths.push_back(n);
+  }
+  const SimdKernels& ref = simd_kernels_scalar();
   for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kNeon, SimdLevel::kAvx2,
-        SimdLevel::kAvx512}) {
+       {SimdLevel::kNeon, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (!simd_level_supported(level)) continue;
-    VectorMachine simd = make_simd(ScatterOrder::kForward, 1, level);
-    for (std::size_t n = 1; n <= 17; ++n) {
-      Xoshiro256 rng(0x1234 + n);
-      WordVec v(n);
-      for (auto& x : v) x = rng.in_range(-1000, 1000);
-      EXPECT_EQ(serial.reduce_sum(v), simd.reduce_sum(v))
-          << simd_level_name(level) << " n=" << n;
-      EXPECT_EQ(serial.reduce_min(v), simd.reduce_min(v))
-          << simd_level_name(level) << " n=" << n;
-      EXPECT_EQ(serial.reduce_max(v), simd.reduce_max(v))
-          << simd_level_name(level) << " n=" << n;
+    const SimdKernels& t = simd_kernels_for(level);
+    for (const std::size_t n : lengths) {
+      const std::size_t cap = n + 8;
+      Xoshiro256 rng(0xed6e0000 + n);
+      const auto lane = [&] {
+        return rng.below(3) == 0 ? extremes[rng.below(std::size(extremes))]
+                                 : static_cast<Word>(rng.next());
+      };
+      WordVec a(cap);
+      WordVec b(cap);
+      std::vector<std::uint8_t> m1(cap);
+      std::vector<std::uint8_t> m2(cap);
+      for (std::size_t i = 0; i < cap; ++i) {
+        a[i] = lane();
+        b[i] = rng.below(3) == 0 ? a[i] : lane();
+        m1[i] = static_cast<std::uint8_t>(rng.below(2));
+        m2[i] = static_cast<std::uint8_t>(rng.below(2));
+      }
+      for (const std::size_t lo : {std::size_t{0}, std::size_t{1}}) {
+        if (lo > n) continue;
+        const auto where = [&](const char* entry) {
+          std::ostringstream os;
+          os << simd_level_name(level) << "." << entry << " n=" << n
+             << " lo=" << lo;
+          return os.str();
+        };
+        const auto words = [&](const char* entry, const auto& run) {
+          WordVec want(cap, kSentinel);
+          WordVec got(cap, kSentinel);
+          run(ref, want.data());
+          run(t, got.data());
+          EXPECT_EQ(want, got) << where(entry);
+        };
+        const auto bytes = [&](const char* entry, const auto& run) {
+          std::vector<std::uint8_t> want(cap, 0x5e);
+          std::vector<std::uint8_t> got(cap, 0x5e);
+          run(ref, want.data());
+          run(t, got.data());
+          EXPECT_EQ(want, got) << where(entry);
+        };
+        const Word* pa = a.data();
+        const Word* pb = b.data();
+        const std::uint8_t* p1 = m1.data();
+        const std::uint8_t* p2 = m2.data();
+        using K = const SimdKernels&;
+        words("add", [&](K k, Word* o) { k.add(o, pa, pb, lo, n); });
+        words("sub", [&](K k, Word* o) { k.sub(o, pa, pb, lo, n); });
+        words("mul", [&](K k, Word* o) { k.mul(o, pa, pb, lo, n); });
+        for (const Word s : {kMax, kMin, Word{3}, Word{-7}}) {
+          words("add_s", [&](K k, Word* o) { k.add_s(o, pa, s, lo, n); });
+          words("mul_s", [&](K k, Word* o) { k.mul_s(o, pa, s, lo, n); });
+          words("and_s", [&](K k, Word* o) { k.and_s(o, pa, s, lo, n); });
+          words("or_s", [&](K k, Word* o) { k.or_s(o, pa, s, lo, n); });
+        }
+        for (const Word s : {Word{0}, Word{1}, Word{63}}) {
+          words("shr_s", [&](K k, Word* o) { k.shr_s(o, pa, s, lo, n); });
+        }
+        words("neg", [&](K k, Word* o) { k.neg(o, pa, 0, lo, n); });
+        words("select", [&](K k, Word* o) { k.select(o, p1, pa, pb, lo, n); });
+        words("from_mask", [&](K k, Word* o) { k.from_mask(o, p1, lo, n); });
+        words("iota", [&](K k, Word* o) { k.iota(o, kMax, kMax - 2, lo, n); });
+        bytes("cmp_eq",
+              [&](K k, std::uint8_t* o) { k.cmp_eq(o, pa, pb, lo, n); });
+        bytes("cmp_ne",
+              [&](K k, std::uint8_t* o) { k.cmp_ne(o, pa, pb, lo, n); });
+        bytes("cmp_le",
+              [&](K k, std::uint8_t* o) { k.cmp_le(o, pa, pb, lo, n); });
+        bytes("cmp_lt",
+              [&](K k, std::uint8_t* o) { k.cmp_lt(o, pa, pb, lo, n); });
+        for (const Word s : {kMin, kMax, Word{0}, a[0]}) {
+          bytes("cmp_eq_s",
+                [&](K k, std::uint8_t* o) { k.cmp_eq_s(o, pa, s, lo, n); });
+          bytes("cmp_ne_s",
+                [&](K k, std::uint8_t* o) { k.cmp_ne_s(o, pa, s, lo, n); });
+          bytes("cmp_le_s",
+                [&](K k, std::uint8_t* o) { k.cmp_le_s(o, pa, s, lo, n); });
+          bytes("cmp_lt_s",
+                [&](K k, std::uint8_t* o) { k.cmp_lt_s(o, pa, s, lo, n); });
+          bytes("cmp_ge_s",
+                [&](K k, std::uint8_t* o) { k.cmp_ge_s(o, pa, s, lo, n); });
+        }
+        bytes("mask_and",
+              [&](K k, std::uint8_t* o) { k.mask_and(o, p1, p2, lo, n); });
+        bytes("mask_or",
+              [&](K k, std::uint8_t* o) { k.mask_or(o, p1, p2, lo, n); });
+        bytes("mask_not",
+              [&](K k, std::uint8_t* o) { k.mask_not(o, p1, lo, n); });
+        // The whole-span entries see the span [lo, n) as their vector.
+        const std::size_t len = n - lo;
+        EXPECT_EQ(ref.reduce_sum(pa + lo, len), t.reduce_sum(pa + lo, len))
+            << where("reduce_sum");
+        EXPECT_EQ(ref.count_true(p1 + lo, len), t.count_true(p1 + lo, len))
+            << where("count_true");
+        if (len == 0) continue;
+        EXPECT_EQ(ref.reduce_min(pa + lo, len), t.reduce_min(pa + lo, len))
+            << where("reduce_min");
+        EXPECT_EQ(ref.reduce_max(pa + lo, len), t.reduce_max(pa + lo, len))
+            << where("reduce_max");
+      }
     }
   }
 }

@@ -41,6 +41,53 @@ class ScopedEnv {
   bool had_ = false;
 };
 
+/// True when tables x and y point entry F at the same function.
+template <auto F>
+bool same_entry(const SimdKernels& x, const SimdKernels& y) {
+  return x.*F == y.*F;
+}
+
+struct SharedLoopEntry {
+  const char* name;
+  bool (*same)(const SimdKernels&, const SimdKernels&);
+};
+
+using K = SimdKernels;
+
+/// Entries both x86 ISA tables take from lane_loops.h instead of
+/// hand-written intrinsics.
+constexpr SharedLoopEntry kSharedOnBothX86[] = {
+    {"add", same_entry<&K::add>},
+    {"sub", same_entry<&K::sub>},
+    {"mul", same_entry<&K::mul>},
+    {"add_s", same_entry<&K::add_s>},
+    {"mul_s", same_entry<&K::mul_s>},
+    {"and_s", same_entry<&K::and_s>},
+    {"or_s", same_entry<&K::or_s>},
+    {"neg", same_entry<&K::neg>},
+    {"cmp_eq", same_entry<&K::cmp_eq>},
+    {"cmp_ne", same_entry<&K::cmp_ne>},
+    {"cmp_le", same_entry<&K::cmp_le>},
+    {"cmp_lt", same_entry<&K::cmp_lt>},
+    {"mask_and", same_entry<&K::mask_and>},
+    {"mask_or", same_entry<&K::mask_or>},
+    {"reduce_sum", same_entry<&K::reduce_sum>},
+    {"reduce_min", same_entry<&K::reduce_min>},
+    {"reduce_max", same_entry<&K::reduce_max>},
+};
+
+/// Shared-loop entries of one table only.
+constexpr SharedLoopEntry kSharedOnAvx2Only[] = {
+    {"cmp_eq_s", same_entry<&K::cmp_eq_s>},
+    {"cmp_ne_s", same_entry<&K::cmp_ne_s>},
+    {"cmp_le_s", same_entry<&K::cmp_le_s>},
+    {"cmp_lt_s", same_entry<&K::cmp_lt_s>},
+    {"cmp_ge_s", same_entry<&K::cmp_ge_s>},
+};
+constexpr SharedLoopEntry kSharedOnAvx512Only[] = {
+    {"shr_s", same_entry<&K::shr_s>},
+};
+
 TEST(SimdDispatchTest, ParseLevelAcceptsCanonicalSpellings) {
   EXPECT_EQ(simd_parse_level(nullptr), SimdLevel::kAuto);
   EXPECT_EQ(simd_parse_level(""), SimdLevel::kAuto);
@@ -163,6 +210,33 @@ TEST(SimdDispatchTest, KernelTablesCarryTheirOwnLevelAndName) {
     for (const auto& [entry, present] : entries) {
       EXPECT_TRUE(present) << simd_level_name(level) << "." << entry;
     }
+  }
+  // Each ISA table runs its OWN compiled copy of the shared lane loops.
+  // Were the loops given external (inline) linkage, the linker would keep
+  // one copy for all tables, compiled under whichever TU's target flags it
+  // picked, and the entries below would compare equal.
+  const auto expect_distinct = [](const SimdKernels& x, const SimdKernels& y,
+                                  const auto& shared) {
+    for (const SharedLoopEntry& e : shared) {
+      EXPECT_FALSE(e.same(x, y))
+          << x.name << "." << e.name << " is " << y.name << "." << e.name;
+    }
+  };
+  const bool avx2 = simd_level_supported(SimdLevel::kAvx2);
+  const bool avx512 = simd_level_supported(SimdLevel::kAvx512);
+  if (avx2) {
+    const SimdKernels& t = simd_kernels_for(SimdLevel::kAvx2);
+    expect_distinct(t, scalar, kSharedOnBothX86);
+    expect_distinct(t, scalar, kSharedOnAvx2Only);
+  }
+  if (avx512) {
+    const SimdKernels& t = simd_kernels_for(SimdLevel::kAvx512);
+    expect_distinct(t, scalar, kSharedOnBothX86);
+    expect_distinct(t, scalar, kSharedOnAvx512Only);
+  }
+  if (avx2 && avx512) {
+    expect_distinct(simd_kernels_for(SimdLevel::kAvx2),
+                    simd_kernels_for(SimdLevel::kAvx512), kSharedOnBothX86);
   }
 }
 
